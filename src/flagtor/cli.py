@@ -186,28 +186,45 @@ def _cache_path(cache_dir, K, coeff):
 
 
 def _load_disk_cache(cache_dir, K, coeff):
+    """Load a saved sweep; an unreadable or malformed file is a cache miss."""
     path = _cache_path(cache_dir, K, coeff)
     if not os.path.exists(path):
         return
-    with open(path) as fh:
-        raw = json.load(fh)
-    profiles = {}
-    for jstr, data in raw.items():
-        profiles[int(jstr)] = homology.HomologyProfile(
-            {int(n): r for n, r in data["ranks"].items()},
-            {int(n): tuple(t) for n, t in data["torsion"].items()})
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+        profiles = {}
+        for jstr, data in raw.items():
+            J = int(jstr)
+            ranks = {int(n): r for n, r in data["ranks"].items()}
+            torsion = {int(n): tuple(t) for n, t in data["torsion"].items()}
+            if not (0 <= J <= K.full_mask and all(
+                    type(v) is int for v in ranks.values())
+                    and all(type(q) is int for t in torsion.values() for q in t)):
+                raise ValueError(f"bad entry for subset {jstr}")
+            profiles[J] = homology.HomologyProfile(ranks, torsion)
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        print(f"warning: ignoring cache file {path}: {exc}", file=sys.stderr)
+        return
     hochster.load_cache(K, coeff, profiles)
 
 
 def _save_disk_cache(cache_dir, K, coeff):
+    """Write the sweep to a temporary file, then move it into place."""
     os.makedirs(cache_dir, exist_ok=True)
     snapshot = hochster.cache_snapshot(K, coeff)
     raw = {str(j): {"ranks": {str(n): r for n, r in p.ranks.items()},
                     "torsion": {str(n): list(t) for n, t in p.torsion.items()}}
            for j, p in snapshot.items()}
     path = _cache_path(cache_dir, K, coeff)
-    with open(path, "w") as fh:
-        json.dump(raw, fh, sort_keys=True)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(raw, fh, sort_keys=True)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 # ---------------------------------------------------------------------------

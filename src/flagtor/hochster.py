@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import multiprocessing
 from dataclasses import dataclass, field
+from functools import lru_cache
+from types import MappingProxyType
 
 from . import homology
 from .complexes import SimplicialComplex
@@ -62,8 +64,13 @@ def clear_cache():
     _CACHE.clear()
 
 
+@lru_cache(maxsize=64)
+def _canonical_key(K):
+    return K.canonical_key()
+
+
 def _cache_for(K, coeff):
-    return _CACHE.setdefault((K.canonical_key(), coeff.key()), {})
+    return _CACHE.setdefault((_canonical_key(K), coeff.key()), {})
 
 
 def cache_snapshot(K, coeff):
@@ -100,7 +107,11 @@ def _worker_chunk(masks):
 
 
 def subcomplex_profiles(K, coeff, threads=1):
-    """Reduced homology of every full subcomplex K_J, keyed by bitmask."""
+    """Reduced homology of every full subcomplex K_J, keyed by bitmask.
+
+    Returns a read-only view of the shared cache, not a copy; use
+    ``cache_snapshot`` for a copy.
+    """
     if K.m > SWEEP_CAP:
         raise ComplexTooLargeError(
             f"full subcomplex sweep needs m <= {SWEEP_CAP}, got m = {K.m}")
@@ -108,7 +119,7 @@ def subcomplex_profiles(K, coeff, threads=1):
     total = 1 << K.m
     missing = [J for J in range(total) if J not in store]
     if not missing:
-        return dict(store)
+        return MappingProxyType(store)
     if threads > 1 and len(missing) >= 1 << 12:
         chunk = max(256, len(missing) // (8 * threads))
         chunks = [missing[i:i + chunk] for i in range(0, len(missing), chunk)]
@@ -121,7 +132,7 @@ def subcomplex_profiles(K, coeff, threads=1):
         geo = homology.geometry(K)
         for J in missing:
             store[J] = homology._profile_restricted(geo, J, coeff)
-    return dict(store)
+    return MappingProxyType(store)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+from .complexes import adjacency
 from .exact_linalg import (NonPrimeModulusError, is_prime, rank_gf2_columns,
                            rank_mod_p_columns, rank_rational_columns,
                            snf_columns)
@@ -114,15 +115,23 @@ class HomologyProfile:
 # ---------------------------------------------------------------------------
 
 class ComplexGeometry:
-    """Faces of a complex grouped by dimension with boundary templates."""
+    """Faces of a complex grouped by dimension with boundary templates.
+
+    ``position[f]`` is the index of face f among the faces of its
+    dimension, and ``adjacency`` the 1-skeleton as neighbour bitmasks.
+    """
 
     def __init__(self, K):
         self.K = K
         by_dim = {}
         for f in K.faces:
             by_dim.setdefault(f.bit_count() - 1, []).append(f)
-        self.by_dim = {d: sorted(fs) for d, fs in by_dim.items()}
+        self.by_dim = {d: sorted(by_dim[d]) for d in sorted(by_dim)}
         self.dim = max(self.by_dim)
+        self.position = {f: i for fs in self.by_dim.values()
+                         for i, f in enumerate(fs)}
+        self.vertices = sum(self.by_dim.get(0, ()))
+        self.adjacency = adjacency(K)
         boundary = {}
         for d, fs in self.by_dim.items():
             if d < 0:
@@ -160,31 +169,43 @@ def _restricted_columns(geo, Jmask):
     """Faces of K_J by dimension plus boundary matrix columns.
 
     Returns (counts, matrices): counts maps dimension d to the face
-    count f_d, matrices maps k to the columns [(row_index, sign), ...]
-    of the boundary C_k -> C_{k-1} in local indices.
+    count f_d, matrices maps k >= 0 to the columns of the boundary
+    C_k -> C_{k-1}, which are the templates ``geo.boundary[f]`` of the
+    k-faces f of K_J in ascending order, each [(row face, sign), ...].
+    Rows are keyed by the faces' own bitmasks rather than renumbered per
+    J: every face of a face of K_J lies in K_J, and the bitmask order
+    agrees with the order of local indices, so eliminations pick the same
+    pivots.  ``geo.position`` turns a row key into an index where one is
+    needed.
     """
-    faces_by_dim = {}
+    full = Jmask == geo.K.full_mask
+    counts, matrices = {}, {}
     for d, fs in geo.by_dim.items():
-        sel = [f for f in fs if not f & ~Jmask] if Jmask != geo.K.full_mask else fs
+        sel = fs if full else [f for f in fs if not f & ~Jmask]
         if sel:
-            faces_by_dim[d] = sel
-    index = {}
-    for d, fs in faces_by_dim.items():
-        index[d] = {f: i for i, f in enumerate(fs)}
-    counts = {d: len(fs) for d, fs in faces_by_dim.items()}
-    matrices = {}
-    for k in sorted(faces_by_dim):
-        if k < 0:
-            continue
-        rows = index.get(k - 1, {})
-        cols = []
-        for f in faces_by_dim[k]:
-            cols.append([(rows[sub], sign) for sub, sign in geo.boundary[f]])
-        matrices[k] = cols
+            counts[d] = len(sel)
+            if d >= 0:
+                matrices[d] = [geo.boundary[f] for f in sel]
     return counts, matrices
 
 
-def _field_ranks(matrices, coeff):
+def _components(adj, V):
+    """Number of connected components of the graph adj restricted to V."""
+    c = 0
+    while V:
+        reach = frontier = V & -V
+        while frontier:
+            bit = frontier & -frontier
+            frontier ^= bit
+            new = adj[bit.bit_length() - 1] & V & ~reach
+            reach |= new
+            frontier |= new
+        V ^= reach
+        c += 1
+    return c
+
+
+def _field_ranks(matrices, coeff, position):
     ranks = {}
     for k, cols in matrices.items():
         if coeff.kind == "fp" and coeff.p == 2:
@@ -192,7 +213,7 @@ def _field_ranks(matrices, coeff):
             for col in cols:
                 b = 0
                 for r, _ in col:
-                    b ^= 1 << r
+                    b ^= 1 << position[r]
                 bits.append(b)
             ranks[k] = rank_gf2_columns(bits)
         elif coeff.kind == "fp":
@@ -202,25 +223,43 @@ def _field_ranks(matrices, coeff):
     return ranks
 
 
-def _profile_restricted(geo, Jmask, coeff):
-    counts, matrices = _restricted_columns(geo, Jmask)
-    if coeff.is_field:
-        ranks = _field_ranks(matrices, coeff)
-        torsion = {}
-    else:
-        snfs = {k: snf_columns(cols) for k, cols in matrices.items()}
-        ranks = {k: s.rank for k, s in snfs.items()}
-        torsion = {}
-        for k, s in snfs.items():
-            t = s.torsion()
-            if t:
-                torsion[k - 1] = t
-    profile_ranks = {}
+def _betti_numbers(counts, ranks):
+    """Nonzero f_d - rank d_d - rank d_{d+1}, by degree d."""
+    out = {}
     for d, f_d in counts.items():
         b = f_d - ranks.get(d, 0) - ranks.get(d + 1, 0)
         if b:
-            profile_ranks[d] = b
-    return HomologyProfile(profile_ranks, torsion)
+            out[d] = b
+    return out
+
+
+def _profile_restricted(geo, Jmask, coeff):
+    """Reduced homology of K_J, eliminating only the boundaries d_k, k >= 2.
+
+    Degrees 0 and 1 come from the graph: d_0 has rank 1 on any nonempty
+    K_J, and d_1, the incidence matrix of the 1-skeleton, has rank
+    f_0 - c(J) with c(J) its number of connected components.  Neither
+    carries torsion over any ring: an incidence matrix is totally
+    unimodular.
+    """
+    counts, matrices = _restricted_columns(geo, Jmask)
+    f0 = counts.get(0, 0)
+    ranks = {}
+    if f0:
+        ranks[0] = 1
+        ranks[1] = f0 - _components(geo.adjacency, Jmask & geo.vertices)
+    high = {k: cols for k, cols in matrices.items() if k >= 2}
+    torsion = {}
+    if coeff.is_field:
+        ranks.update(_field_ranks(high, coeff, geo.position))
+    else:
+        for k, cols in high.items():
+            snf = snf_columns(cols)
+            ranks[k] = snf.rank
+            t = snf.torsion()
+            if t:
+                torsion[k - 1] = t
+    return HomologyProfile(_betti_numbers(counts, ranks), torsion)
 
 
 def reduced_homology(K, coeff):
@@ -245,19 +284,13 @@ def reduced_cohomology(K, coeff):
         counts, matrices = _restricted_columns(geo, K.full_mask)
         tr = {}
         for k, cols in matrices.items():
-            nrows = counts.get(k - 1, 0)
-            rows = [[] for _ in range(nrows)]
-            for c, col in enumerate(cols):
-                for r, sign in col:
-                    rows[r].append((c, sign))
-            tr[k] = rows
-        ranks = _field_ranks(tr, coeff)
-        profile_ranks = {}
-        for d, f_d in counts.items():
-            b = f_d - ranks.get(d, 0) - ranks.get(d + 1, 0)
-            if b:
-                profile_ranks[d] = b
-        return HomologyProfile(profile_ranks, {})
+            rows = {g: [] for g in geo.by_dim.get(k - 1, ())}
+            for f, col in zip(geo.by_dim[k], cols):
+                for sub, sign in col:
+                    rows[sub].append((f, sign))
+            tr[k] = list(rows.values())
+        ranks = _field_ranks(tr, coeff, geo.position)
+        return HomologyProfile(_betti_numbers(counts, ranks), {})
     hom = reduced_homology(K, coeff)
     return HomologyProfile(dict(hom.ranks),
                            {n + 1: t for n, t in hom.torsion.items()})

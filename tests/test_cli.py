@@ -74,6 +74,26 @@ def test_cache_hit_returns_identical_results(tmp_path):
     assert cold.stdout == warm.stdout
 
 
+def test_truncated_cache_file_is_a_miss(tmp_path):
+    cache = tmp_path / "cache"
+    args = ("zk-homology", "--named", "random-flag:8:40:1", "--coeff", "z",
+            "--cache", str(cache))
+    cold = flagtor(*args)
+    assert cold.returncode == 0
+    files = list(cache.iterdir())
+    assert files
+    for path in files:
+        data = path.read_bytes()
+        path.write_bytes(data[:len(data) // 2])
+    warm = flagtor(*args)
+    assert warm.returncode == 0
+    assert warm.stdout == cold.stdout
+    # the cache was written again, whole
+    for path in files:
+        json.loads(path.read_text())
+    assert sorted(cache.iterdir()) == sorted(files)
+
+
 def test_multidegree_serialization_doubles_lambda():
     r = flagtor("tor", "--named", "cycle:4", "--coeff", "q")
     entries = json.loads(r.stdout)["result"]["entries"]

@@ -4,6 +4,8 @@ import random
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from flagtor.exact_linalg import (ExactMatrix, NonPrimeModulusError, rank,
@@ -74,7 +76,7 @@ def test_snf_rp2_boundary_has_order_two_torsion():
     dense_rows = [[0] * len(cols) for _ in range(counts[1])]
     for c, col in enumerate(cols):
         for r, sign in col:
-            dense_rows[r][c] = sign
+            dense_rows[geo.position[r]][c] = sign
     snf = smith_normal_form(dense(dense_rows))
     assert snf.diagonal[-1] == 2
     assert snf.diagonal == sympy_invariant_factors(dense_rows)
@@ -117,3 +119,42 @@ def test_snf_permutation_invariance_and_rank_consistency():
         assert rank(M) == snf.rank
         for p in (2, 3, 5):
             assert rank(M, p) == snf.rank_mod(p)
+
+
+# Property tests.  Matrices with +-1 entries send most pivots through the
+# unit pass of the Smith form; matrices without them leave all the work to
+# the minimal-|v| core.  Both kinds are drawn.
+WITH_UNITS = st.integers(-3, 3)
+WITHOUT_UNITS = st.sampled_from([-6, -4, -3, -2, 0, 0, 0, 2, 3, 4, 6])
+
+
+@st.composite
+def dense_rows(draw, entries):
+    nr = draw(st.integers(1, 6))
+    nc = draw(st.integers(1, 6))
+    return draw(st.lists(st.lists(entries, min_size=nc, max_size=nc),
+                         min_size=nr, max_size=nr))
+
+
+MATRICES = st.one_of(dense_rows(WITH_UNITS), dense_rows(WITHOUT_UNITS))
+
+
+@settings(max_examples=300, deadline=None)
+@given(MATRICES)
+def test_snf_property_matches_sympy_invariant_factors(rows):
+    snf = smith_normal_form(dense(rows))
+    assert snf.diagonal == sympy_invariant_factors(rows)
+    assert rank(dense(rows)) == snf.rank
+    for p in (2, 3):
+        assert rank(dense(rows), p) == snf.rank_mod(p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_snf_property_invariant_under_row_and_column_permutations(data):
+    rows = data.draw(MATRICES)
+    pr = data.draw(st.permutations(range(len(rows))))
+    pc = data.draw(st.permutations(range(len(rows[0]))))
+    shuffled = [[rows[r][c] for c in pc] for r in pr]
+    assert smith_normal_form(dense(shuffled)).diagonal == \
+        smith_normal_form(dense(rows)).diagonal
