@@ -186,10 +186,13 @@ def _cache_path(cache_dir, K, coeff):
 
 
 def _load_disk_cache(cache_dir, K, coeff):
-    """Load a saved sweep; an unreadable or malformed file is a cache miss."""
+    """Load a saved sweep and return how many subsets it held.
+
+    An unreadable or malformed file is a cache miss, which holds none.
+    """
     path = _cache_path(cache_dir, K, coeff)
     if not os.path.exists(path):
-        return
+        return 0
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -205,8 +208,9 @@ def _load_disk_cache(cache_dir, K, coeff):
             profiles[J] = homology.HomologyProfile(ranks, torsion)
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         print(f"warning: ignoring cache file {path}: {exc}", file=sys.stderr)
-        return
+        return 0
     hochster.load_cache(K, coeff, profiles)
+    return len(profiles)
 
 
 def _save_disk_cache(cache_dir, K, coeff):
@@ -716,10 +720,11 @@ def run(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    on_disk = {}  # coefficients -> subsets the disk cache held
     if cfg.cache_dir and cfg.K.m <= hochster.SWEEP_CAP:
         for ckey in {cfg.coeff.key(), ("z", None)}:
-            _load_disk_cache(cfg.cache_dir, cfg.K,
-                             homology.Coefficients(*ckey))
+            coeff = homology.Coefficients(*ckey)
+            on_disk[coeff] = _load_disk_cache(cfg.cache_dir, cfg.K, coeff)
 
     try:
         payload = _dispatch(args, cfg)
@@ -739,11 +744,9 @@ def run(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if cfg.cache_dir and cfg.K.m <= hochster.SWEEP_CAP:
-        for ckey in {cfg.coeff.key(), ("z", None)}:
-            coeff = homology.Coefficients(*ckey)
-            if hochster.cache_snapshot(cfg.K, coeff):
-                _save_disk_cache(cfg.cache_dir, cfg.K, coeff)
+    for coeff, held in on_disk.items():
+        if hochster.cache_size(cfg.K, coeff) > held:
+            _save_disk_cache(cfg.cache_dir, cfg.K, coeff)
 
     result = {"m": cfg.K.m, "facets": [list(t) for t in cfg.K.facet_lists()],
               "command": args.command, "result": payload}

@@ -5,7 +5,13 @@ subsets J of the reduced homology of K_J in degree p-|J|-1; the real
 version R_K uses degree p-1.  The expensive part is one pass over all
 2^m full subcomplexes; its results are memoized in a process-wide cache
 (keyed by the complex and the coefficients) that every other module
-shares, and the pass itself can be split across worker processes.
+shares.  The pass walks J in ascending order and eliminates only the
+irreducible K_J, those that are connected and have no dominated vertex;
+every other J takes the profile of the complex it collapses onto, or the
+sum of its components' profiles (``homology.reduction``), all of which
+are proper subsets already swept.  With worker processes, the workers
+eliminate the irreducible subsets and the main process fills in the
+rest.  Single subsets (``profile_for_subset``) are plain elimination.
 """
 
 from __future__ import annotations
@@ -77,6 +83,10 @@ def cache_snapshot(K, coeff):
     return dict(_cache_for(K, coeff))
 
 
+def cache_size(K, coeff):
+    return len(_cache_for(K, coeff))
+
+
 def load_cache(K, coeff, profiles):
     _cache_for(K, coeff).update(profiles)
 
@@ -110,27 +120,33 @@ def subcomplex_profiles(K, coeff, threads=1):
     """Reduced homology of every full subcomplex K_J, keyed by bitmask.
 
     Returns a read-only view of the shared cache, not a copy; use
-    ``cache_snapshot`` for a copy.
+    ``cache_snapshot`` for a copy.  Subsets whose complexes collapse onto
+    the same smaller one share a single profile object.
     """
     if K.m > SWEEP_CAP:
         raise ComplexTooLargeError(
             f"full subcomplex sweep needs m <= {SWEEP_CAP}, got m = {K.m}")
     store = _cache_for(K, coeff)
-    total = 1 << K.m
-    missing = [J for J in range(total) if J not in store]
+    missing = [J for J in range(1 << K.m) if J not in store]
     if not missing:
         return MappingProxyType(store)
+    geo = homology.geometry(K)
+    plan = ((J, homology.reduction(geo, J)) for J in missing)
     if threads > 1 and len(missing) >= 1 << 12:
-        chunk = max(256, len(missing) // (8 * threads))
-        chunks = [missing[i:i + chunk] for i in range(0, len(missing), chunk)]
+        plan = list(plan)
+        irreducible = [J for J, parts in plan if parts is None]
+        chunk = max(256, len(irreducible) // (8 * threads))
+        chunks = [irreducible[i:i + chunk]
+                  for i in range(0, len(irreducible), chunk)]
         with multiprocessing.Pool(
                 threads, initializer=_worker_init,
                 initargs=(K.m, tuple(K.faces), coeff.key())) as pool:
             for part in pool.imap_unordered(_worker_chunk, chunks):
                 store.update(part)
-    else:
-        geo = homology.geometry(K)
-        for J in missing:
+    for J, parts in plan:
+        if parts is not None:
+            store[J] = homology.direct_sum([store[P] for P in parts])
+        elif J not in store:
             store[J] = homology._profile_restricted(geo, J, coeff)
     return MappingProxyType(store)
 

@@ -4,14 +4,20 @@ Chain complexes are augmented: the empty face sits in degree -1, so the
 homology of the empty complex {∅} is rank one in degree -1 and the
 subset-sum bookkeeping downstream needs no special cases.  Faces are
 oriented by ascending vertex order with boundary signs (-1)^position.
+
+Per-subset calls (``subcomplex_homology``, ``reduced_homology``) are
+plain elimination.  For sweeps over many full subcomplexes, ``reduction``
+names smaller vertex sets that settle K_J without elimination: J minus a
+dominated vertex (a strong collapse), or the components of a disconnected
+K_J, which ``direct_sum`` puts together.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from .complexes import adjacency
+from .complexes import adjacency, missing_faces
 from .exact_linalg import (NonPrimeModulusError, is_prime, rank_gf2_columns,
                            rank_mod_p_columns, rank_rational_columns,
                            snf_columns)
@@ -65,7 +71,9 @@ class HomologyProfile:
     """Per-degree rank and torsion of a reduced (co)homology computation.
 
     Only nonzero entries are stored.  ``torsion[n]`` is a sorted tuple of
-    prime powers; it is empty unless the coefficients were Z.
+    prime powers; it is empty unless the coefficients were Z.  Profiles
+    are read-only: in a sweep, subsets whose complexes collapse onto the
+    same smaller one share a single profile object.
     """
 
     ranks: dict = field(default_factory=dict)
@@ -149,6 +157,28 @@ class ComplexGeometry:
         if __debug__ and len(K.faces) <= 4096:
             self._check_boundary_squares_to_zero()
 
+    @cached_property
+    def cone_blockers(self):
+        """(v, w) -> the minimal non-faces N that stop v's link being a cone on w.
+
+        v and w are vertex bits.  N has 3 or more vertices, holds w, and
+        (N - w) + v is a face; one such N inside J keeps w from dominating
+        v in K_J.  Only nonempty entries are kept, so a flag complex has
+        none.
+        """
+        out = {}
+        for N in missing_faces(self.K):
+            if N.bit_count() < 3:
+                continue
+            low = N
+            while low:
+                w = low & -low
+                low ^= w
+                for i in range(self.K.m):
+                    if (N ^ w | 1 << i) in self.K.faces:
+                        out.setdefault((1 << i, w), []).append(N)
+        return {pair: tuple(Ns) for pair, Ns in out.items()}
+
     def _check_boundary_squares_to_zero(self):
         for f, subs in self.boundary.items():
             if f.bit_count() < 2:
@@ -190,8 +220,8 @@ def _restricted_columns(geo, Jmask):
 
 
 def _components(adj, V):
-    """Number of connected components of the graph adj restricted to V."""
-    c = 0
+    """Vertex masks of the connected components of the graph adj on V."""
+    comps = []
     while V:
         reach = frontier = V & -V
         while frontier:
@@ -201,8 +231,8 @@ def _components(adj, V):
             reach |= new
             frontier |= new
         V ^= reach
-        c += 1
-    return c
+        comps.append(reach)
+    return comps
 
 
 def _field_ranks(matrices, coeff, position):
@@ -247,7 +277,7 @@ def _profile_restricted(geo, Jmask, coeff):
     ranks = {}
     if f0:
         ranks[0] = 1
-        ranks[1] = f0 - _components(geo.adjacency, Jmask & geo.vertices)
+        ranks[1] = f0 - len(_components(geo.adjacency, Jmask & geo.vertices))
     high = {k: cols for k, cols in matrices.items() if k >= 2}
     torsion = {}
     if coeff.is_field:
@@ -260,6 +290,65 @@ def _profile_restricted(geo, Jmask, coeff):
             if t:
                 torsion[k - 1] = t
     return HomologyProfile(_betti_numbers(counts, ranks), torsion)
+
+
+def reduction(geo, Jmask):
+    """Proper parts of J whose profiles give that of K_J, or None.
+
+    Collapse: v in J is dominated in K_J by some w in J, that is, vw is
+    an edge, N[v] & J lies in N[w], and no minimal non-face N inside J of
+    3 or more vertices holds w with (N - w) + v a face.  Then lk(v) in K_J
+    is a cone with apex w, K_J strong-collapses onto K_{J-v} (Barmak and
+    Minian, 2012), and the result is (J - v,).  For flag K the non-face
+    clause is empty.  Split: the graph on J has c >= 2 components J_i,
+    and the result is their masks.  None means K_J is irreducible:
+    connected, with no dominated vertex.  Vertices of J outside K are
+    dropped first, since they change nothing.
+    """
+    if Jmask & ~geo.vertices:
+        return (Jmask & geo.vertices,)
+    adj = geo.adjacency
+    blockers = geo.cone_blockers
+    rest = Jmask
+    while rest:
+        v = rest & -rest
+        rest ^= v
+        nbrs = adj[v.bit_length() - 1] & Jmask
+        dom, low = nbrs, nbrs
+        while low and dom:
+            u = low & -low
+            low ^= u
+            dom &= adj[u.bit_length() - 1] | u
+        while dom:
+            w = dom & -dom
+            dom ^= w
+            for N in blockers.get((v, w), ()):
+                if not N & ~Jmask:
+                    break
+            else:
+                return (Jmask ^ v,)
+    parts = _components(adj, Jmask)
+    return parts if len(parts) > 1 else None
+
+
+def direct_sum(parts):
+    """Profile of K_J from the profiles of the parts ``reduction`` gave.
+
+    A single part is a collapse, and its profile is returned as it is.
+    Parts that are the c components of K_J add up degree by degree, plus
+    rank c - 1 in degree 0.
+    """
+    if len(parts) == 1:
+        return parts[0]
+    ranks = {0: len(parts) - 1}
+    torsion = {}
+    for prof in parts:
+        for n, r in prof.ranks.items():
+            ranks[n] = ranks.get(n, 0) + r
+        for n, t in prof.torsion.items():
+            torsion[n] = torsion.get(n, ()) + t
+    return HomologyProfile({n: ranks[n] for n in sorted(ranks)},
+                           {n: tuple(sorted(torsion[n])) for n in sorted(torsion)})
 
 
 def reduced_homology(K, coeff):

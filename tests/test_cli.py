@@ -94,6 +94,26 @@ def test_truncated_cache_file_is_a_miss(tmp_path):
     assert sorted(cache.iterdir()) == sorted(files)
 
 
+def test_warm_call_leaves_the_cache_file_alone(tmp_path):
+    cache = tmp_path / "cache"
+    args = ("tor", "--named", "random-flag:8:40:1", "--coeff", "fp:2",
+            "--cache", str(cache))
+
+    def state():
+        return {p.name: (p.read_bytes(), p.stat().st_mtime_ns, p.stat().st_ino)
+                for p in cache.iterdir()}
+
+    assert not cache.exists()
+    cold = flagtor(*args)
+    assert cold.returncode == 0
+    written = state()
+    assert written
+    warm = flagtor(*args)
+    assert warm.returncode == 0
+    assert warm.stdout == cold.stdout
+    assert state() == written
+
+
 def test_multidegree_serialization_doubles_lambda():
     r = flagtor("tor", "--named", "cycle:4", "--coeff", "q")
     entries = json.loads(r.stdout)["result"]["entries"]

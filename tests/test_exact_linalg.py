@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from flagtor.exact_linalg import (ExactMatrix, NonPrimeModulusError, rank,
-                                  smith_normal_form)
+                                  rank_gf2_columns, rank_mod_p_columns,
+                                  rank_rational_columns, smith_normal_form)
 
 
 def dense(rows):
@@ -158,3 +159,38 @@ def test_snf_property_invariant_under_row_and_column_permutations(data):
     shuffled = [[rows[r][c] for c in pc] for r in pr]
     assert smith_normal_form(dense(shuffled)).diagonal == \
         smith_normal_form(dense(rows)).diagonal
+
+
+@st.composite
+def sparse_matrices(draw, entries):
+    """(rows, cols, {(r, c): v}) with v != 0 and about half the cells empty."""
+    nr = draw(st.integers(1, 8))
+    nc = draw(st.integers(1, 8))
+    cells = draw(st.dictionaries(
+        st.tuples(st.integers(0, nr - 1), st.integers(0, nc - 1)),
+        entries.filter(bool), max_size=(nr * nc + 1) // 2))
+    return nr, nc, cells
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(sparse_matrices(WITH_UNITS), sparse_matrices(WITHOUT_UNITS)),
+       st.data())
+def test_rank_kernels_property_match_smith_form(matrix, data):
+    # each kernel on its own, with row keys spread out the way face
+    # bitmasks are (F_2 columns are bitmasks over row positions)
+    nr, nc, cells = matrix
+    snf = smith_normal_form(ExactMatrix.from_triples(
+        nr, nc, [(r, c, v) for (r, c), v in cells.items()]))
+    keys = data.draw(st.lists(st.integers(0, 1 << 20), min_size=nr,
+                              max_size=nr, unique=True))
+    cols = [{} for _ in range(nc)]
+    for (r, c), v in cells.items():
+        cols[c][keys[r]] = v
+    assert rank_rational_columns(cols) == snf.rank
+    for p in (2, 3, 5):
+        assert rank_mod_p_columns(cols, p) == snf.rank_mod(p)
+    bits = [0] * nc
+    for (r, c), v in cells.items():
+        if v % 2:
+            bits[c] |= 1 << r
+    assert rank_gf2_columns(bits) == snf.rank_mod(2)

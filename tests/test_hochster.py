@@ -1,5 +1,7 @@
 """Moment-angle homology via the subset decomposition, against known spaces."""
 
+import random
+
 from flagtor import complexes as C
 from flagtor import hochster as Ho
 from flagtor import homology as H
@@ -84,6 +86,60 @@ def test_parallel_sweep_matches_serial():
     Ho.clear_cache()
     parallel = Ho.subcomplex_profiles(K, H.GF(2), threads=2)
     assert serial == parallel
+    # integral, with 2-torsion, and 4096 subsets: the worker pool runs
+    K = C.disjoint_union(C.real_projective_plane(), C.random_flag(6, 0.5, 1))
+    Ho.clear_cache()
+    serial = Ho.subcomplex_profiles(K, H.INTEGERS, threads=1)
+    Ho.clear_cache()
+    parallel = Ho.subcomplex_profiles(K, H.INTEGERS, threads=2)
+    assert serial == parallel
+    assert any(p.torsion for p in parallel.values())
+
+
+def test_reduction_collapses_cones_and_splits_components():
+    rp2 = C.real_projective_plane()
+    # the graph of RP^2 is complete, yet no vertex link in it is a cone
+    assert H.reduction(H.geometry(rp2), rp2.full_mask) is None
+    assert H.reduction(H.geometry(C.cycle_complex(4)), 0b1111) is None
+    cone = C.join(rp2, C.points(1))
+    (rest,) = H.reduction(H.geometry(cone), cone.full_mask)
+    assert rest in {cone.full_mask ^ (1 << v) for v in range(7)}
+    two = C.disjoint_union(rp2, rp2)
+    assert H.reduction(H.geometry(two), two.full_mask) == [0o77, 0o7700]
+    assert H.direct_sum([H.reduced_homology(rp2, H.INTEGERS)] * 2) == \
+        H.reduced_homology(two, H.INTEGERS)
+
+
+def _random_complex(rng, m):
+    """Downward closure of random facets; usually not flag."""
+    facets = [[v] for v in range(1, m + 1)]
+    for _ in range(rng.randint(2, 8)):
+        facets.append(sorted(rng.sample(range(1, m + 1), rng.randint(2, min(m, 4)))))
+    return C.from_facets(m, facets)
+
+
+def test_sweep_matches_plain_elimination_on_every_subset():
+    # the sweep eliminates only the irreducible K_J; every other J takes
+    # the profile of the complex it collapses onto, or of its components
+    rp2 = C.real_projective_plane()
+    rng = random.Random(43)
+    cases = [C.join(rp2, C.points(1)), C.disjoint_union(rp2, rp2),
+             C.join(rp2, C.simplex_boundary(3)), C.cross_polytope(3)]
+    cases += [C.random_flag(m, p, seed) for m, p, seed in
+              ((7, .5, 1), (8, .3, 2), (9, .5, 3), (9, .7, 4))]
+    cases += [_random_complex(rng, rng.randint(4, 9)) for _ in range(8)]
+    assert sum(not C.is_flag(K) for K in cases) >= 6
+    # a vertex in no face: K_J is K_{J-v}, not K_J plus an isolated point
+    cases.append(C.SimplicialComplex(5, C.cycle_complex(4).faces))
+    for K in cases:
+        for key in ("q", "fp:2", "fp:3", "z"):
+            coeff = H.parse_coefficients(key)
+            expected = [H.subcomplex_homology(K, J, coeff) for J in range(1 << K.m)]
+            for threads in (1, 2) if K.m >= 12 else (1,):
+                Ho.clear_cache()
+                sweep = Ho.subcomplex_profiles(K, coeff, threads)
+                for J, prof in enumerate(expected):
+                    assert sweep[J] == prof, (K.m, key, threads, J)
 
 
 def test_sweep_cap():
