@@ -146,17 +146,9 @@ def _subset_json(Jmask):
     return list(complexes.verts_of(Jmask))
 
 
-def _rational_str(v):
-    return str(v)
-
-
-def _multidegree_json(i, alpha):
-    return {"t": -i, "lambda": [2 * a for a in alpha]}
-
-
 def _mask_multidegree_json(n, Jmask, m):
     alpha = tuple((Jmask >> k) & 1 for k in range(m))
-    return {"n": n, **_multidegree_json(Jmask.bit_count(), alpha)}
+    return {"n": n, **hochster.MultiDegree(Jmask.bit_count(), alpha).display()}
 
 
 def emit(payload, cfg):
@@ -278,16 +270,9 @@ def _table_json(table, detail):
     return out
 
 
-def _cmd_zk(cfg, detail=False, dual=False):
-    fn = hochster.zk_cohomology if dual else hochster.zk_homology
-    table = fn(cfg.K, cfg.coeff, cfg.threads)
-    return {"coefficients": str(cfg.coeff),
-            "variant": "cohomology" if dual else "homology",
-            **_table_json(table, detail)}
-
-
-def _cmd_rk(cfg, detail=False, dual=False):
-    fn = hochster.rk_cohomology if dual else hochster.rk_homology
+def _cmd_table(cfg, homology_fn, cohomology_fn, detail=False, dual=False):
+    """zk-homology and rk-homology, which differ only in the two functions."""
+    fn = cohomology_fn if dual else homology_fn
     table = fn(cfg.K, cfg.coeff, cfg.threads)
     return {"coefficients": str(cfg.coeff),
             "variant": "cohomology" if dual else "homology",
@@ -371,8 +356,8 @@ def _cmd_mm_check(cfg):
 
 def _series_json(F):
     return {"trunc": F.trunc,
-            "terms": [{**_multidegree_json(sum(k), k),
-                       "coefficient": _rational_str(v)}
+            "terms": [{**hochster.MultiDegree(sum(k), k).display(),
+                       "coefficient": str(v)}
                       for k, v in sorted(F.terms.items())]}
 
 
@@ -386,7 +371,8 @@ def _cmd_series(cfg):
 
 def _cmd_ranks(cfg):
     ranks = series.homotopy_ranks(cfg.K, cfg.trunc)
-    return {"ranks": [{**_multidegree_json(sum(a), a), "alpha": list(a),
+    return {"ranks": [{**hochster.MultiDegree(sum(a), a).display(),
+                       "alpha": list(a),
                        "rank": r} for a, r in sorted(ranks.items())]}
 
 
@@ -401,7 +387,7 @@ def _cmd_chi_check(cfg, alpha):
         val = ranks.get(tuple(alpha), 0)
         ok = val >= 0
         route = "homotopy-rank"
-    return {"alpha": list(alpha), "value": _rational_str(val),
+    return {"alpha": list(alpha), "value": str(val),
             "nonnegative": bool(ok), "route": route}
 
 
@@ -773,9 +759,11 @@ def _dispatch(args, cfg):
     if cmd == "homology":
         return _cmd_homology(cfg)
     if cmd == "zk-homology":
-        return _cmd_zk(cfg, args.detail, args.dual)
+        return _cmd_table(cfg, hochster.zk_homology, hochster.zk_cohomology,
+                          args.detail, args.dual)
     if cmd == "rk-homology":
-        return _cmd_rk(cfg, args.detail, args.dual)
+        return _cmd_table(cfg, hochster.rk_homology, hochster.rk_cohomology,
+                          args.detail, args.dual)
     if cmd == "tor":
         return _cmd_tor(cfg, args.subset)
     if cmd == "gens-rels":

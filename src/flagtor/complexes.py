@@ -364,10 +364,6 @@ def f_vector(K):
     return FVector(tuple(counts), tuple(h))
 
 
-def h_vector(K):
-    return f_vector(K)
-
-
 def reduced_euler_char(K):
     """chi-tilde = -sum over faces (empty one included) of (-1)^|I|."""
     return -sum((-1) ** f.bit_count() for f in K.faces)

@@ -10,9 +10,13 @@ based on efficient Smith normal form algorithms", 2003), and runs
 minimal-absolute-value pivoting only on the core that is left.  No
 floating point is used anywhere.
 
-Columns given as dicts or (row, value) lists may use any integers as row
-keys (homology uses face bitmasks); pivot choices follow their order, and
-results do not depend on it.
+``rank_columns`` and ``snf_columns`` take columns as [(row, value), ...]
+lists whose rows are indices 0, 1, ... of the target basis; homology
+keys them by ``position``, a face's index among the faces of its
+dimension.  ``rank_columns`` is the one place where a field picks its
+kernel, and ``homology.chain_homology`` the one place that chooses
+between a field and Z.  Pivot choices follow the row order, and results
+do not depend on it.
 """
 
 from __future__ import annotations
@@ -96,27 +100,6 @@ class ExactMatrix:
             if v:
                 ent.append((r, c, int(v)))
         return cls(rows, cols, tuple(sorted(ent)))
-
-    @classmethod
-    def from_columns(cls, rows, columns):
-        """columns: iterable of [(row, value), ...] lists."""
-        cols = list(columns)
-        ent = []
-        for c, col in enumerate(cols):
-            for r, v in col:
-                if v:
-                    ent.append((r, c, int(v)))
-        return cls(rows, len(cols), tuple(sorted(ent)))
-
-    def column_dicts(self):
-        cols = [dict() for _ in range(self.cols)]
-        for r, c, v in self.entries:
-            cols[c][r] = v
-        return cols
-
-    def transpose(self):
-        return ExactMatrix(self.cols, self.rows,
-                           tuple(sorted((c, r, v) for r, c, v in self.entries)))
 
 
 # ---------------------------------------------------------------------------
@@ -204,19 +187,34 @@ def rank_rational_columns(columns):
     return rank
 
 
+def rank_columns(columns, p=None):
+    """Rank over Q (p=None) or over the prime field F_p.
+
+    Each column is a [(row, value), ...] list with rows 0, 1, ...; over
+    F_2 the rows become bit positions of the bitset kernel.
+    """
+    if p is None:
+        return rank_rational_columns([dict(col) for col in columns])
+    if p == 2:
+        bits = []
+        for col in columns:
+            b = 0
+            for r, v in col:
+                if v & 1:
+                    b ^= 1 << r
+            bits.append(b)
+        return rank_gf2_columns(bits)
+    return rank_mod_p_columns([dict(col) for col in columns], p)
+
+
 def rank(matrix, p=None):
     """Rank of an ExactMatrix over Q (p=None) or over F_p."""
-    if p is None:
-        return rank_rational_columns(matrix.column_dicts())
-    if not is_prime(p):
+    if p is not None and not is_prime(p):
         raise NonPrimeModulusError(f"{p} is not prime")
-    if p == 2:
-        cols = [0] * matrix.cols
-        for r, c, v in matrix.entries:
-            if v % 2:
-                cols[c] ^= 1 << r
-        return rank_gf2_columns(cols)
-    return rank_mod_p_columns(matrix.column_dicts(), p)
+    columns = [[] for _ in range(matrix.cols)]
+    for r, c, v in matrix.entries:
+        columns[c].append((r, v))
+    return rank_columns(columns, p)
 
 
 # ---------------------------------------------------------------------------

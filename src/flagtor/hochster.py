@@ -187,13 +187,8 @@ def rk_homology(K, coeff, threads=1):
 
 
 def _dualize(profiles):
-    """Cohomology profiles of every subcomplex from the homology ones.
-
-    Ranks agree; over Z the torsion of H^{n+1} is that of H_n.
-    """
-    return {J: homology.HomologyProfile(
-        dict(p.ranks), {n + 1: t for n, t in p.torsion.items()})
-        for J, p in profiles.items()}
+    """Cohomology profiles of every subcomplex from the homology ones."""
+    return {J: p.cohomology() for J, p in profiles.items()}
 
 
 def zk_cohomology(K, coeff, threads=1):

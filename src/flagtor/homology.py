@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from .complexes import adjacency, missing_faces
-from .exact_linalg import (NonPrimeModulusError, is_prime, rank_gf2_columns,
-                           rank_mod_p_columns, rank_rational_columns,
+from .exact_linalg import (NonPrimeModulusError, is_prime, rank_columns,
                            snf_columns)
 
 
@@ -103,6 +102,15 @@ class HomologyProfile:
                 top = max(top, n)
         return top
 
+    def cohomology(self):
+        """The cohomology profile of an integral homology profile.
+
+        Ranks agree, and the torsion of H_n is that of H^{n+1} (universal
+        coefficients).
+        """
+        return HomologyProfile(dict(self.ranks),
+                               {n + 1: t for n, t in self.torsion.items()})
+
     def cdim(self):
         """Top degree >= 0 with nonzero reduced *cohomology*, else -1.
 
@@ -127,6 +135,8 @@ class ComplexGeometry:
 
     ``position[f]`` is the index of face f among the faces of its
     dimension, and ``adjacency`` the 1-skeleton as neighbour bitmasks.
+    ``boundary[f]`` lists (position, sign) for each codimension-one face
+    of f.
     """
 
     def __init__(self, K):
@@ -149,7 +159,7 @@ class ComplexGeometry:
                 low, i = f, 0
                 while low:
                     bit = low & -low
-                    subs.append((f ^ bit, -1 if i & 1 else 1))
+                    subs.append((self.position[f ^ bit], -1 if i & 1 else 1))
                     low ^= bit
                     i += 1
                 boundary[f] = tuple(subs)
@@ -181,11 +191,12 @@ class ComplexGeometry:
 
     def _check_boundary_squares_to_zero(self):
         for f, subs in self.boundary.items():
-            if f.bit_count() < 2:
+            d = f.bit_count() - 1
+            if d < 1:
                 continue
             acc = {}
             for sub, sign in subs:
-                for subsub, sign2 in self.boundary[sub]:
+                for subsub, sign2 in self.boundary[self.by_dim[d - 1][sub]]:
                     acc[subsub] = acc.get(subsub, 0) + sign * sign2
             assert all(v == 0 for v in acc.values()), "boundary square nonzero"
 
@@ -201,12 +212,10 @@ def _restricted_columns(geo, Jmask):
     Returns (counts, matrices): counts maps dimension d to the face
     count f_d, matrices maps k >= 0 to the columns of the boundary
     C_k -> C_{k-1}, which are the templates ``geo.boundary[f]`` of the
-    k-faces f of K_J in ascending order, each [(row face, sign), ...].
-    Rows are keyed by the faces' own bitmasks rather than renumbered per
-    J: every face of a face of K_J lies in K_J, and the bitmask order
-    agrees with the order of local indices, so eliminations pick the same
-    pivots.  ``geo.position`` turns a row key into an index where one is
-    needed.
+    k-faces f of K_J in ascending order, each [(row, sign), ...].  Rows
+    are keyed by ``geo.position`` rather than renumbered per J: every face
+    of a face of K_J lies in K_J, and the position order agrees with the
+    order of local indices, so eliminations pick the same pivots.
     """
     full = Jmask == geo.K.full_mask
     counts, matrices = {}, {}
@@ -235,32 +244,36 @@ def _components(adj, V):
     return comps
 
 
-def _field_ranks(matrices, coeff, position):
-    ranks = {}
-    for k, cols in matrices.items():
-        if coeff.kind == "fp" and coeff.p == 2:
-            bits = []
-            for col in cols:
-                b = 0
-                for r, _ in col:
-                    b ^= 1 << position[r]
-                bits.append(b)
-            ranks[k] = rank_gf2_columns(bits)
-        elif coeff.kind == "fp":
-            ranks[k] = rank_mod_p_columns([dict(col) for col in cols], coeff.p)
+def chain_homology(dims, differentials, coeff, known=None):
+    """Homology of a finite chain complex over Q, F_p or Z.
+
+    dims maps each degree n to the dimension of C_n, and differentials
+    maps k to the columns of d_k: C_k -> C_{k-1}, each a
+    [(row, value), ...] list with rows 0, 1, ... of C_{k-1}.  known maps
+    k to the rank of a d_k that is torsion-free over every ring; those
+    are not eliminated.  This is the one place that picks between the
+    field kernels and the Smith form, and the one place that applies
+    rank-nullity.
+    """
+    ranks = dict(known or {})
+    torsion = {}
+    for k, cols in differentials.items():
+        if k in ranks:
+            continue
+        if coeff.is_field:
+            ranks[k] = rank_columns(cols, coeff.p)
         else:
-            ranks[k] = rank_rational_columns([dict(col) for col in cols])
-    return ranks
-
-
-def _betti_numbers(counts, ranks):
-    """Nonzero f_d - rank d_d - rank d_{d+1}, by degree d."""
-    out = {}
-    for d, f_d in counts.items():
-        b = f_d - ranks.get(d, 0) - ranks.get(d + 1, 0)
+            snf = snf_columns(cols)
+            ranks[k] = snf.rank
+            t = snf.torsion()
+            if t:
+                torsion[k - 1] = t
+    betti = {}
+    for n, dim in dims.items():
+        b = dim - ranks.get(n, 0) - ranks.get(n + 1, 0)
         if b:
-            out[d] = b
-    return out
+            betti[n] = b
+    return HomologyProfile(betti, torsion)
 
 
 def _profile_restricted(geo, Jmask, coeff):
@@ -274,22 +287,11 @@ def _profile_restricted(geo, Jmask, coeff):
     """
     counts, matrices = _restricted_columns(geo, Jmask)
     f0 = counts.get(0, 0)
-    ranks = {}
+    known = {}
     if f0:
-        ranks[0] = 1
-        ranks[1] = f0 - len(_components(geo.adjacency, Jmask & geo.vertices))
-    high = {k: cols for k, cols in matrices.items() if k >= 2}
-    torsion = {}
-    if coeff.is_field:
-        ranks.update(_field_ranks(high, coeff, geo.position))
-    else:
-        for k, cols in high.items():
-            snf = snf_columns(cols)
-            ranks[k] = snf.rank
-            t = snf.torsion()
-            if t:
-                torsion[k - 1] = t
-    return HomologyProfile(_betti_numbers(counts, ranks), torsion)
+        known[0] = 1
+        known[1] = f0 - len(_components(geo.adjacency, Jmask & geo.vertices))
+    return chain_homology(counts, matrices, coeff, known)
 
 
 def reduction(geo, Jmask):
@@ -368,21 +370,17 @@ def reduced_cohomology(K, coeff):
     directly; over Z ranks agree with homology and torsion shifts up one
     degree (universal coefficients).
     """
-    geo = geometry(K)
-    if coeff.is_field:
-        counts, matrices = _restricted_columns(geo, K.full_mask)
-        tr = {}
-        for k, cols in matrices.items():
-            rows = {g: [] for g in geo.by_dim.get(k - 1, ())}
-            for f, col in zip(geo.by_dim[k], cols):
-                for sub, sign in col:
-                    rows[sub].append((f, sign))
-            tr[k] = list(rows.values())
-        ranks = _field_ranks(tr, coeff, geo.position)
-        return HomologyProfile(_betti_numbers(counts, ranks), {})
-    hom = reduced_homology(K, coeff)
-    return HomologyProfile(dict(hom.ranks),
-                           {n + 1: t for n, t in hom.torsion.items()})
+    if not coeff.is_field:
+        return reduced_homology(K, coeff).cohomology()
+    counts, matrices = _restricted_columns(geometry(K), K.full_mask)
+    tr = {}
+    for k, cols in matrices.items():
+        rows = [[] for _ in range(counts[k - 1])]
+        for i, col in enumerate(cols):
+            for r, sign in col:
+                rows[r].append((i, sign))
+        tr[k] = rows
+    return chain_homology(counts, tr, coeff)
 
 
 def cdim_Z(K):

@@ -16,9 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import hochster, homology
-from .complexes import (NotFlagError, flagification, full_subcomplex, is_flag,
-                        link, nu_direct)
-from .exact_linalg import rank_gf2_columns, rank_rational_columns
+from .complexes import NotFlagError, flagification, is_flag, link, nu_direct
+from .exact_linalg import rank_columns
 
 
 @dataclass
@@ -97,28 +96,6 @@ def cat_lower_bound(K, threads=1):
 # cup-length witnesses
 # ---------------------------------------------------------------------------
 
-def _components(K):
-    """Vertex masks of the connected components of K."""
-    seen = 0
-    comps = []
-    edges = [f for f in K.faces if f.bit_count() == 2]
-    for v in range(K.m):
-        bit = 1 << v
-        if seen & bit:
-            continue
-        comp = bit
-        grow = True
-        while grow:
-            grow = False
-            for e in edges:
-                if e & comp and e & ~comp:
-                    comp |= e
-                    grow = True
-        comps.append(comp)
-        seen |= comp
-    return comps
-
-
 def _partitions(vertices, parts):
     """Set partitions of the list into exactly `parts` blocks.
 
@@ -182,8 +159,8 @@ def _cocycle_values(K, Smask, parts, comps_choice):
 def _is_cocycle(K, Smask, faces, values):
     """Sanity guard: the product cochain must vanish under the coboundary."""
     d = faces[0].bit_count() - 1 if faces else 0
-    index = {f: i for i, f in enumerate(faces)}
     geo = homology.geometry(K)
+    index = {geo.position[f]: i for i, f in enumerate(faces)}
     for tau in K.faces:
         if tau & ~Smask or tau.bit_count() != d + 2:
             continue
@@ -197,38 +174,21 @@ def _is_cocycle(K, Smask, faces, values):
     return True
 
 
-def _is_coboundary(K, Smask, faces, values, p=None):
-    """Is the cochain a coboundary in the reduced complex of K_S?"""
-    d = faces[0].bit_count() - 1 if faces else 0
-    lower = sorted(f for f in K.faces if not f & ~Smask
-                   and f.bit_count() == d)
+def _is_coboundary(K, faces, values, p=None):
+    """Is the cochain a coboundary in the reduced complex of K_S?
+
+    faces are the d-faces of K_S.  The coboundary has one column per
+    (d-1)-face of a d-face, with rows indexed like faces; the other
+    (d-1)-faces give zero columns, which leave the ranks alone.
+    """
     geo = homology.geometry(K)
-    # columns of delta: for each (d-1)-face g, the row vector over d-faces
-    cols = []
-    for g in lower:
-        col = {}
-        for i, f in enumerate(faces):
-            for sub, sign in geo.boundary[f]:
-                if sub == g:
-                    col[i] = sign
-        cols.append(col)
-    target = {i: v for i, v in enumerate(values) if v}
-    if p == 2:
-        bit_cols = []
-        for col in cols:
-            b = 0
-            for r, v in col.items():
-                if v % 2:
-                    b ^= 1 << r
-            bit_cols.append(b)
-        tb = 0
-        for r, v in target.items():
-            if v % 2:
-                tb ^= 1 << r
-        base = rank_gf2_columns(bit_cols)
-        return rank_gf2_columns(bit_cols + [tb]) == base
-    base = rank_rational_columns(cols)
-    return rank_rational_columns(cols + [dict(target)]) == base
+    by_lower = {}
+    for i, f in enumerate(faces):
+        for r, sign in geo.boundary[f]:
+            by_lower.setdefault(r, []).append((i, sign))
+    cols = list(by_lower.values())
+    target = [(i, v) for i, v in enumerate(values) if v]
+    return rank_columns(cols + [target], p) == rank_columns(cols, p)
 
 
 def cup_witness_search(K, threads=1):
@@ -246,6 +206,7 @@ def cup_witness_search(K, threads=1):
     if d < 0:
         return None
     nparts = d + 1
+    adj = homology.geometry(K).adjacency
     supports = sorted(range(1 << K.m), key=lambda S: (-S.bit_count(), S))
     for Smask in supports:
         if Smask.bit_count() < 2 * nparts:
@@ -259,21 +220,12 @@ def cup_witness_search(K, threads=1):
                 pmask = 0
                 for v in b:
                     pmask |= 1 << v
-                sub = full_subcomplex(K, pmask)
-                comps = _components(sub)
+                comps = homology._components(adj, pmask)
                 if len(comps) < 2:
                     ok = False
                     break
-                # translate component masks back to parent vertex bits
-                lifted = []
-                for comp in comps:
-                    lift = 0
-                    for i in range(sub.m):
-                        if (comp >> i) & 1:
-                            lift |= 1 << (sub.labels[i] - 1)
-                    lifted.append(lift)
                 parts.append(pmask)
-                comps_by_part.append(lifted)
+                comps_by_part.append(comps)
             if not ok:
                 continue
             choice = [0] * nparts
@@ -287,7 +239,7 @@ def cup_witness_search(K, threads=1):
                     assert _is_cocycle(K, Smask, faces, values), \
                         "product cochain failed the cocycle check"
                     for p in (None, 2):
-                        if not _is_coboundary(K, Smask, faces, values, p):
+                        if not _is_coboundary(K, faces, values, p):
                             return {
                                 "support": Smask,
                                 "parts": parts,

@@ -25,8 +25,6 @@ from dataclasses import dataclass, field
 
 from . import hochster, homology
 from .complexes import NotFlagError, adjacency, is_flag
-from .exact_linalg import (rank_gf2_columns, rank_mod_p_columns,
-                           rank_rational_columns, snf_columns)
 
 DEFAULT_DEGREE_BOUND = 8
 
@@ -193,41 +191,10 @@ def tor_via_koszul_complex(K, coeff, beta):
     """
     _require_flag(K)
     bases, matrices = koszul_slice(K, beta)
-    return _slice_homology(bases, matrices, coeff)
-
-
-def _slice_homology(bases, matrices, coeff):
-    if coeff.is_field:
-        ranks = {}
-        for t, cols in matrices.items():
-            if coeff.kind == "fp" and coeff.p == 2:
-                bits = []
-                for col in cols:
-                    b = 0
-                    for r, _ in col:
-                        b ^= 1 << r
-                    bits.append(b)
-                ranks[t] = rank_gf2_columns(bits)
-            elif coeff.kind == "fp":
-                ranks[t] = rank_mod_p_columns([dict(c) for c in cols], coeff.p)
-            else:
-                ranks[t] = rank_rational_columns([dict(c) for c in cols])
-        torsion = {}
-    else:
-        snfs = {t: snf_columns(cols) for t, cols in matrices.items()}
-        ranks = {t: s.rank for t, s in snfs.items()}
-        torsion = {}
-        for t, s in snfs.items():
-            tor = s.torsion()
-            if tor:
-                torsion[t - 1] = tor
-    out = {}
-    for t, bs in bases.items():
-        r = len(bs) - ranks.get(t, 0) - ranks.get(t + 1, 0)
-        tor = torsion.get(t, ())
-        if r or tor:
-            out[t] = (r, tor)
-    return out
+    prof = homology.chain_homology(
+        {t: len(bs) for t, bs in bases.items()}, matrices, coeff)
+    return {t: (prof.rank(t), prof.torsion_at(t)) for t in bases
+            if prof.rank(t) or prof.torsion_at(t)}
 
 
 # ---------------------------------------------------------------------------
@@ -432,27 +399,11 @@ def cobar_ext(K, coeff, beta, bound=DEFAULT_DEGREE_BOUND):
     if sum(beta) > bound:
         raise BoundExceededError(f"|beta| = {sum(beta)} exceeds bound {bound}")
     words, matrices = cobar_slice(K, beta)
-    ranks = {}
-    for s, cols in matrices.items():
-        if coeff.kind == "fp" and coeff.p == 2:
-            bits = []
-            for col in cols:
-                b = 0
-                for r, v in col:
-                    if v % 2:
-                        b ^= 1 << r
-                bits.append(b)
-            ranks[s] = rank_gf2_columns(bits)
-        elif coeff.kind == "fp":
-            ranks[s] = rank_mod_p_columns([dict(c) for c in cols], coeff.p)
-        else:
-            ranks[s] = rank_rational_columns([dict(c) for c in cols])
-    dims = {}
-    for s, ws in words.items():
-        d = len(ws) - ranks.get(s, 0) - ranks.get(s - 1, 0)
-        if d:
-            dims[s] = d
-    return dims
+    # d raises s, so C_s sits in chain degree -s
+    prof = homology.chain_homology(
+        {-s: len(ws) for s, ws in words.items()},
+        {-s: cols for s, cols in matrices.items()}, coeff)
+    return {-n: d for n, d in prof.ranks.items()}
 
 
 # ---------------------------------------------------------------------------

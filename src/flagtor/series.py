@@ -201,18 +201,6 @@ class MultiSeries:
         return out
 
 
-def mul(f, g):
-    return f.mul(g)
-
-
-def inverse(f):
-    return f.inverse()
-
-
-def neg_log(f):
-    return f.neg_log()
-
-
 # ---------------------------------------------------------------------------
 # univariate helpers (plain coefficient lists, usable at any m <= 24)
 # ---------------------------------------------------------------------------

@@ -77,7 +77,7 @@ def test_snf_rp2_boundary_has_order_two_torsion():
     dense_rows = [[0] * len(cols) for _ in range(counts[1])]
     for c, col in enumerate(cols):
         for r, sign in col:
-            dense_rows[geo.position[r]][c] = sign
+            dense_rows[r][c] = sign
     snf = smith_normal_form(dense(dense_rows))
     assert snf.diagonal[-1] == 2
     assert snf.diagonal == sympy_invariant_factors(dense_rows)

@@ -127,7 +127,7 @@ def test_betti_numbers_match_sympy_rank_oracle():
             M = sympy.zeros(nrows, len(cols))
             for c, col in enumerate(cols):
                 for r, sign in col:
-                    M[geo.position[r], c] = sign
+                    M[r, c] = sign
             ranks[k] = M.rank()
         prof = H.reduced_homology(K, H.RATIONALS)
         for d, f_d in counts.items():

@@ -93,6 +93,22 @@ def test_cup_witness_on_octahedron():
                                   C.mask_of([5, 6])]
 
 
+def test_cup_witness_does_not_depend_on_vertex_labels():
+    # full subcomplexes keep their parent's vertex names in ``labels``;
+    # the search must give what it gives on the same faces named 1..m
+    K = C.random_flag(9, 0.35, 4)
+    sub = C.full_subcomplex(K, 27)
+    assert sub.labels == (1, 2, 4, 5)
+    assert L.cup_witness_search(sub) == {
+        "support": 13, "parts": [13], "components": [9], "field": "Q",
+        "dimension": 0}
+    for J in range(1 << K.m):
+        sub = C.full_subcomplex(K, J)
+        if sub.m >= 4:
+            plain = C.SimplicialComplex(sub.m, sub.faces)
+            assert L.cup_witness_search(sub) == L.cup_witness_search(plain), J
+
+
 def test_cup_witness_skipped_for_simplex():
     assert L.cup_witness_search(C.simplex(3)) is None
 
