@@ -11,9 +11,7 @@ flagness was violated.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
-import os
 import random
 import sys
 from dataclasses import dataclass
@@ -112,7 +110,6 @@ class JobConfig:
     coeff: homology.Coefficients
     trunc: int
     out: str
-    cache_dir: str
     threads: int
 
     def __post_init__(self):
@@ -135,7 +132,7 @@ def _config(args):
     src, K = _load_complex(args)
     return JobConfig(src, K,
                      homology.parse_coefficients(args.coeff),
-                     args.trunc, args.out, args.cache, args.threads)
+                     args.trunc, args.out, args.threads)
 
 
 def _complex_json(K):
@@ -165,62 +162,6 @@ def emit(payload, cfg):
 
     walk("", payload)
     return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# cache persistence
-# ---------------------------------------------------------------------------
-
-def _cache_path(cache_dir, K, coeff):
-    digest = hashlib.sha256(repr(K.canonical_key()).encode()).hexdigest()[:24]
-    kind = coeff.kind if coeff.kind != "fp" else f"fp{coeff.p}"
-    return os.path.join(cache_dir, f"profiles-{digest}-{kind}.json")
-
-
-def _load_disk_cache(cache_dir, K, coeff):
-    """Load a saved sweep and return how many subsets it held.
-
-    An unreadable or malformed file is a cache miss, which holds none.
-    """
-    path = _cache_path(cache_dir, K, coeff)
-    if not os.path.exists(path):
-        return 0
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-        profiles = {}
-        for jstr, data in raw.items():
-            J = int(jstr)
-            ranks = {int(n): r for n, r in data["ranks"].items()}
-            torsion = {int(n): tuple(t) for n, t in data["torsion"].items()}
-            if not (0 <= J <= K.full_mask and all(
-                    type(v) is int for v in ranks.values())
-                    and all(type(q) is int for t in torsion.values() for q in t)):
-                raise ValueError(f"bad entry for subset {jstr}")
-            profiles[J] = homology.HomologyProfile(ranks, torsion)
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
-        print(f"warning: ignoring cache file {path}: {exc}", file=sys.stderr)
-        return 0
-    hochster.load_cache(K, coeff, profiles)
-    return len(profiles)
-
-
-def _save_disk_cache(cache_dir, K, coeff):
-    """Write the sweep to a temporary file, then move it into place."""
-    os.makedirs(cache_dir, exist_ok=True)
-    snapshot = hochster.cache_snapshot(K, coeff)
-    raw = {str(j): {"ranks": {str(n): r for n, r in p.ranks.items()},
-                    "torsion": {str(n): list(t) for n, t in p.torsion.items()}}
-           for j, p in snapshot.items()}
-    path = _cache_path(cache_dir, K, coeff)
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w") as fh:
-            json.dump(raw, fh, sort_keys=True)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
 
 
 # ---------------------------------------------------------------------------
@@ -493,6 +434,7 @@ def _run_check_all(cfg):
         record("link-equals-full-subcomplex", ok)
 
     sweepable = K.m <= hochster.SWEEP_CAP
+    chi_all = complexes.chi_subcomplexes(K) if sweepable else None
     if sweepable:
         for coeff in fields:
             hochster.subcomplex_profiles(K, coeff, cfg.threads)
@@ -504,6 +446,9 @@ def _run_check_all(cfg):
 
             for coeff in fields:
                 table = pontryagin.tor_via_subcomplexes(K, coeff, cfg.threads)
+                by_J = {}
+                for (n, J), (r, _) in table.entries.items():
+                    by_J.setdefault(J, {})[n] = r
                 if K.m <= 10:
                     masks = range(1 << K.m)
                 else:
@@ -513,9 +458,8 @@ def _run_check_all(cfg):
                 for J in masks:
                     beta = tuple((J >> i) & 1 for i in range(K.m))
                     slice_h = pontryagin.tor_via_koszul_complex(K, coeff, beta)
-                    direct = {n: r for (n, JJ), (r, _) in table.entries.items()
-                              if JJ == J}
-                    if {n: r for n, (r, _) in slice_h.items()} != direct:
+                    got = {n: r for n, (r, _) in slice_h.items()}
+                    if got != by_J.get(J, {}):
                         ok = False
                         break
                 record(f"tor-oracle-squarefree-{coeff}", ok)
@@ -536,7 +480,6 @@ def _run_check_all(cfg):
         coeff = fields[0]
         table = hochster.zk_homology(K, coeff, cfg.threads)
         euler_zk = sum((-1) ** p * r for p, r in table.totals_rank.items())
-        chi_all = complexes.chi_subcomplexes(K)
         expected = -sum(c * (-1) ** J.bit_count()
                         for J, c in enumerate(chi_all))
         record("hochster-euler-vs-series", euler_zk == expected,
@@ -556,10 +499,10 @@ def _run_check_all(cfg):
     if flag and K.m <= 20:
         ok, lhs, rhs = series.panov_ray_check(K)
         record("panov-ray-identity", ok)
-        Ft = series.poincare_ozk_t(K, cfg.trunc)
+        Ft = series.poincare_ozk_t(K, cfg.trunc, chi_all)
         record("series-coefficients-nonnegative", all(c >= 0 for c in Ft))
         denom = [0] * (K.m + 1)
-        for J, c in enumerate(complexes.chi_subcomplexes(K)):
+        for J, c in enumerate(chi_all):
             denom[J.bit_count()] -= c
         prod = series.poly_mul(denom, Ft, cfg.trunc)
         record("series-inverse-roundtrip",
@@ -567,20 +510,20 @@ def _run_check_all(cfg):
 
     if flag and K.m <= 10:
         N = min(cfg.trunc, 8)
-        F = series.poincare_ozk(K, N)
-        ranks = series.homotopy_ranks(K, N)
+        F = series.poincare_ozk(K, N, chi_all)
+        ranks = series.homotopy_ranks(K, N, chi_all)
         record("pbw-roundtrip",
                series.pbw_reconstruct(ranks, K.m, N) == F)
         ok = True
         sampled = [a for a in ranks if _gcd_vec(a) == 1][:8]
         for alpha in sampled:
-            val, nonneg = series.chi_inequality(K, alpha)
+            val, nonneg = series.chi_inequality(K, alpha, chi_all)
             if not nonneg or val != ranks.get(alpha, 0):
                 ok = False
         record("chi-inequality-matches-ranks", ok)
         bound = min(4, N)
         counts = pontryagin.normal_word_counts(K, bound)
-        odj = series.poincare_odj(K, bound)
+        odj = series.poincare_odj(K, bound, chi_all)
         ok = all(odj.coefficient(a) == c for a, c in counts.items())
         ok = ok and all(counts.get(a, 0) == v for a, v in odj.terms.items())
         record("odj-series-vs-normal-words", ok)
@@ -665,7 +608,8 @@ def build_parser():
     common.add_argument("--trunc", type=int, default=8,
                         help="total-degree truncation bound")
     common.add_argument("--out", choices=("json", "table"), default="json")
-    common.add_argument("--cache", help="directory for the homology cache")
+    common.add_argument("--cache", metavar="DIR",
+                        help="accepted and ignored: every call recomputes")
     common.add_argument("--threads", type=int, default=1,
                         help="worker processes for subset sweeps")
 
@@ -700,17 +644,14 @@ def run(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
+    if args.cache is not None:
+        print("warning: --cache is ignored; profiles are recomputed on "
+              "every call", file=sys.stderr)
     try:
         cfg = _config(args)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    on_disk = {}  # coefficients -> subsets the disk cache held
-    if cfg.cache_dir and cfg.K.m <= hochster.SWEEP_CAP:
-        for ckey in {cfg.coeff.key(), ("z", None)}:
-            coeff = homology.Coefficients(*ckey)
-            on_disk[coeff] = _load_disk_cache(cfg.cache_dir, cfg.K, coeff)
 
     try:
         payload = _dispatch(args, cfg)
@@ -729,10 +670,6 @@ def run(argv=None):
             pontryagin.BoundExceededError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    for coeff, held in on_disk.items():
-        if hochster.cache_size(cfg.K, coeff) > held:
-            _save_disk_cache(cfg.cache_dir, cfg.K, coeff)
 
     result = {"m": cfg.K.m, "facets": [list(t) for t in cfg.K.facet_lists()],
               "command": args.command, "result": payload}

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
@@ -79,10 +80,6 @@ class SimplicialComplex:
     @property
     def full_mask(self):
         return (1 << self.m) - 1
-
-    def face_lists(self):
-        """Faces as sorted 1-based vertex tuples, sorted by (size, verts)."""
-        return sorted((verts_of(f) for f in self.faces), key=lambda t: (len(t), t))
 
     def facet_lists(self):
         return sorted((verts_of(f) for f in facets(self)), key=lambda t: (len(t), t))
@@ -259,6 +256,7 @@ def missing_faces(K):
     return sorted(out)
 
 
+@lru_cache(maxsize=64)
 def is_flag(K):
     return all(f.bit_count() == 2 for f in missing_faces(K))
 

@@ -83,14 +83,6 @@ def cache_snapshot(K, coeff):
     return dict(_cache_for(K, coeff))
 
 
-def cache_size(K, coeff):
-    return len(_cache_for(K, coeff))
-
-
-def load_cache(K, coeff, profiles):
-    _cache_for(K, coeff).update(profiles)
-
-
 def profile_for_subset(K, Jmask, coeff):
     store = _cache_for(K, coeff)
     prof = store.get(Jmask)

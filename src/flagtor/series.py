@@ -112,13 +112,6 @@ class MultiSeries:
                     del tgt[k]
         return MultiSeries(self.nvars, trunc, _buckets=out)
 
-    def scale(self, c):
-        if not c:
-            return MultiSeries(self.nvars, self.trunc)
-        return MultiSeries(self.nvars, self.trunc, _buckets={
-            d: {k: c * v for k, v in b.items()}
-            for d, b in self._buckets.items()})
-
     def mul(self, other):
         trunc = min(self.trunc, other.trunc)
         out = {}

@@ -1,4 +1,4 @@
-"""Command-line behaviour: exit codes, formats, determinism, caching."""
+"""Command-line behaviour: exit codes, formats, determinism, options."""
 
 import json
 
@@ -65,53 +65,15 @@ def test_output_is_byte_identical_across_runs_and_threads():
     assert a.stdout == b.stdout
 
 
-def test_cache_hit_returns_identical_results(tmp_path):
-    cache = str(tmp_path / "cache")
-    args = ("tor", "--named", "cycle:5", "--coeff", "q", "--cache", cache)
-    cold = flagtor(*args)
-    warm = flagtor(*args)
-    assert cold.returncode == warm.returncode == 0
-    assert cold.stdout == warm.stdout
-
-
-def test_truncated_cache_file_is_a_miss(tmp_path):
+def test_cache_option_is_accepted_and_ignored(tmp_path):
     cache = tmp_path / "cache"
-    args = ("zk-homology", "--named", "random-flag:8:40:1", "--coeff", "z",
-            "--cache", str(cache))
-    cold = flagtor(*args)
-    assert cold.returncode == 0
-    files = list(cache.iterdir())
-    assert files
-    for path in files:
-        data = path.read_bytes()
-        path.write_bytes(data[:len(data) // 2])
-    warm = flagtor(*args)
-    assert warm.returncode == 0
-    assert warm.stdout == cold.stdout
-    # the cache was written again, whole
-    for path in files:
-        json.loads(path.read_text())
-    assert sorted(cache.iterdir()) == sorted(files)
-
-
-def test_warm_call_leaves_the_cache_file_alone(tmp_path):
-    cache = tmp_path / "cache"
-    args = ("tor", "--named", "random-flag:8:40:1", "--coeff", "fp:2",
-            "--cache", str(cache))
-
-    def state():
-        return {p.name: (p.read_bytes(), p.stat().st_mtime_ns, p.stat().st_ino)
-                for p in cache.iterdir()}
-
+    args = ("zk-homology", "--named", "random-flag:8:40:1", "--coeff", "z")
+    plain = flagtor(*args)
+    cached = flagtor(*args, "--cache", str(cache))
+    assert plain.returncode == cached.returncode == 0
+    assert cached.stdout == plain.stdout
     assert not cache.exists()
-    cold = flagtor(*args)
-    assert cold.returncode == 0
-    written = state()
-    assert written
-    warm = flagtor(*args)
-    assert warm.returncode == 0
-    assert warm.stdout == cold.stdout
-    assert state() == written
+    assert "--cache is ignored" in cached.stderr
 
 
 def test_multidegree_serialization_doubles_lambda():
