@@ -5,7 +5,7 @@ JSON file {"m": <int>, "facets": [[1-based vertices], ...]} or a named
 corpus expression.  Output is deterministic JSON (or a plain table):
 byte-identical across runs and worker counts.  Exit codes: 0 success,
 1 a verified property failed, 2 bad input, 3 a precondition such as
-flagness was violated.
+flagness was violated, 4 an internal consistency assertion failed.
 """
 
 from __future__ import annotations
@@ -24,10 +24,6 @@ from .hochster import ComplexTooLargeError
 
 
 class UnknownNameError(ValueError):
-    pass
-
-
-class CheckFailure(Exception):
     pass
 
 
@@ -670,6 +666,9 @@ def run(argv=None):
             pontryagin.BoundExceededError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except AssertionError as exc:
+        print(f"internal error: {str(exc) or 'assertion failed'}", file=sys.stderr)
+        return 4
 
     result = {"m": cfg.K.m, "facets": [list(t) for t in cfg.K.facet_lists()],
               "command": args.command, "result": payload}

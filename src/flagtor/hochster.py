@@ -149,18 +149,23 @@ def subcomplex_profiles(K, coeff, threads=1):
 
 def _assemble(kind, profiles, shift_by_J):
     table = HochsterTable(kind)
+    # subsets that collapse onto one complex share a profile object, so
+    # its nonzero (n, rank, torsion) rows are read once per call
+    rows_of = {}
     for J, prof in profiles.items():
+        rows = rows_of.get(id(prof))
+        if rows is None:
+            rows = rows_of[id(prof)] = [
+                (n, prof.rank(n), prof.torsion_at(n)) for n in prof.degrees()
+                if prof.rank(n) or prof.torsion_at(n)]
         off = J.bit_count() + 1 if shift_by_J else 1
-        for n in prof.degrees():
+        for n, r, t in rows:
             p = n + off
-            r = prof.rank(n)
-            t = prof.torsion_at(n)
-            if r or t:
-                table.entries[(J, p)] = (r, t)
-                if r:
-                    table.totals_rank[p] = table.totals_rank.get(p, 0) + r
-                if t:
-                    table.totals_torsion.setdefault(p, []).extend(t)
+            table.entries[(J, p)] = (r, t)
+            if r:
+                table.totals_rank[p] = table.totals_rank.get(p, 0) + r
+            if t:
+                table.totals_torsion.setdefault(p, []).extend(t)
     table.totals_torsion = {p: tuple(sorted(t))
                             for p, t in table.totals_torsion.items()}
     return table

@@ -14,12 +14,19 @@ Internally exponent vectors are packed into integers, five bits per
 variable, and terms are bucketed by total degree; convolution then runs
 on plain integer additions, which is what makes the degree-8 products
 over eight variables cheap.
+
+Logarithms come from the Euler operator E (degree d times d): for f with
+constant term 1, D = E(-log f) satisfies D f = -E f, a single bucket
+convolution that stays in the integers when f is integral.  Homotopy
+ranks are read off D by Moebius inversion with one exact division each,
+and the PBW round trip multiplies each generator's factor into one
+accumulator in place.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd
+from math import comb
 
 from .complexes import (NotFlagError, chi_subcomplexes, f_vector, is_flag)
 
@@ -45,6 +52,34 @@ def _pack(alpha):
 
 def _unpack(key, nvars):
     return tuple((key >> (_SHIFT * i)) & _MAXCOORD for i in range(nvars))
+
+
+def _log_derivative(buckets, trunc):
+    """Buckets of D = E(-log f) for a series f with constant term 1.
+
+    E is the Euler operator, which multiplies each degree-d term by d.
+    From E(log f) * f = E f and f_0 = 1,
+
+        D_d = -d f_d - sum_{0<j<d} D_j f_{d-j},
+
+    one bucket convolution; D is integral whenever f is.
+    """
+    out = {}
+    for d in range(1, trunc + 1):
+        cur = {k: -d * v for k, v in buckets.get(d, {}).items()}
+        for j, lower in out.items():
+            fb = buckets.get(d - j)
+            if not fb:
+                continue
+            fb = list(fb.items())
+            for k1, v1 in lower.items():
+                for k2, v2 in fb:
+                    k = k1 + k2
+                    cur[k] = cur.get(k, 0) - v1 * v2
+        cur = {k: v for k, v in cur.items() if v}
+        if cur:
+            out[d] = cur
+    return out
 
 
 class MultiSeries:
@@ -162,28 +197,15 @@ class MultiSeries:
         return MultiSeries(self.nvars, self.trunc, _buckets=out)
 
     def neg_log(self):
-        """-log of a series with constant term 1: sum (1-f)^k / k."""
+        """-log of a series with constant term 1.
+
+        Degree d of the result is D_d / d, where D is the Euler-operator
+        recurrence of ``_log_derivative``.
+        """
         self._unit_check()
-        u = {d: ({k: -v for k, v in b.items()} if d else
-                 {k: -v for k, v in b.items() if k})
-             for d, b in self._buckets.items()}
-        u = {d: b for d, b in u.items() if b}
-        ms_u = MultiSeries(self.nvars, self.trunc, _buckets=u)
         out = {}
-        power = MultiSeries.one(self.nvars, self.trunc)
-        for k in range(1, self.trunc + 1):
-            power = power.mul(ms_u)
-            if not power._buckets:
-                break
-            frac = Fraction(1, k)
-            for d, b in power._buckets.items():
-                tgt = out.setdefault(d, {})
-                for key, v in b.items():
-                    nv = tgt.get(key, 0) + frac * v
-                    if nv:
-                        tgt[key] = nv
-                    else:
-                        del tgt[key]
+        for d, b in _log_derivative(self._buckets, self.trunc).items():
+            out[d] = {k: Fraction(v, d) for k, v in b.items()}
         return MultiSeries(self.nvars, self.trunc, _buckets=out)
 
     def z_graded(self):
@@ -329,90 +351,77 @@ def moebius(n):
     return mu
 
 
-def _log_series(K, trunc, chi=None):
-    """w with sum_beta w_beta lambda^beta = -ln(-sum_J chi~(K_J)(-lambda)^J)."""
-    chi = chi_subcomplexes(K) if chi is None else chi
-    buckets = {}
-    for J, c in enumerate(chi):
-        d = J.bit_count()
-        if c and d <= trunc:
-            key = _pack(tuple((J >> i) & 1 for i in range(K.m)))
-            buckets.setdefault(d, {})[key] = -c * (-1) ** d
-    return MultiSeries(K.m, trunc, _buckets=buckets).neg_log()
-
-
 def homotopy_ranks(K, trunc, chi=None):
     """Ranks of the rational homotopy of Z_K per halved multidegree.
 
-    l_alpha = dim of pi in degree (-|alpha|, 2 alpha), recovered from the
-    logarithm of the Poincare series by Moebius inversion over the
-    common divisors of the coordinates.  Raises if a value fails to be a
-    non-negative integer (which cannot happen for genuine flag input).
+    l_alpha = dim of pi in degree (-|alpha|, 2 alpha).  With w =
+    -log(-sum_J chi~(K_J)(-x)^J) and D_beta = |beta| w_beta (all integers,
+    from ``_log_derivative``), Moebius inversion over the common divisors
+    of the coordinates gives
+
+        l_alpha = (-1)^|alpha| (1/|alpha|) sum_{k | gcd alpha} mu(k) D_{alpha/k}.
+
+    The sum runs on packed keys: D_beta feeds alpha = k beta for every k
+    with k |beta| <= trunc.  Raises if a value fails to be a non-negative
+    integer (which cannot happen for genuine flag input).
     """
     if not is_flag(K):
         raise NotFlagError("homotopy ranks are computed via the flag formula")
-    w = _log_series(K, trunc, chi)
-    candidates = set()
-    for d, b in w._buckets.items():
-        if d == 0:
-            continue
-        for key in b:
-            k = 1
-            while d * k <= trunc:
-                candidates.add(_unpack(key * k, K.m))
-                k += 1
+    # the Euler denominator at -x, an integer series with constant term 1
+    f = {d: ({k: -v for k, v in b.items()} if d % 2 else b)
+         for d, b in euler_denominator(K, trunc, chi)._buckets.items()}
+    mus = [(k, mu) for k in range(1, trunc + 1) if (mu := moebius(k))]
+    sums = {}
+    for d, b in _log_derivative(f, trunc).items():
+        for key, v in b.items():
+            for k, mu in mus:
+                if k * d > trunc:
+                    break
+                sums[key * k] = sums.get(key * k, 0) + mu * v
     ranks = {}
-    for alpha in sorted(candidates):
-        g = 0
-        for a in alpha:
-            g = gcd(g, a)
-        total = 0
-        for k in range(1, g + 1):
-            if g % k == 0:
-                mu = moebius(k)
-                if mu:
-                    total += Fraction(mu, k) * w.coefficient(
-                        tuple(a // k for a in alpha))
-        val = total if sum(alpha) % 2 == 0 else -total
-        if val:
-            if val.denominator != 1 or val < 0:
-                raise IntegralityViolationError(
-                    f"rank at {alpha} is {val}; non-flag input smuggled in?")
-            ranks[alpha] = int(val)
+    for alpha, key in sorted((_unpack(key, K.m), key)
+                             for key, total in sums.items() if total):
+        d = sum(alpha)
+        total = sums[key] if d % 2 == 0 else -sums[key]
+        if total < 0 or total % d:
+            raise IntegralityViolationError(
+                f"rank at {alpha} is {Fraction(total, d)}; "
+                "non-flag input smuggled in?")
+        ranks[alpha] = total // d
     return ranks
 
 
 def pbw_reconstruct(ranks, nvars, trunc):
     """Rebuild the Poincare series from homotopy ranks.
 
-    Each even-|alpha| generator contributes 1/(1-x^alpha)^l, each
-    odd-|alpha| one contributes (1+x^alpha)^l; the result must equal the
-    loop homology series.
+    Each even-|alpha| generator contributes 1/(1-x^alpha)^l = sum_j
+    C(l-1+j, j) x^{j alpha}, each odd-|alpha| one (1+x^alpha)^l = sum_j
+    C(l, j) x^{j alpha}; the result must equal the loop homology series.
+    Every factor multiplies the accumulator in place, walking its degree
+    buckets downwards so that no term is read after it has been updated.
     """
     acc = MultiSeries.one(nvars, trunc)
-    # factors whose monomial exceeds half the truncation admit no
-    # surviving cross-terms, so they fold into one polynomial 1 + sum(l x^a)
-    tail = {0: {0: 1}}
+    buckets = acc._buckets
     for alpha in sorted(ranks):
         l = ranks[alpha]
         if l < 0:
             raise ValueError("ranks must be non-negative")
-        if l == 0:
-            continue
         d = sum(alpha)
-        if 2 * d > trunc:
-            tail.setdefault(d, {})[_pack(alpha)] = l
+        if l == 0 or d > trunc:
             continue
-        buckets = {}
-        j = 0
-        while j * d <= trunc:
-            if d % 2 == 0:
-                buckets[j * d] = {_pack(alpha) * j: comb(l - 1 + j, j)}
-            elif j <= l:
-                buckets[j * d] = {_pack(alpha) * j: comb(l, j)}
-            j += 1
-        acc = acc.mul(MultiSeries(nvars, trunc, _buckets=buckets))
-    return acc.mul(MultiSeries(nvars, trunc, _buckets=tail))
+        top = trunc // d if d % 2 == 0 else min(l, trunc // d)
+        coeffs = [comb(l - 1 + j, j) if d % 2 == 0 else comb(l, j)
+                  for j in range(1, top + 1)]
+        step = _pack(alpha)
+        for e in sorted(buckets, reverse=True):
+            src = buckets[e]
+            for j, c in enumerate(coeffs[:(trunc - e) // d], 1):
+                shift = step * j
+                tgt = buckets.setdefault(e + j * d, {})
+                for k, v in src.items():
+                    k += shift
+                    tgt[k] = tgt.get(k, 0) + c * v
+    return acc
 
 
 def chi_inequality(K, alpha, chi=None):

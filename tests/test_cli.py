@@ -2,7 +2,10 @@
 
 import json
 
+import pytest
 from _cli import flagtor
+
+from flagtor import cli, complexes, lscat
 
 
 def test_cat_on_named_cycle():
@@ -123,3 +126,20 @@ def test_chi_check_routes_by_gcd():
     r = flagtor("chi-check", "--named", "cycle:4", "--alpha", "1,0,1,0")
     data = json.loads(r.stdout)["result"]
     assert data["route"] == "compositional" and data["value"] == "1"
+
+
+@pytest.mark.parametrize("argv, target, stub, message", [
+    (["cup-search", "--named", "cycle:4"], lscat, ("_is_cocycle", lambda *a: False),
+     "product cochain failed the cocycle check"),
+    # a flagification with an extra edge that no round of the filtration adds
+    (["check-all", "--named", "points:4"], complexes,
+     ("flagification", lambda K: complexes.cycle_complex(K.m)),
+     "filtration stalled before flagification"),
+])
+def test_internal_assertion_exits_four(monkeypatch, capsys, argv, target, stub,
+                                       message):
+    monkeypatch.setattr(target, *stub)
+    assert cli.run(argv) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"internal error: {message}\n"

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import comb, gcd
 
 import pytest
 
@@ -119,7 +120,6 @@ def test_chi_inequality_examples():
 
 
 def _gcd(alpha):
-    from math import gcd
     g = 0
     for a in alpha:
         g = gcd(g, a)
@@ -177,3 +177,95 @@ def test_poincare_coefficients_are_nonnegative_integers():
         F = S.poincare_ozk(K, 6)
         for v in F.terms.values():
             assert isinstance(v, int) and v >= 0
+
+
+# ---------------------------------------------------------------------------
+# differential tests against the plain product formulas
+# ---------------------------------------------------------------------------
+
+def _neg_log_power_sum(f):
+    """-log f = sum_k (1 - f)^k / k, by repeated products."""
+    n, N = f.nvars, f.trunc
+    u = MultiSeries(n, N, {k: -v for k, v in f.terms.items() if any(k)})
+    out = MultiSeries(n, N)
+    power = MultiSeries.one(n, N)
+    for k in range(1, N + 1):
+        power = power.mul(u)
+        out = out.add(MultiSeries(
+            n, N, {a: Fraction(v, k) for a, v in power.terms.items()}))
+    return out
+
+
+def _ranks_oracle(K, N):
+    """Moebius inversion of the power-sum logarithm, in Fractions."""
+    chi = C.chi_subcomplexes(K)
+    f = {}
+    for J, c in enumerate(chi):
+        d = J.bit_count()
+        if c and d <= N:
+            f[tuple((J >> i) & 1 for i in range(K.m))] = -c * (-1) ** d
+    w = _neg_log_power_sum(MultiSeries(K.m, N, f))
+    candidates = {tuple(k * a for a in beta)
+                  for beta in w.terms for k in range(1, N // sum(beta) + 1)}
+    ranks = {}
+    for alpha in sorted(candidates):
+        g = _gcd(alpha)
+        total = sum(Fraction(S.moebius(k), k)
+                    * w.coefficient(tuple(a // k for a in alpha))
+                    for k in range(1, g + 1) if g % k == 0)
+        val = total if sum(alpha) % 2 == 0 else -total
+        if val:
+            assert val.denominator == 1 and val > 0
+            ranks[alpha] = int(val)
+    return ranks
+
+
+def _pbw_oracle(ranks, nvars, N):
+    """One full product per generator of degree <= N/2; the rest have no
+    surviving cross-terms and fold into one factor 1 + sum l x^alpha."""
+    acc = MultiSeries.one(nvars, N)
+    tail = {tuple([0] * nvars): 1}
+    for alpha in sorted(ranks):
+        l, d = ranks[alpha], sum(alpha)
+        if 2 * d > N:
+            tail[alpha] = l
+            continue
+        terms = {}
+        for j in range(N // d + 1):
+            c = comb(l - 1 + j, j) if d % 2 == 0 else comb(l, j)
+            if c:
+                terms[tuple(j * a for a in alpha)] = c
+        acc = acc.mul(MultiSeries(nvars, N, terms))
+    return acc.mul(MultiSeries(nvars, N, tail))
+
+
+def test_ranks_and_pbw_match_product_oracles():
+    rng = random.Random(89)
+    for seed in range(10):
+        K = C.random_flag(rng.randint(2, 8), rng.choice([0.3, 0.5, 0.7]), seed)
+        ranks = S.homotopy_ranks(K, 8)
+        expected = _ranks_oracle(K, 8)
+        assert list(ranks.items()) == list(expected.items())
+        F = S.pbw_reconstruct(ranks, K.m, 8)
+        assert F == _pbw_oracle(ranks, K.m, 8) == S.poincare_ozk(K, 8)
+
+
+def test_neg_log_matches_power_sum():
+    rng = random.Random(97)
+    for _ in range(40):
+        n = rng.randint(1, 3)
+        N = rng.randint(1, 6)
+        terms = {tuple([0] * n): 1}
+        for _ in range(rng.randint(1, 6)):
+            key = tuple(rng.randint(0, 3) for _ in range(n))
+            if any(key):
+                terms[key] = rng.randint(-3, 3)
+        f = MultiSeries(n, N, terms)
+        assert f.neg_log() == _neg_log_power_sum(f)
+
+
+def test_ranks_reject_non_flag_input_that_passes_the_gate(monkeypatch):
+    monkeypatch.setattr(S, "is_flag", lambda K: True)
+    with pytest.raises(S.IntegralityViolationError,
+                       match=r"rank at \(1, 1, 1\) is -1"):
+        S.homotopy_ranks(C.simplex_boundary(3), 8)
