@@ -34,8 +34,8 @@ for (J, p), (r, t) in sorted(table.entries.items()):
     if t:
         print(f"    J = {verts_of(J)}, degree {p}: torsion {t}")
 
-# The sweep itself is cached and can be split over worker processes.
+# The sweep itself is cached for the life of the process.
 K = C.random_flag(14, 0.4, 7)
-profiles = Ho.subcomplex_profiles(K, H.GF(2), threads=2)
+profiles = Ho.subcomplex_profiles(K, H.GF(2))
 print(f"\nswept {len(profiles)} subcomplexes of a random flag complex "
       f"(m = {K.m}) over F2")

@@ -2,7 +2,7 @@
 
 from flagtor.cli import main
 
-# Guarded so that sweep workers started under a spawn start method, which
-# re-import the main module as ``__mp_main__``, do not run the CLI again.
+# Guarded so that importing this module, e.g. with runpy or a test
+# collector, does not run the CLI.
 if __name__ == "__main__":
     main()

@@ -3,9 +3,11 @@
 Subcommands cover every computation in the library; input is either a
 JSON file {"m": <int>, "facets": [[1-based vertices], ...]} or a named
 corpus expression.  Output is deterministic JSON (or a plain table):
-byte-identical across runs and worker counts.  Exit codes: 0 success,
-1 a verified property failed, 2 bad input, 3 a precondition such as
-flagness was violated, 4 an internal consistency assertion failed.
+byte-identical across runs.  Every sweep runs in this one process;
+``--cache`` and ``--threads`` are accepted for old scripts and ignored.
+Exit codes: 0 success, 1 a verified property failed, 2 bad input, 3 a
+precondition such as flagness was violated, 4 an internal consistency
+assertion failed.
 """
 
 from __future__ import annotations
@@ -106,7 +108,6 @@ class JobConfig:
     coeff: homology.Coefficients
     trunc: int
     out: str
-    threads: int
 
     def __post_init__(self):
         if self.trunc < 1:
@@ -119,16 +120,30 @@ def _load_complex(args):
     if args.input:
         with open(args.input) as fh:
             data = json.load(fh)
-        K = complexes.from_facets(data["m"], data["facets"])
-        return args.input, K
+        if not isinstance(data, dict):
+            raise ValueError(f"{args.input}: expected a JSON object "
+                             "with 'm' and 'facets'")
+        m, facets = data["m"], data["facets"]
+        if not _is_int(m):
+            raise ValueError(f"{args.input}: 'm' must be an integer")
+        if not (isinstance(facets, list)
+                and all(isinstance(f, list) and all(map(_is_int, f))
+                        for f in facets)):
+            raise ValueError(f"{args.input}: 'facets' must be a list of "
+                             "lists of integers")
+        return args.input, complexes.from_facets(m, facets)
     raise ValueError("one of --named or --input is required")
+
+
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _config(args):
     src, K = _load_complex(args)
     return JobConfig(src, K,
                      homology.parse_coefficients(args.coeff),
-                     args.trunc, args.out, args.threads)
+                     args.trunc, args.out)
 
 
 def _complex_json(K):
@@ -210,7 +225,7 @@ def _table_json(table, detail):
 def _cmd_table(cfg, homology_fn, cohomology_fn, detail=False, dual=False):
     """zk-homology and rk-homology, which differ only in the two functions."""
     fn = cohomology_fn if dual else homology_fn
-    table = fn(cfg.K, cfg.coeff, cfg.threads)
+    table = fn(cfg.K, cfg.coeff)
     return {"coefficients": str(cfg.coeff),
             "variant": "cohomology" if dual else "homology",
             **_table_json(table, detail)}
@@ -235,7 +250,7 @@ def _cmd_tor(cfg, subset=None):
              "rank": r, "torsion": list(t)}
             for n, (r, t) in sorted(slice_.items())]
         return {"coefficients": str(cfg.coeff), "entries": entries}
-    table = pontryagin.tor_via_subcomplexes(cfg.K, cfg.coeff, cfg.threads)
+    table = pontryagin.tor_via_subcomplexes(cfg.K, cfg.coeff)
     entries = [
         {**_mask_multidegree_json(n, J, cfg.K.m), "J": _subset_json(J),
          "rank": r, "torsion": list(t)}
@@ -254,8 +269,7 @@ def _cmd_gens_rels(cfg, subset=None):
         return {"coefficients": str(cfg.coeff), "J": _subset_json(J),
                 "generators": g, "relations": r,
                 "exact": cfg.coeff.is_field}
-    gens, rels, totals = pontryagin.generator_relation_counts(
-        cfg.K, cfg.coeff, cfg.threads)
+    gens, rels, totals = pontryagin.generator_relation_counts(cfg.K, cfg.coeff)
     return {
         "coefficients": str(cfg.coeff),
         "exact": totals["exact"],
@@ -269,6 +283,8 @@ def _cmd_gens_rels(cfg, subset=None):
 
 
 def _cmd_koszul_dual(cfg, length):
+    if length < 0:
+        raise ValueError("--length must be >= 0")
     words, counts = pontryagin.koszul_dual_basis(cfg.K, length)
     return {
         "length": length,
@@ -288,7 +304,7 @@ def _cmd_cobar_ext(cfg, beta):
 def _cmd_mm_check(cfg):
     coeff = cfg.coeff if cfg.coeff.is_field else homology.RATIONALS
     return {"coefficients": str(coeff),
-            **pontryagin.milnor_moore_check(cfg.K, coeff, cfg.threads)}
+            **pontryagin.milnor_moore_check(cfg.K, coeff)}
 
 
 def _series_json(F):
@@ -329,7 +345,7 @@ def _cmd_chi_check(cfg, alpha):
 
 
 def _cmd_cat(cfg):
-    report = lscat.cat_report(cfg.K, cfg.threads)
+    report = lscat.cat_report(cfg.K)
     out = {"is_flag": report.is_flag,
            "via_subcomplexes": report.via_subcomplexes,
            "via_links": report.via_links}
@@ -344,17 +360,17 @@ def _cmd_cat(cfg):
 def _cmd_toomer(cfg):
     if cfg.coeff.is_field:
         return {"coefficients": str(cfg.coeff),
-                "toomer": lscat.toomer(cfg.K, cfg.coeff, cfg.threads)}
-    return lscat.toomer_report(cfg.K, cfg.threads)
+                "toomer": lscat.toomer(cfg.K, cfg.coeff)}
+    return lscat.toomer_report(cfg.K)
 
 
 def _cmd_cat_bound(cfg):
     return {"nu": complexes.nu_direct(cfg.K),
-            "lower_bound": lscat.cat_lower_bound(cfg.K, cfg.threads)}
+            "lower_bound": lscat.cat_lower_bound(cfg.K)}
 
 
 def _cmd_cup_search(cfg):
-    witness = lscat.cup_witness_search(cfg.K, cfg.threads)
+    witness = lscat.cup_witness_search(cfg.K)
     if witness is None:
         return {"witness": None}
     return {"witness": {
@@ -433,15 +449,15 @@ def _run_check_all(cfg):
     chi_all = complexes.chi_subcomplexes(K) if sweepable else None
     if sweepable:
         for coeff in fields:
-            hochster.subcomplex_profiles(K, coeff, cfg.threads)
+            hochster.subcomplex_profiles(K, coeff)
         if flag:
             for coeff in fields:
-                mm = pontryagin.milnor_moore_check(K, coeff, cfg.threads)
+                mm = pontryagin.milnor_moore_check(K, coeff)
                 record(f"milnor-moore-collapse-{coeff}", mm["collapse"],
                        f"E2 {mm['e2_total']} vs Einf {mm['einf_total']}")
 
             for coeff in fields:
-                table = pontryagin.tor_via_subcomplexes(K, coeff, cfg.threads)
+                table = pontryagin.tor_via_subcomplexes(K, coeff)
                 by_J = {}
                 for (n, J), (r, _) in table.entries.items():
                     by_J.setdefault(J, {})[n] = r
@@ -474,7 +490,7 @@ def _run_check_all(cfg):
                 record(f"tor-vanishing-nonsquarefree-{coeff}", ok)
 
         coeff = fields[0]
-        table = hochster.zk_homology(K, coeff, cfg.threads)
+        table = hochster.zk_homology(K, coeff)
         euler_zk = sum((-1) ** p * r for p, r in table.totals_rank.items())
         expected = -sum(c * (-1) ** J.bit_count()
                         for J, c in enumerate(chi_all))
@@ -482,13 +498,13 @@ def _run_check_all(cfg):
                f"{euler_zk} vs {expected}")
 
         if cfg.coeff.kind == "z" or K.m <= 16:
-            via_sub = 1 + lscat.max_subcomplex_cdim(K, cfg.threads)
+            via_sub = 1 + lscat.max_subcomplex_cdim(K)
             via_links = lscat.cat_via_links(K)
             record("cdim-links-vs-subcomplexes", via_sub == via_links,
                    f"{via_sub} vs {via_links}")
             if flag:
-                rep = lscat.toomer_report(K, cfg.threads)
-                cat = lscat.cat_zk(K, cfg.threads)
+                rep = lscat.toomer_report(K)
+                cat = lscat.cat_zk(K)
                 record("toomer-max-equals-cat", rep["max"] == cat,
                        f"toomer {rep['max']} vs cat {cat}")
 
@@ -606,8 +622,8 @@ def build_parser():
     common.add_argument("--out", choices=("json", "table"), default="json")
     common.add_argument("--cache", metavar="DIR",
                         help="accepted and ignored: every call recomputes")
-    common.add_argument("--threads", type=int, default=1,
-                        help="worker processes for subset sweeps")
+    common.add_argument("--threads", type=int,
+                        help="accepted and ignored: sweeps run in one process")
 
     names = ["info", "homology", "zk-homology", "rk-homology", "tor",
              "gens-rels", "koszul-dual", "cobar-ext", "mm-check", "series",
@@ -633,6 +649,12 @@ def build_parser():
     return parser
 
 
+# options kept so that existing scripts still run; each given one prints
+# a warning and changes nothing
+IGNORED_OPTIONS = {"cache": "profiles are recomputed on every call",
+                   "threads": "subset sweeps run in one process"}
+
+
 def run(argv=None):
     """Parse arguments, dispatch, print the report; returns the exit code."""
     parser = build_parser()
@@ -640,9 +662,9 @@ def run(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
-    if args.cache is not None:
-        print("warning: --cache is ignored; profiles are recomputed on "
-              "every call", file=sys.stderr)
+    for option, reason in IGNORED_OPTIONS.items():
+        if getattr(args, option) is not None:
+            print(f"warning: --{option} is ignored; {reason}", file=sys.stderr)
     try:
         cfg = _config(args)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
@@ -685,6 +707,8 @@ def _parse_alpha(text, m):
     alpha = tuple(int(x) for x in text.split(","))
     if len(alpha) != m:
         raise ValueError(f"alpha must have {m} entries")
+    if min(alpha) < 0:
+        raise ValueError("alpha entries must be >= 0")
     return alpha
 
 

@@ -9,20 +9,17 @@ shares.  The pass walks J in ascending order and eliminates only the
 irreducible K_J, those that are connected and have no dominated vertex;
 every other J takes the profile of the complex it collapses onto, or the
 sum of its components' profiles (``homology.reduction``), all of which
-are proper subsets already swept.  With worker processes, the workers
-eliminate the irreducible subsets and the main process fills in the
-rest.  Single subsets (``profile_for_subset``) are plain elimination.
+are proper subsets already swept.  The pass runs in one process.
+Single subsets (``profile_for_subset``) are plain elimination.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
 
 from . import homology
-from .complexes import SimplicialComplex
 
 SWEEP_CAP = 24
 
@@ -92,23 +89,7 @@ def profile_for_subset(K, Jmask, coeff):
     return prof
 
 
-_WORKER = None
-
-
-def _worker_init(m, faces, coeff_key):
-    global _WORKER
-    K = SimplicialComplex(m, frozenset(faces))
-    geo = homology.geometry(K)
-    coeff = homology.Coefficients(*coeff_key)
-    _WORKER = (geo, coeff)
-
-
-def _worker_chunk(masks):
-    geo, coeff = _WORKER
-    return [(J, homology._profile_restricted(geo, J, coeff)) for J in masks]
-
-
-def subcomplex_profiles(K, coeff, threads=1):
+def subcomplex_profiles(K, coeff):
     """Reduced homology of every full subcomplex K_J, keyed by bitmask.
 
     Returns a read-only view of the shared cache, not a copy; use
@@ -119,27 +100,17 @@ def subcomplex_profiles(K, coeff, threads=1):
         raise ComplexTooLargeError(
             f"full subcomplex sweep needs m <= {SWEEP_CAP}, got m = {K.m}")
     store = _cache_for(K, coeff)
-    missing = [J for J in range(1 << K.m) if J not in store]
-    if not missing:
+    if len(store) == 1 << K.m:
         return MappingProxyType(store)
     geo = homology.geometry(K)
-    plan = ((J, homology.reduction(geo, J)) for J in missing)
-    if threads > 1 and len(missing) >= 1 << 12:
-        plan = list(plan)
-        irreducible = [J for J, parts in plan if parts is None]
-        chunk = max(256, len(irreducible) // (8 * threads))
-        chunks = [irreducible[i:i + chunk]
-                  for i in range(0, len(irreducible), chunk)]
-        with multiprocessing.Pool(
-                threads, initializer=_worker_init,
-                initargs=(K.m, tuple(K.faces), coeff.key())) as pool:
-            for part in pool.imap_unordered(_worker_chunk, chunks):
-                store.update(part)
-    for J, parts in plan:
-        if parts is not None:
-            store[J] = homology.direct_sum([store[P] for P in parts])
-        elif J not in store:
+    for J in range(1 << K.m):
+        if J in store:
+            continue
+        parts = homology.reduction(geo, J)
+        if parts is None:
             store[J] = homology._profile_restricted(geo, J, coeff)
+        else:
+            store[J] = homology.direct_sum([store[P] for P in parts])
     return MappingProxyType(store)
 
 
@@ -171,15 +142,15 @@ def _assemble(kind, profiles, shift_by_J):
     return table
 
 
-def zk_homology(K, coeff, threads=1):
+def zk_homology(K, coeff):
     """H_p(Z_K) = sum over J of reduced H_{p-|J|-1}(K_J)."""
-    profiles = subcomplex_profiles(K, coeff, threads)
+    profiles = subcomplex_profiles(K, coeff)
     return _assemble("zk", profiles, shift_by_J=True)
 
 
-def rk_homology(K, coeff, threads=1):
+def rk_homology(K, coeff):
     """H_p(R_K) = sum over J of reduced H_{p-1}(K_J)."""
-    profiles = subcomplex_profiles(K, coeff, threads)
+    profiles = subcomplex_profiles(K, coeff)
     return _assemble("rk", profiles, shift_by_J=False)
 
 
@@ -188,21 +159,21 @@ def _dualize(profiles):
     return {J: p.cohomology() for J, p in profiles.items()}
 
 
-def zk_cohomology(K, coeff, threads=1):
+def zk_cohomology(K, coeff):
     """H^p(Z_K) = sum over J of reduced H^{p-|J|-1}(K_J)."""
-    profiles = subcomplex_profiles(K, coeff, threads)
+    profiles = subcomplex_profiles(K, coeff)
     return _assemble("zk", _dualize(profiles), shift_by_J=True)
 
 
-def rk_cohomology(K, coeff, threads=1):
+def rk_cohomology(K, coeff):
     """H^p(R_K) = sum over J of reduced H^{p-1}(K_J)."""
-    profiles = subcomplex_profiles(K, coeff, threads)
+    profiles = subcomplex_profiles(K, coeff)
     return _assemble("rk", _dualize(profiles), shift_by_J=False)
 
 
-def torsion_primes(K, threads=1):
+def torsion_primes(K):
     """Primes dividing any torsion coefficient of any K_J (for field sweeps)."""
-    profiles = subcomplex_profiles(K, homology.INTEGERS, threads)
+    profiles = subcomplex_profiles(K, homology.INTEGERS)
     primes = set()
     for prof in profiles.values():
         for t in prof.torsion.values():

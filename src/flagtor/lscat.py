@@ -31,17 +31,17 @@ class CatReport:
     cup_witness: dict = None
 
 
-def max_subcomplex_cdim(K, threads=1):
-    profiles = hochster.subcomplex_profiles(K, homology.INTEGERS, threads)
+def max_subcomplex_cdim(K):
+    profiles = hochster.subcomplex_profiles(K, homology.INTEGERS)
     return max(prof.cdim() for prof in profiles.values())
 
 
-def max_subcomplex_hdim(K, coeff, threads=1):
-    profiles = hochster.subcomplex_profiles(K, coeff, threads)
+def max_subcomplex_hdim(K, coeff):
+    profiles = hochster.subcomplex_profiles(K, coeff)
     return max(prof.hdim() for prof in profiles.values())
 
 
-def cat_zk(K, threads=1):
+def cat_zk(K):
     """cat(Z_K) = 1 + max over J of cdim_Z K_J, for flag K.
 
     The full simplex is the one degenerate case (Z_K a polydisc): 0.
@@ -50,7 +50,7 @@ def cat_zk(K, threads=1):
         raise NotFlagError("the exact category formula needs a flag complex")
     if K.full_mask in K.faces:
         return 0
-    return 1 + max_subcomplex_cdim(K, threads)
+    return 1 + max_subcomplex_cdim(K)
 
 
 def cat_via_links(K):
@@ -62,34 +62,34 @@ def cat_via_links(K):
     return 1 + best
 
 
-def toomer(K, coeff, threads=1):
+def toomer(K, coeff):
     """Toomer invariant of Z_K over a field: 1 + max over J of hdim."""
     if not is_flag(K):
         raise NotFlagError("the Toomer formula needs a flag complex")
     if not coeff.is_field:
         raise ValueError("Toomer invariant needs field coefficients")
-    return 1 + max_subcomplex_hdim(K, coeff, threads)
+    return 1 + max_subcomplex_hdim(K, coeff)
 
 
-def toomer_report(K, threads=1):
+def toomer_report(K):
     """Toomer invariants over Q and every torsion prime field, plus the max.
 
     The primes are harvested from the Smith forms of the subcomplex
     sweep; the maximum over these fields equals cat(Z_K).
     """
     fields = [homology.RATIONALS]
-    fields += [homology.GF(p) for p in hochster.torsion_primes(K, threads)]
-    values = {str(c): toomer(K, c, threads) for c in fields}
+    fields += [homology.GF(p) for p in hochster.torsion_primes(K)]
+    values = {str(c): toomer(K, c) for c in fields}
     return {"by_field": values, "max": max(values.values())}
 
 
-def cat_lower_bound(K, threads=1):
+def cat_lower_bound(K):
     """1 - nu(K) + max over J of cdim_Z of the flagification's K_J.
 
     Equals cat(Z_K) itself when K is flag (nu = 0).
     """
     Kf = flagification(K)
-    return 1 - nu_direct(K) + max_subcomplex_cdim(Kf, threads)
+    return 1 - nu_direct(K) + max_subcomplex_cdim(Kf)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +191,7 @@ def _is_coboundary(K, faces, values, p=None):
     return rank_columns(cols + [target], p) == rank_columns(cols, p)
 
 
-def cup_witness_search(K, threads=1):
+def cup_witness_search(K):
     """Look for disjoint A_1..A_{d+1} certifying cup-length = cat(Z_K).
 
     Tries supports in decreasing size and set partitions into d+1 parts,
@@ -202,7 +202,7 @@ def cup_witness_search(K, threads=1):
     """
     if not is_flag(K):
         raise NotFlagError("the witness search targets flag complexes")
-    d = max_subcomplex_cdim(K, threads)
+    d = max_subcomplex_cdim(K)
     if d < 0:
         return None
     nparts = d + 1
@@ -261,14 +261,14 @@ def cup_witness_search(K, threads=1):
     return None
 
 
-def cat_report(K, threads=1):
+def cat_report(K):
     flag = is_flag(K)
     report = CatReport(is_flag=flag)
-    report.via_subcomplexes = 1 + max_subcomplex_cdim(K, threads)
+    report.via_subcomplexes = 1 + max_subcomplex_cdim(K)
     report.via_links = cat_via_links(K)
     if flag:
-        report.cat_flag = cat_zk(K, threads)
-        report.toomer = toomer_report(K, threads)
+        report.cat_flag = cat_zk(K)
+        report.toomer = toomer_report(K)
     else:
-        report.lower_bound_nonflag = cat_lower_bound(K, threads)
+        report.lower_bound_nonflag = cat_lower_bound(K)
     return report

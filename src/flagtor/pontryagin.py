@@ -59,9 +59,9 @@ def _require_flag(K):
 # route one: full subcomplexes
 # ---------------------------------------------------------------------------
 
-def tor_via_subcomplexes(K, coeff, threads=1):
+def tor_via_subcomplexes(K, coeff):
     _require_flag(K)
-    profiles = hochster.subcomplex_profiles(K, coeff, threads)
+    profiles = hochster.subcomplex_profiles(K, coeff)
     table = TorTable(exact=coeff.is_field)
     for J, prof in profiles.items():
         for d in prof.degrees():
@@ -89,7 +89,7 @@ def tor_for_subset(K, Jmask, coeff):
     return out
 
 
-def generator_relation_counts(K, coeff, threads=1):
+def generator_relation_counts(K, coeff):
     """Minimal generator/relation counts of the loop homology algebra.
 
     Over a field the counts are exact; over Z they are lower bounds (the
@@ -97,7 +97,7 @@ def generator_relation_counts(K, coeff, threads=1):
     Returns (generators_by_J, relations_by_J, totals dict).
     """
     _require_flag(K)
-    profiles = hochster.subcomplex_profiles(K, coeff, threads)
+    profiles = hochster.subcomplex_profiles(K, coeff)
     gens, rels = {}, {}
     for J, prof in profiles.items():
         g = prof.min_generators(0)
@@ -410,7 +410,7 @@ def cobar_ext(K, coeff, beta, bound=DEFAULT_DEGREE_BOUND):
 # Milnor-Moore bookkeeping
 # ---------------------------------------------------------------------------
 
-def milnor_moore_check(K, coeff, threads=1):
+def milnor_moore_check(K, coeff):
     """Total dimension of the Tor table vs. total Betti of Z_K.
 
     For flag K the loop-homology spectral sequence degenerates, so the
@@ -419,7 +419,7 @@ def milnor_moore_check(K, coeff, threads=1):
     _require_flag(K)
     if not coeff.is_field:
         raise ValueError("Milnor-Moore totals need field coefficients")
-    profiles = hochster.subcomplex_profiles(K, coeff, threads)
+    profiles = hochster.subcomplex_profiles(K, coeff)
     e2 = sum(prof.total_dim() for prof in profiles.values())
-    einf = sum(hochster.zk_homology(K, coeff, threads).totals_rank.values())
+    einf = sum(hochster.zk_homology(K, coeff).totals_rank.values())
     return {"e2_total": e2, "einf_total": einf, "collapse": e2 == einf}

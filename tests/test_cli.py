@@ -68,15 +68,50 @@ def test_output_is_byte_identical_across_runs_and_threads():
     assert a.stdout == b.stdout
 
 
-def test_cache_option_is_accepted_and_ignored(tmp_path):
-    cache = tmp_path / "cache"
+def test_ignored_options_are_accepted_and_change_nothing(tmp_path):
+    # --cache and --threads still parse, print one warning and do nothing
     args = ("zk-homology", "--named", "random-flag:8:40:1", "--coeff", "z")
     plain = flagtor(*args)
-    cached = flagtor(*args, "--cache", str(cache))
-    assert plain.returncode == cached.returncode == 0
-    assert cached.stdout == plain.stdout
+    assert plain.returncode == 0 and plain.stderr == ""
+    cache = tmp_path / "cache"
+    for option, value in (("--cache", str(cache)), ("--threads", "2")):
+        given = flagtor(*args, option, value)
+        assert given.returncode == 0
+        assert given.stdout == plain.stdout
+        lines = given.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"warning: {option} is ignored; ")
     assert not cache.exists()
-    assert "--cache is ignored" in cached.stderr
+
+
+@pytest.mark.parametrize("text", [
+    '{"m": "x", "facets": [[1]]}',
+    '{"m": 3, "facets": [1,2]}',
+    '[1,2]',
+    '{"m": 3, "facets": [["a"]]}',
+    '{"m": 3, "facets": [[1.5]]}',
+])
+def test_malformed_input_json_exits_two(tmp_path, text):
+    path = tmp_path / "k.json"
+    path.write_text(text)
+    r = flagtor("info", "--input", str(path))
+    assert r.returncode == 2
+    assert r.stdout == ""
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("koszul-dual", "--named", "cycle:5", "--length", "-1"),
+    ("chi-check", "--named", "cycle:4", "--alpha", "1,-1,1,1"),
+    ("cobar-ext", "--named", "cycle:4", "--alpha", "1,1,-1,0"),
+])
+def test_negative_length_or_exponent_exits_two(argv):
+    r = flagtor(*argv)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: ") and "Traceback" not in r.stderr
 
 
 def test_multidegree_serialization_doubles_lambda():
@@ -98,6 +133,10 @@ def test_koszul_dual_cli():
     r = flagtor("koszul-dual", "--named", "cycle:4", "--length", "2")
     data = json.loads(r.stdout)["result"]
     assert data["total"] == 8
+    # length 0 is the one empty word
+    r = flagtor("koszul-dual", "--named", "cycle:5", "--length", "0")
+    data = json.loads(r.stdout)["result"]
+    assert data["words"] == [[]] and data["total"] == 1
 
 
 def test_cobar_ext_cli():

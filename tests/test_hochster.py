@@ -79,21 +79,13 @@ def test_cache_is_shared_and_consistent():
     assert Ho.cache_snapshot(K, H.RATIONALS) == a
 
 
-def test_parallel_sweep_matches_serial():
+def test_sweep_keeps_earlier_entries_first_then_ascending_order():
     Ho.clear_cache()
-    K = C.random_flag(13, 0.45, 2)
-    serial = Ho.subcomplex_profiles(K, H.GF(2), threads=1)
-    Ho.clear_cache()
-    parallel = Ho.subcomplex_profiles(K, H.GF(2), threads=2)
-    assert serial == parallel
-    # integral, with 2-torsion, and 4096 subsets: the worker pool runs
-    K = C.disjoint_union(C.real_projective_plane(), C.random_flag(6, 0.5, 1))
-    Ho.clear_cache()
-    serial = Ho.subcomplex_profiles(K, H.INTEGERS, threads=1)
-    Ho.clear_cache()
-    parallel = Ho.subcomplex_profiles(K, H.INTEGERS, threads=2)
-    assert serial == parallel
-    assert any(p.torsion for p in parallel.values())
+    K = C.random_flag(8, 0.4, 5)
+    first = Ho.profile_for_subset(K, 0b10110, H.INTEGERS)
+    sweep = Ho.subcomplex_profiles(K, H.INTEGERS)
+    assert sweep[0b10110] is first
+    assert list(sweep) == [0b10110] + [J for J in range(1 << 8) if J != 0b10110]
 
 
 def test_reduction_collapses_cones_and_splits_components():
@@ -131,15 +123,19 @@ def test_sweep_matches_plain_elimination_on_every_subset():
     assert sum(not C.is_flag(K) for K in cases) >= 6
     # a vertex in no face: K_J is K_{J-v}, not K_J plus an isolated point
     cases.append(C.SimplicialComplex(5, C.cycle_complex(4).faces))
+    # m = 12 with 2-torsion over Z
+    cases.append(C.disjoint_union(rp2, C.random_flag(6, 0.5, 1)))
     for K in cases:
         for key in ("q", "fp:2", "fp:3", "z"):
             coeff = H.parse_coefficients(key)
             expected = [H.subcomplex_homology(K, J, coeff) for J in range(1 << K.m)]
-            for threads in (1, 2) if K.m >= 12 else (1,):
-                Ho.clear_cache()
-                sweep = Ho.subcomplex_profiles(K, coeff, threads)
-                for J, prof in enumerate(expected):
-                    assert sweep[J] == prof, (K.m, key, threads, J)
+            Ho.clear_cache()
+            sweep = Ho.subcomplex_profiles(K, coeff)
+            assert list(sweep) == list(range(1 << K.m))
+            for J, prof in enumerate(expected):
+                assert sweep[J] == prof, (K.m, key, J)
+            if key == "z" and K.m == 12:
+                assert any(p.torsion for p in sweep.values())
 
 
 def test_sweep_cap():
