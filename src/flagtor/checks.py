@@ -1,0 +1,223 @@
+"""Cross-checks of the package's results against each other on one complex.
+
+Each check computes one quantity two ways, or one identity from the
+paper, and compares exactly: the collapse of the Milnor-Moore spectral
+sequence at E2, the Panov-Ray h-vector identity, cat(Z_K) against the
+maximum of the Toomer invariants, squarefree Tor against the Koszul
+slices, and more.  ``check_all`` is the library entry point; the
+``check-all`` subcommand only renders its result.
+"""
+
+from __future__ import annotations
+
+import random
+from math import gcd
+
+from . import complexes, exact_linalg, hochster, homology, lscat, pontryagin, series
+
+
+def check_all(K, coeff, trunc):
+    """Run every cross-check that applies to K; a list of (name, ok, detail).
+
+    A field ``coeff`` is the one ring of the ring-dependent checks; Z
+    stands for Q and GF(2).  ``trunc`` bounds the series checks.  Checks
+    that need the 2^m sweep, a flag complex or a small m are left out when
+    K does not qualify.  The random samples are seeded by K, so the list
+    is the same on every run.
+    """
+    checks = []
+
+    def record(name, ok, detail=""):
+        checks.append((name, bool(ok), detail))
+
+    rng = random.Random(repr(K.canonical_key()))
+    flag = complexes.is_flag(K)
+    fields = [coeff] if coeff.is_field else [homology.RATIONALS, homology.GF(2)]
+
+    try:
+        complexes.validate(K)
+        record("closure-and-ghosts", True)
+    except Exception as exc:  # noqa: BLE001 - report, do not crash
+        record("closure-and-ghosts", False, str(exc))
+
+    Kf = complexes.flagification(K)
+    ok = complexes.flagification(Kf).faces == Kf.faces
+    if flag:
+        ok = ok and Kf.faces == K.faces
+    record("flagification-idempotent", ok)
+
+    chi = complexes.reduced_euler_char(K)
+    prof = homology.reduced_homology(K, homology.RATIONALS)
+    homological = sum((-1) ** n * prof.rank(n) for n in prof.degrees())
+    record("euler-characteristic", homological == chi,
+           f"combinatorial {chi} vs homological {homological}")
+
+    nu_f = complexes.nu_filtration(K)
+    nu_d = complexes.nu_direct(K)
+    i = 1
+    while i <= Kf.dim and complexes.skeleton(K, i).faces == \
+            complexes.skeleton(Kf, i).faces:
+        i += 1
+    record("nu-two-algorithms",
+           nu_f == nu_d and nu_d <= max(Kf.dim - (i - 1), 0),
+           f"filtration {nu_f}, direct {nu_d}")
+
+    if flag:
+        record("link-equals-full-subcomplex", _links_are_full_subcomplexes(K))
+
+    sweepable = K.m <= hochster.SWEEP_CAP
+    chi_all = complexes.chi_subcomplexes(K) if sweepable else None
+    denom = series.euler_denominator_t(K, chi_all) if sweepable else None
+    if sweepable:
+        if flag:
+            for ring in fields:
+                mm = pontryagin.milnor_moore_check(K, ring)
+                record(f"milnor-moore-collapse-{ring}", mm["collapse"],
+                       f"E2 {mm['e2_total']} vs Einf {mm['einf_total']}")
+            for ring in fields:
+                record(f"tor-oracle-squarefree-{ring}",
+                       _tor_matches_koszul_slices(K, ring, rng))
+                record(f"tor-vanishing-nonsquarefree-{ring}",
+                       _tor_vanishes_off_squarefree(K, ring, trunc, rng))
+
+        table = hochster.zk_homology(K, fields[0])
+        euler_zk = sum((-1) ** p * r for p, r in table.totals_rank.items())
+        expected = sum(c * (-1) ** d for d, c in enumerate(denom))
+        record("hochster-euler-vs-series", euler_zk == expected,
+               f"{euler_zk} vs {expected}")
+
+        if coeff.kind == "z" or K.m <= 16:
+            via_sub = 1 + lscat.max_subcomplex_cdim(K)
+            via_links = lscat.cat_via_links(K)
+            record("cdim-links-vs-subcomplexes", via_sub == via_links,
+                   f"{via_sub} vs {via_links}")
+            if flag:
+                rep = lscat.toomer_report(K)
+                cat = lscat.cat_zk(K)
+                record("toomer-max-equals-cat", rep["max"] == cat,
+                       f"toomer {rep['max']} vs cat {cat}")
+
+    if flag and K.m <= 20:
+        ok, _, _ = series.panov_ray_check(K, chi_all)
+        record("panov-ray-identity", ok)
+        Ft = series.poincare_ozk_t(K, trunc, chi_all)
+        record("series-coefficients-nonnegative", all(c >= 0 for c in Ft))
+        prod = series.poly_mul(denom, Ft, trunc)
+        record("series-inverse-roundtrip", prod[0] == 1 and not any(prod[1:]))
+
+    if flag and K.m <= 10:
+        N = min(trunc, 8)
+        F = series.poincare_ozk(K, N, chi_all)
+        ranks = series.homotopy_ranks(K, N, chi_all)
+        record("pbw-roundtrip", series.pbw_reconstruct(ranks, K.m, N) == F)
+        ok = True
+        for alpha in [a for a in ranks if gcd(*a) == 1][:8]:
+            val, nonneg = series.chi_inequality(K, alpha, chi_all)
+            if not nonneg or val != ranks.get(alpha, 0):
+                ok = False
+        record("chi-inequality-matches-ranks", ok)
+        bound = min(4, N)
+        counts = pontryagin.normal_word_counts(K, bound)
+        odj = series.poincare_odj(K, bound, chi_all)
+        ok = all(odj.coefficient(a) == c for a, c in counts.items())
+        ok = ok and all(counts.get(a, 0) == v for a, v in odj.terms.items())
+        record("odj-series-vs-normal-words", ok)
+        ok = True
+        for _ in range(10):
+            beta = tuple(rng.randint(0, 1) for _ in range(K.m))
+            if sum(beta) == 0 or sum(beta) > 3:
+                continue
+            dims = pontryagin.cobar_ext(K, fields[0], beta)
+            if any(s != sum(beta) for s in dims):
+                ok = False
+            if sum(beta) <= bound and dims.get(sum(beta), 0) != counts.get(beta, 0):
+                ok = False
+        record("cobar-diagonal-property", ok)
+    elif not flag and K.m <= 10:
+        mf = [f for f in complexes.missing_faces(K) if f.bit_count() >= 3]
+        if mf:
+            ok = True
+            for f in mf[:3]:
+                beta = tuple((f >> i) & 1 for i in range(K.m))
+                if pontryagin.cobar_ext(K, fields[0], beta).get(2, 0) < 1:
+                    ok = False
+            record("missing-face-ext2-classes", ok)
+
+    record("snf-spot-checks", _snf_spot_checks(rng))
+    return checks
+
+
+def _links_are_full_subcomplexes(K):
+    """For flag K, the link of every face I is the full subcomplex on its star."""
+    for I in sorted(K.faces):
+        lk = complexes.link(K, I)
+        sup = [v for v in range(1, K.m + 1)
+               if not (I >> (v - 1)) & 1 and (I | (1 << (v - 1))) in K.faces]
+        sub = complexes.full_subcomplex(K, complexes.mask_of(sup))
+        if complexes.original_faces(lk) != complexes.original_faces(sub):
+            return False
+    return True
+
+
+def _tor_matches_koszul_slices(K, coeff, rng):
+    """Squarefree Tor from the sweep equals the Koszul slice homology.
+
+    Every J for m <= 10, else 128 J sampled with ``rng``.
+    """
+    by_J = {}
+    for (n, J), (r, _) in pontryagin.tor_via_subcomplexes(K, coeff).entries.items():
+        by_J.setdefault(J, {})[n] = r
+    if K.m <= 10:
+        masks = range(1 << K.m)
+    else:
+        masks = sorted(rng.sample(range(1 << K.m), min(128, 1 << K.m)))
+    for J in masks:
+        beta = tuple((J >> i) & 1 for i in range(K.m))
+        slice_h = pontryagin.tor_via_koszul_complex(K, coeff, beta)
+        if {n: r for n, (r, _) in slice_h.items()} != by_J.get(J, {}):
+            return False
+    return True
+
+
+def _tor_vanishes_off_squarefree(K, coeff, trunc, rng):
+    """The Koszul slices at 50 sampled non-squarefree beta have no homology."""
+    for _ in range(50):
+        beta = [0] * K.m
+        for _ in range(rng.randint(2, max(2, min(6, trunc)))):
+            beta[rng.randrange(K.m)] += 1
+        if max(beta) < 2:
+            beta[rng.randrange(K.m)] += 2
+        slice_h = pontryagin.tor_via_koszul_complex(K, coeff, tuple(beta))
+        if any(r for r, _ in slice_h.values()):
+            return False
+    return True
+
+
+def _snf_spot_checks(rng):
+    """Smith forms of 20 random small matrices: divisibility, invariance
+    under row and column permutations, and rank against elimination."""
+    ok = True
+    for _ in range(20):
+        rows = rng.randint(1, 5)
+        cols = rng.randint(1, 5)
+        triples = [(r, c, rng.randint(-4, 4)) for r in range(rows)
+                   for c in range(cols) if rng.random() < 0.6]
+        entries = {(r, c): v for r, c, v in triples}
+        M = exact_linalg.ExactMatrix.from_triples(
+            rows, cols, [(r, c, v) for (r, c), v in entries.items()])
+        snf = exact_linalg.smith_normal_form(M)
+        diag = snf.diagonal
+        if any(diag[i + 1] % diag[i] for i in range(len(diag) - 1)):
+            ok = False
+        perm_r = list(range(rows))
+        perm_c = list(range(cols))
+        rng.shuffle(perm_r)
+        rng.shuffle(perm_c)
+        M2 = exact_linalg.ExactMatrix.from_triples(
+            rows, cols, [(perm_r[r], perm_c[c], v)
+                         for (r, c), v in entries.items()])
+        if exact_linalg.smith_normal_form(M2).diagonal != diag:
+            ok = False
+        if exact_linalg.rank(M) != snf.rank:
+            ok = False
+    return ok

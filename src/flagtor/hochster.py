@@ -126,9 +126,7 @@ def _assemble(kind, profiles, shift_by_J):
     for J, prof in profiles.items():
         rows = rows_of.get(id(prof))
         if rows is None:
-            rows = rows_of[id(prof)] = [
-                (n, prof.rank(n), prof.torsion_at(n)) for n in prof.degrees()
-                if prof.rank(n) or prof.torsion_at(n)]
+            rows = rows_of[id(prof)] = list(prof.rows())
         off = J.bit_count() + 1 if shift_by_J else 1
         for n, r, t in rows:
             p = n + off

@@ -90,6 +90,13 @@ class HomologyProfile:
     def degrees(self):
         return sorted(set(self.ranks) | set(self.torsion))
 
+    def rows(self):
+        """The nonzero (n, rank, torsion) rows, by ascending degree n."""
+        for n in self.degrees():
+            r, t = self.rank(n), self.torsion_at(n)
+            if r or t:
+                yield n, r, t
+
     def total_dim(self):
         """Sum of ranks (= total dimension over a field)."""
         return sum(self.ranks.values())

@@ -64,11 +64,8 @@ def tor_via_subcomplexes(K, coeff):
     profiles = hochster.subcomplex_profiles(K, coeff)
     table = TorTable(exact=coeff.is_field)
     for J, prof in profiles.items():
-        for d in prof.degrees():
-            r = prof.rank(d)
-            t = prof.torsion_at(d)
-            if r or t:
-                table.entries[(d + 1, J)] = (r, t)
+        for d, r, t in prof.rows():
+            table.entries[(d + 1, J)] = (r, t)
     return table
 
 
@@ -80,13 +77,7 @@ def tor_for_subset(K, Jmask, coeff):
     """
     _require_flag(K)
     prof = hochster.profile_for_subset(K, Jmask, coeff)
-    out = {}
-    for d in prof.degrees():
-        r = prof.rank(d)
-        t = prof.torsion_at(d)
-        if r or t:
-            out[d + 1] = (r, t)
-    return out
+    return {d + 1: (r, t) for d, r, t in prof.rows()}
 
 
 def generator_relation_counts(K, coeff):
@@ -193,8 +184,7 @@ def tor_via_koszul_complex(K, coeff, beta):
     bases, matrices = koszul_slice(K, beta)
     prof = homology.chain_homology(
         {t: len(bs) for t, bs in bases.items()}, matrices, coeff)
-    return {t: (prof.rank(t), prof.torsion_at(t)) for t in bases
-            if prof.rank(t) or prof.torsion_at(t)}
+    return {t: (r, tors) for t, r, tors in prof.rows()}
 
 
 # ---------------------------------------------------------------------------
@@ -235,24 +225,38 @@ def _can_append(word, x, adj):
     return True
 
 
-def normal_words(K, length):
-    """All basis words of the given length, in lexicographic order."""
-    adj = adjacency(K)
-    out = []
-    word = []
+def _walk_normal_words(K, max_length):
+    """Every basis word of length <= max_length, in lexicographic order.
 
-    def extend(depth):
-        if depth == length:
-            out.append(tuple(word))
-            return
-        for x in range(1, K.m + 1):
+    A depth-first walk with an explicit stack, so the length is not bound
+    by the recursion limit.  Yields the walk's own letter list, which
+    changes as the walk goes on.
+    """
+    adj = adjacency(K)
+    letters = range(1, K.m + 1)
+    word = []
+    yield word
+    # stack[d] runs over the letters still to try after word[:d]
+    stack = [iter(letters)] if max_length else []
+    while stack:
+        for x in stack[-1]:
             if _can_append(word, x, adj):
                 word.append(x)
-                extend(depth + 1)
+                yield word
+                if len(word) < max_length:
+                    stack.append(iter(letters))
+                    break
+                word.pop()
+        else:
+            stack.pop()
+            if word:
                 word.pop()
 
-    extend(0)
-    return out
+
+def normal_words(K, length):
+    """All basis words of the given length, in lexicographic order."""
+    return [tuple(w) for w in _walk_normal_words(K, length)
+            if len(w) == length]
 
 
 def koszul_dual_basis(K, length):
@@ -269,26 +273,16 @@ def koszul_dual_basis(K, length):
 
 def normal_word_counts(K, max_total):
     """Counts per exponent vector for all lengths 0..max_total."""
-    adj = adjacency(K)
-    counts = {tuple([0] * K.m): 1}
-    word = []
-    alpha = [0] * K.m
-
-    def extend(depth):
-        if depth:
-            key = tuple(alpha)
-            counts[key] = counts.get(key, 0) + 1
-        if depth == max_total:
-            return
-        for x in range(1, K.m + 1):
-            if _can_append(word, x, adj):
-                word.append(x)
-                alpha[x - 1] += 1
-                extend(depth + 1)
-                alpha[x - 1] -= 1
-                word.pop()
-
-    extend(0)
+    by_letters = {}  # keyed by the sorted letters, one key per alpha
+    for word in _walk_normal_words(K, max_total):
+        key = tuple(sorted(word))
+        by_letters[key] = by_letters.get(key, 0) + 1
+    counts = {}
+    for letters, c in by_letters.items():
+        alpha = [0] * K.m
+        for v in letters:
+            alpha[v - 1] += 1
+        counts[tuple(alpha)] = c
     return counts
 
 

@@ -268,6 +268,15 @@ def euler_denominator(K, trunc, chi=None):
     return MultiSeries(K.m, trunc, _buckets=buckets)
 
 
+def euler_denominator_t(K, chi=None):
+    """The Z-graded specialization -sum_J chi~(K_J) t^{|J|}, degrees 0..m."""
+    chi = chi_subcomplexes(K) if chi is None else chi
+    denom = [0] * (K.m + 1)
+    for J, c in enumerate(chi):
+        denom[J.bit_count()] -= c
+    return denom
+
+
 def poincare_ozk(K, trunc, chi=None):
     """Multigraded Poincare series of the loop homology of Z_K (flag case).
 
@@ -282,11 +291,7 @@ def poincare_ozk_t(K, trunc, chi=None):
     """The Z-graded specialization, as a coefficient list in t."""
     if not is_flag(K):
         raise NotFlagError("Poincare series formula needs a flag complex")
-    chi = chi_subcomplexes(K) if chi is None else chi
-    denom = [0] * (K.m + 1)
-    for J, c in enumerate(chi):
-        denom[J.bit_count()] -= c
-    return poly_inverse(denom, trunc)
+    return poly_inverse(euler_denominator_t(K, chi), trunc)
 
 
 def poincare_odj(K, trunc, chi=None):
@@ -310,7 +315,7 @@ def poincare_odj_t(K, trunc, chi=None):
     return F
 
 
-def panov_ray_check(K):
+def panov_ray_check(K, chi=None):
     """(1+t)^{m-n} sum h_i (-t)^i == -sum_J chi~(K_J) t^{|J|}, exactly.
 
     n = dim K + 1; returns (ok, lhs, rhs) as coefficient lists.
@@ -322,11 +327,7 @@ def panov_ray_check(K):
     lhs = [comb(K.m - n, j) for j in range(K.m - n + 1)]
     hpoly = [h * (-1) ** i for i, h in enumerate(fv.h)]
     lhs = _trim(poly_mul(lhs, hpoly))
-    chi = chi_subcomplexes(K)
-    rhs = [0] * (K.m + 1)
-    for J, c in enumerate(chi):
-        rhs[J.bit_count()] -= c
-    rhs = _trim(rhs)
+    rhs = _trim(euler_denominator_t(K, chi))
     return lhs == rhs, lhs, rhs
 
 

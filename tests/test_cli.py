@@ -5,7 +5,7 @@ import json
 import pytest
 from _cli import flagtor
 
-from flagtor import cli, complexes, lscat
+from flagtor import cli, complexes, lscat, series
 
 
 def test_cat_on_named_cycle():
@@ -35,6 +35,18 @@ def test_check_all_passes_and_is_quiet_on_success(tmp_path):
     assert payload["result"]["ok"]
     assert all(c["status"] == "PASS" for c in payload["result"]["checks"])
     assert "PASS" in r.stderr
+
+
+def test_check_all_reports_a_failed_check(monkeypatch, capsys):
+    monkeypatch.setattr(series, "panov_ray_check", lambda *a: (False, [], []))
+    assert cli.run(["check-all", "--named", "cycle:4"]) == 1
+    out, err = capsys.readouterr()
+    result = json.loads(out)["result"]
+    assert result["ok"] is False
+    status = {c["name"]: c["status"] for c in result["checks"]}
+    assert status["panov-ray-identity"] == "FAIL"
+    assert [s for s in status.values() if s == "FAIL"] == ["FAIL"]
+    assert "FAIL panov-ray-identity\n" in err
 
 
 def test_corpus_roundtrip(tmp_path):
@@ -90,6 +102,7 @@ def test_ignored_options_are_accepted_and_change_nothing(tmp_path):
     '[1,2]',
     '{"m": 3, "facets": [["a"]]}',
     '{"m": 3, "facets": [[1.5]]}',
+    '{"m": 3}',
 ])
 def test_malformed_input_json_exits_two(tmp_path, text):
     path = tmp_path / "k.json"
@@ -99,6 +112,7 @@ def test_malformed_input_json_exits_two(tmp_path, text):
     assert r.stdout == ""
     lines = r.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert str(path) in lines[0]
     assert "Traceback" not in r.stderr
 
 
@@ -137,6 +151,15 @@ def test_koszul_dual_cli():
     r = flagtor("koszul-dual", "--named", "cycle:5", "--length", "0")
     data = json.loads(r.stdout)["result"]
     assert data["words"] == [[]] and data["total"] == 1
+
+
+def test_koszul_dual_long_words_do_not_hit_the_recursion_limit():
+    # two points: no letters commute, so the words alternate 1 and 2
+    r = flagtor("koszul-dual", "--named", "points:2", "--length", "1500")
+    assert r.returncode == 0, r.stderr
+    data = json.loads(r.stdout)["result"]
+    assert data["total"] == 2
+    assert data["words"] == [[1, 2] * 750, [2, 1] * 750]
 
 
 def test_cobar_ext_cli():
