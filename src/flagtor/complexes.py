@@ -6,9 +6,9 @@ face included), not just the facets: constant-time membership tests
 dominate all downstream homology work, and for the flag complexes this
 library targets the face list is just the clique list of a graph.
 
-Exhaustive 2^m subset sweeps elsewhere cap m at 24; the objects here can
-be larger (single-subcomplex computations stay cheap), the cap is
-enforced at the sweep entry points.
+Exhaustive 2^m subset sweeps cap m at ``SWEEP_CAP`` (24); the objects
+here can be larger (single-subcomplex computations stay cheap), the cap
+is enforced at the sweep entry points.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
+
+SWEEP_CAP = 24
 
 
 class GhostVertexError(ValueError):
@@ -372,8 +374,8 @@ def chi_subcomplexes(K):
 
     Uses a subset-sum (zeta) transform, O(m 2^m).
     """
-    if K.m > 24:
-        raise ValueError("2^m sweep capped at m <= 24")
+    if K.m > SWEEP_CAP:
+        raise ValueError(f"2^m sweep capped at m <= {SWEEP_CAP}")
     size = 1 << K.m
     acc = [0] * size
     for f in K.faces:

@@ -6,10 +6,13 @@ subset-sum bookkeeping downstream needs no special cases.  Faces are
 oriented by ascending vertex order with boundary signs (-1)^position.
 
 Per-subset calls (``subcomplex_homology``, ``reduced_homology``) are
-plain elimination.  For sweeps over many full subcomplexes, ``reduction``
-names smaller vertex sets that settle K_J without elimination: J minus a
-dominated vertex (a strong collapse), or the components of a disconnected
-K_J, which ``direct_sum`` puts together.
+plain elimination.  For sweeps over many full subcomplexes, two rules
+settle K_J from the profiles of smaller vertex sets.  ``mayer_vietoris``
+takes those of lk t = K_{N(t) & (J-t)} and of K_{J-t} for a vertex t
+whose links are full subcomplexes (every vertex, when K is flag), and
+gives that of K_J when the long exact sequence splits.  ``reduction``
+names J minus a dominated vertex (a strong collapse), or the components
+of a disconnected K_J, which ``direct_sum`` puts together.
 """
 
 from __future__ import annotations
@@ -71,8 +74,8 @@ class HomologyProfile:
 
     Only nonzero entries are stored.  ``torsion[n]`` is a sorted tuple of
     prime powers; it is empty unless the coefficients were Z.  Profiles
-    are read-only: in a sweep, subsets whose complexes collapse onto the
-    same smaller one share a single profile object.
+    are read-only: a sweep interns them by ``key()``, so all subsets with
+    equal profiles share a single object.
     """
 
     ranks: dict = field(default_factory=dict)
@@ -89,6 +92,10 @@ class HomologyProfile:
 
     def degrees(self):
         return sorted(set(self.ranks) | set(self.torsion))
+
+    def key(self):
+        """A hashable value: equal profiles, and only those, share it."""
+        return tuple(sorted(self.ranks.items())), tuple(sorted(self.torsion.items()))
 
     def rows(self):
         """The nonzero (n, rank, torsion) rows, by ascending degree n."""
@@ -175,6 +182,26 @@ class ComplexGeometry:
             self._check_boundary_squares_to_zero()
 
     @cached_property
+    def big_non_faces(self):
+        """The minimal non-faces of 3 or more vertices; none if K is flag."""
+        return [N for N in missing_faces(self.K) if N.bit_count() >= 3]
+
+    @cached_property
+    def full_link_vertices(self):
+        """Vertices t of K in no minimal non-face of 3 or more vertices.
+
+        For these, lk t in every K_J is the full subcomplex on N(t) & J: if
+        s is a face on that set and s + t is not, then s + t holds a
+        minimal non-face, which holds t (s is a face) and has 3 or more
+        vertices (every vertex of s is a neighbour of t).  Every vertex
+        qualifies when K is flag.
+        """
+        out = self.vertices
+        for N in self.big_non_faces:
+            out &= ~N
+        return out
+
+    @cached_property
     def cone_blockers(self):
         """(v, w) -> the minimal non-faces N that stop v's link being a cone on w.
 
@@ -184,9 +211,7 @@ class ComplexGeometry:
         none.
         """
         out = {}
-        for N in missing_faces(self.K):
-            if N.bit_count() < 3:
-                continue
+        for N in self.big_non_faces:
             low = N
             while low:
                 w = low & -low
@@ -301,6 +326,38 @@ def _profile_restricted(geo, Jmask, coeff):
     return chain_homology(counts, matrices, coeff, known)
 
 
+def mayer_vietoris(link, rest):
+    """Profile of K_J from those of lk t and K_{J-t}, or None if not settled.
+
+    t is a vertex of K_J whose link is a full subcomplex
+    (``ComplexGeometry.full_link_vertices``).  K_J is the union of K_{J-t}
+    and the star of t, a cone, and they meet in lk t, so Mayer-Vietoris
+    (Hatcher, Algebraic Topology, 2.2) gives the exact sequence
+    ... -> H_n(lk) -> H_n(K_{J-t}) -> H_n(K_J) -> H_{n-1}(lk) -> H_{n-1}(K_{J-t}) -> ...
+    in reduced homology, augmented so that an empty link {∅} has rank one
+    in degree -1.  An acyclic link gives H(K_J) = H(K_{J-t}).  If no degree
+    carries homology in both, every map H_n(lk) -> H_n(K_{J-t}) is zero
+    and 0 -> H_n(K_{J-t}) -> H_n(K_J) -> H_{n-1}(lk) -> 0 is exact: over a
+    field the ranks add, and over Z the sum is direct unless torsion of
+    H_{n-1}(lk) meets a nonzero H_n(K_{J-t}), which is left undecided.
+    An empty link thus adds one isolated point.  Any other case is None.
+    """
+    if not link.ranks and not link.torsion:
+        return rest
+    for n in link.degrees():
+        if n in rest.ranks or n in rest.torsion:
+            return None
+    for n in link.torsion:
+        if n + 1 in rest.ranks or n + 1 in rest.torsion:
+            return None
+    ranks, torsion = dict(rest.ranks), dict(rest.torsion)
+    for n, r in link.ranks.items():
+        ranks[n + 1] = ranks.get(n + 1, 0) + r
+    for n, t in link.torsion.items():
+        torsion[n + 1] = tuple(sorted(torsion.get(n + 1, ()) + t))
+    return HomologyProfile(dict(sorted(ranks.items())), dict(sorted(torsion.items())))
+
+
 def reduction(geo, Jmask):
     """Proper parts of J whose profiles give that of K_J, or None.
 
@@ -311,11 +368,9 @@ def reduction(geo, Jmask):
     Minian, 2012), and the result is (J - v,).  For flag K the non-face
     clause is empty.  Split: the graph on J has c >= 2 components J_i,
     and the result is their masks.  None means K_J is irreducible:
-    connected, with no dominated vertex.  Vertices of J outside K are
-    dropped first, since they change nothing.
+    connected, with no dominated vertex.  J must hold only vertices of
+    K; the sweep maps any other J to J & ``geo.vertices`` first.
     """
-    if Jmask & ~geo.vertices:
-        return (Jmask & geo.vertices,)
     adj = geo.adjacency
     blockers = geo.cone_blockers
     rest = Jmask

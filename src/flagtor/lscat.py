@@ -32,13 +32,11 @@ class CatReport:
 
 
 def max_subcomplex_cdim(K):
-    profiles = hochster.subcomplex_profiles(K, homology.INTEGERS)
-    return max(prof.cdim() for prof in profiles.values())
+    return max(prof.cdim() for prof in hochster.distinct_profiles(K, homology.INTEGERS))
 
 
 def max_subcomplex_hdim(K, coeff):
-    profiles = hochster.subcomplex_profiles(K, coeff)
-    return max(prof.hdim() for prof in profiles.values())
+    return max(prof.hdim() for prof in hochster.distinct_profiles(K, coeff))
 
 
 def cat_zk(K):

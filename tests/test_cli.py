@@ -49,6 +49,21 @@ def test_check_all_reports_a_failed_check(monkeypatch, capsys):
     assert "FAIL panov-ray-identity\n" in err
 
 
+def test_series_sweeps_chi_once(monkeypatch, capsys):
+    calls = []
+    chi = complexes.chi_subcomplexes
+
+    def counted(K):
+        calls.append(K)
+        return chi(K)
+
+    monkeypatch.setattr(complexes, "chi_subcomplexes", counted)
+    monkeypatch.setattr(series, "chi_subcomplexes", counted)
+    assert cli.run(["series", "--named", "cycle:5"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["panov_ray_identity"]["ok"]
+    assert len(calls) == 1
+
+
 def test_corpus_roundtrip(tmp_path):
     r = flagtor("corpus", "--named", "skeleton:1:simplex:4")
     assert r.returncode == 0

@@ -2,6 +2,9 @@
 
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from flagtor import complexes as C
 from flagtor import hochster as Ho
 from flagtor import homology as H
@@ -110,9 +113,33 @@ def _random_complex(rng, m):
     return C.from_facets(m, facets)
 
 
-def test_sweep_matches_plain_elimination_on_every_subset():
-    # the sweep eliminates only the irreducible K_J; every other J takes
-    # the profile of the complex it collapses onto, or of its components
+def _without_vertex(K, v):
+    """K with every face through vertex v (0-based) removed: v is a ghost."""
+    return C.SimplicialComplex(K.m, frozenset(f for f in K.faces if not f >> v & 1))
+
+
+def _record_sweep_rules(monkeypatch):
+    """Record what the sweep's Mayer-Vietoris rule and elimination see."""
+    seen = {"mv": [], "eliminated": []}
+    mv, eliminate = H.mayer_vietoris, H._profile_restricted
+
+    def spy_mv(link, rest):
+        out = mv(link, rest)
+        seen["mv"].append((link, rest, out))
+        return out
+
+    def spy_eliminate(geo, J, coeff):
+        seen["eliminated"].append(J)
+        return eliminate(geo, J, coeff)
+
+    monkeypatch.setattr(H, "mayer_vietoris", spy_mv)
+    monkeypatch.setattr(H, "_profile_restricted", spy_eliminate)
+    return seen
+
+
+def test_sweep_matches_plain_elimination_on_every_subset(monkeypatch):
+    # the sweep eliminates only what the vertex rule, collapses and splits
+    # leave; every other J is settled from profiles of proper subsets
     rp2 = C.real_projective_plane()
     rng = random.Random(43)
     cases = [C.join(rp2, C.points(1)), C.disjoint_union(rp2, rp2),
@@ -121,21 +148,81 @@ def test_sweep_matches_plain_elimination_on_every_subset():
               ((7, .5, 1), (8, .3, 2), (9, .5, 3), (9, .7, 4))]
     cases += [_random_complex(rng, rng.randint(4, 9)) for _ in range(8)]
     assert sum(not C.is_flag(K) for K in cases) >= 6
-    # a vertex in no face: K_J is K_{J-v}, not K_J plus an isolated point
+    # a vertex in no face: K_J is K_{J-v}, not K_J plus an isolated point;
+    # on the top bit, and on bit 0, where the vertex rule would see it
     cases.append(C.SimplicialComplex(5, C.cycle_complex(4).faces))
+    cases.append(C.SimplicialComplex(5, frozenset(f << 1 for f in C.cycle_complex(4).faces)))
     # m = 12 with 2-torsion over Z
     cases.append(C.disjoint_union(rp2, C.random_flag(6, 0.5, 1)))
+    # RP^2 * 3 points: at J = [m] the link of the top vertex is RP^2, with
+    # Z/2 in degree 1, and K_{J-t} = suspension of RP^2 has Z/2 in degree 2,
+    # so the rule cannot tell Z/4 from Z/2 + Z/2 and must fall back
+    cases.append(C.join(rp2, C.points(3)))
+    seen = _record_sweep_rules(monkeypatch)
     for K in cases:
         for key in ("q", "fp:2", "fp:3", "z"):
             coeff = H.parse_coefficients(key)
             expected = [H.subcomplex_homology(K, J, coeff) for J in range(1 << K.m)]
             Ho.clear_cache()
+            seen["eliminated"].clear()
             sweep = Ho.subcomplex_profiles(K, coeff)
             assert list(sweep) == list(range(1 << K.m))
             for J, prof in enumerate(expected):
                 assert sweep[J] == prof, (K.m, key, J)
+            assert len({id(p) for p in sweep.values()}) == \
+                len({p.key() for p in expected}) == len(Ho.distinct_profiles(K, coeff))
+            # a single vertex is a point: never eliminated
+            assert all(J.bit_count() != 1 for J in seen["eliminated"]), (K.m, key)
             if key == "z" and K.m == 12:
                 assert any(p.torsion for p in sweep.values())
+            if key == "z" and K is cases[-1]:
+                assert sweep[K.full_mask] == H.HomologyProfile({}, {2: (2, 2)})
+                assert K.full_mask in seen["eliminated"]
+    point, empty = H.HomologyProfile(), H.HomologyProfile({-1: 1})
+    outcomes = {"acyclic link": 0, "empty link": 0, "split": 0, "undecided": 0}
+    for link, rest, out in seen["mv"]:
+        if out is None:
+            outcomes["undecided"] += 1
+        elif link == point:
+            outcomes["acyclic link"] += out is rest
+        elif link == empty:
+            outcomes["empty link"] += out.rank(0) == rest.rank(0) + 1
+        else:
+            outcomes["split"] += 1
+    assert all(outcomes.values()), outcomes
+    assert any(link.torsion and out is None for link, _, out in seen["mv"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_sweep_with_a_ghost_vertex_matches_plain_elimination(data):
+    m = data.draw(st.integers(2, 8), label="m")
+    p = data.draw(st.sampled_from([.3, .5, .7]), label="p")
+    seed = data.draw(st.integers(0, 10 ** 6), label="seed")
+    ghost = data.draw(st.integers(0, m - 1), label="ghost")
+    K = _without_vertex(C.random_flag(m, p, seed), ghost)
+    for key in ("z", "fp:2"):
+        coeff = H.parse_coefficients(key)
+        Ho.clear_cache()
+        sweep = Ho.subcomplex_profiles(K, coeff)
+        for J in range(1 << m):
+            assert sweep[J] == H.subcomplex_homology(K, J, coeff), (key, J)
+
+
+def test_mayer_vietoris_leaves_a_possible_extension_undecided():
+    rp2 = H.reduced_homology(C.real_projective_plane(), H.INTEGERS)
+    suspension = H.HomologyProfile({}, {2: (2,)})
+    assert H.mayer_vietoris(rp2, suspension) is None
+    # torsion in the link with nothing above it in K_{J-t} splits
+    assert H.mayer_vietoris(rp2, H.HomologyProfile({3: 1})) == \
+        H.HomologyProfile({3: 1}, {2: (2,)})
+    circle = H.HomologyProfile({1: 1})
+    # homology in the same degree on both sides: the maps are unknown
+    assert H.mayer_vietoris(circle, circle) is None
+    # an acyclic link changes nothing, an empty one adds a point
+    assert H.mayer_vietoris(H.HomologyProfile(), circle) is circle
+    assert H.mayer_vietoris(H.HomologyProfile({-1: 1}), circle) == \
+        H.HomologyProfile({0: 1, 1: 1})
 
 
 def test_sweep_cap():
