@@ -8,7 +8,8 @@ library targets the face list is just the clique list of a graph.
 
 Exhaustive 2^m subset sweeps cap m at ``SWEEP_CAP`` (24); the objects
 here can be larger (single-subcomplex computations stay cheap), the cap
-is enforced at the sweep entry points.
+is enforced at the sweep entry points by ``check_sweep_cap``, which
+raises ``ComplexTooLargeError``.
 """
 
 from __future__ import annotations
@@ -20,6 +21,17 @@ from itertools import combinations
 from math import comb
 
 SWEEP_CAP = 24
+
+
+class ComplexTooLargeError(ValueError):
+    """A full 2^m sweep was requested for m beyond ``SWEEP_CAP``."""
+
+
+def check_sweep_cap(K):
+    """Raise ComplexTooLargeError unless K is small enough to sweep."""
+    if K.m > SWEEP_CAP:
+        raise ComplexTooLargeError(
+            f"full subcomplex sweep needs m <= {SWEEP_CAP}, got m = {K.m}")
 
 
 class GhostVertexError(ValueError):
@@ -374,8 +386,7 @@ def chi_subcomplexes(K):
 
     Uses a subset-sum (zeta) transform, O(m 2^m).
     """
-    if K.m > SWEEP_CAP:
-        raise ValueError(f"2^m sweep capped at m <= {SWEEP_CAP}")
+    check_sweep_cap(K)
     size = 1 << K.m
     acc = [0] * size
     for f in K.faces:

@@ -5,34 +5,57 @@ subsets J of the reduced homology of K_J in degree p-|J|-1; the real
 version R_K uses degree p-1.  The expensive part is one pass over all
 2^m full subcomplexes; its results are memoized in a process-wide cache
 (keyed by the complex and the coefficients) that every other module
-shares.  The pass walks J in ascending order, so every proper subset of
-J is already swept, and settles almost every K_J from two of them.
-Vertices of J in no face are dropped first, and a single vertex is a
-point.  Then, for each vertex t of J whose links are full subcomplexes
-(every vertex, when K is flag), from the top down,
-``homology.mayer_vietoris`` reads the profiles of lk t = K_{N(t) & (J-t)}
-and of K_{J-t}; the first t that settles K_J wins.  What no t settles
-falls through to the collapse and split rules of ``homology.reduction``,
-and only then to elimination, which on flag complexes is left with the
-empty J alone.  Every profile is interned by value: a store holds one
-object per distinct profile, the rule's result is memoized per pair of
-them, and consumers read each distinct profile once
-(``distinct_profiles``).  The pass runs in one process.  Single subsets
+shares.
+
+A store holds each distinct profile once, interned by value, and after
+a sweep an id array with one entry per J, the index of its profile in
+that table: one byte per J, or two once a sweep meets more than 255
+distinct profiles (the sweep then widens the array and redoes the layer
+it was in).  The sweep fills the array in ascending J, one vertex layer
+at a time: the J whose top vertex is t are J' + t for J' < 2^t.  When
+every link of t is a full subcomplex (every vertex, when K is flag), the
+whole layer is one block pass: the ids of K_{J'} are the slice
+``ids[:2^t]``, those of lk t = K_{N(t) & J'} one gather, and
+``homology.mayer_vietoris`` runs once per new (link id, rest id) pair
+before one table lookup maps the whole block.  What t leaves unsettled
+goes to the next vertex down: the same pass runs on each sub-block of the
+J' with top bit s, in ascending s, and so on recursively.  A layer of a
+vertex in no face (a ghost) copies the block below it.  Short sub-blocks,
+sub-blocks with few unsettled J, layers of other vertices, and what no
+vertex settles go J by J: vertices in no face are dropped, a single
+vertex is a point, the vertex rule is tried at each qualifying vertex not
+yet tried, from the top down, then the collapse and split rules of
+``homology.reduction``, and only then elimination, which on flag
+complexes is left with the empty J alone.  Single subsets
 (``profile_for_subset``) are plain elimination.
+
+Totals are folded from a histogram of (profile id, |J|) pairs, and
+``HochsterTable.entries`` is a read-only mapping over the id array that
+builds nothing per J until it is read.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
+from collections import Counter
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field
 from functools import lru_cache
-from types import MappingProxyType
+from itertools import chain, count, repeat
 
 from . import homology
-from .complexes import SWEEP_CAP
+from .complexes import SWEEP_CAP, ComplexTooLargeError, check_sweep_cap  # noqa: F401 - re-exported
 
-
-class ComplexTooLargeError(ValueError):
-    """A full 2^m sweep was requested for m beyond the supported cap."""
+# sub-blocks of fewer J than this are settled J by J
+_SHORT = 16
+# a sub-block pass costs about an eighth of settling one J by J, so a
+# sub-block goes to the vertex below once an eighth of its J are unsettled
+_PASS_COST = 8
+# index of the low half of a word split into two halves of one id width
+_LOW = 0 if sys.byteorder == "little" else 1
+# byte v -> v + 1
+_PLUS_ONE = bytes(range(1, 256)) + b"\0"
 
 
 @dataclass(frozen=True)
@@ -55,7 +78,10 @@ class HochsterTable:
     """Per-(J, p) summands of H_*(Z_K) or H_*(R_K), plus totals."""
 
     kind: str  # 'zk' | 'rk'
-    entries: dict = field(default_factory=dict)  # (Jmask, p) -> (rank, torsion)
+    # (Jmask, p) -> (rank, torsion): a read-only mapping over the store's
+    # id array, in ascending J and then p; nothing per J is built until
+    # it is read
+    entries: Mapping
     totals_rank: dict = field(default_factory=dict)
     totals_torsion: dict = field(default_factory=dict)
 
@@ -64,16 +90,157 @@ class HochsterTable:
 
 
 # ---------------------------------------------------------------------------
+# read-only mappings whose items and values iterate at C level
+# ---------------------------------------------------------------------------
+
+class _Items(ItemsView):
+    def __iter__(self):
+        return self._mapping._items()
+
+
+class _Values(ValuesView):
+    def __iter__(self):
+        return self._mapping._values()
+
+
+class _FastMapping(Mapping):
+    """A mapping whose items and values views iterate what ``_items`` and
+    ``_values`` build from C-level iterators, not one lookup per key."""
+
+    def items(self):
+        return _Items(self)
+
+    def values(self):
+        return _Values(self)
+
+    def _items(self):
+        return zip(iter(self), self._values())
+
+
+class _Width:
+    """Profile ids of one width: a byte, or two bytes once a sweep has met
+    more distinct profiles than the byte width's ``limit``."""
+
+    def __init__(self, typecode):
+        self.typecode = typecode
+        self.size = array(typecode).itemsize
+        self.bits = 8 * self.size
+        # all ones: AND with it keeps the other side, so merges are one AND
+        self.unset = (1 << self.bits) - 1
+        self.unset_bytes = b"\xff" * self.size
+        self.limit = self.unset  # ids stay below this
+
+    def ids(self, values):
+        """An id array of this width from an iterable of ids."""
+        return array(self.typecode, bytes(values) if self.size == 1 else values)
+
+    def find_unset(self, raw, start, stop):
+        """Index of the first unset id of raw (bytes) in [start, stop), or -1."""
+        size = self.size
+        i = raw.find(self.unset_bytes, start * size, stop * size)
+        while i >= 0 and i % size:  # a match across two ids
+            i = raw.find(self.unset_bytes, i + 1, stop * size)
+        return i // size
+
+
+_WIDTHS = (_Width("B"), _Width("H"))
+
+
+def _pack(high, low):
+    """Keys high << bits | low of two id arrays of one width, as a memoryview."""
+    pair = array(low.typecode, bytes(2 * len(low) * low.itemsize))
+    pair[_LOW::2] = low
+    pair[1 - _LOW::2] = high
+    return memoryview(pair).cast("B").cast("H" if low.itemsize == 1 else "I")
+
+
+def _and(a, b):
+    """The bitwise AND of two id arrays of one width, id by id."""
+    size = len(a) * a.itemsize
+    both = int.from_bytes(a, "little") & int.from_bytes(b, "little")
+    return array(a.typecode, both.to_bytes(size, "little"))
+
+
+def _gather(source, below, s):
+    """source[x & below] for every x < 2^s, where below < 2^s.
+
+    Bits of x outside ``below`` repeat what is built, so the work is
+    about one concatenation per subset of the bits of ``below`` from bit
+    4 up, not one step per x.
+    """
+    if not below:
+        return source[:1] * (1 << s)
+    if s <= 4:
+        return array(source.typecode, [source[x & below] for x in range(1 << s)])
+    top = below.bit_length() - 1
+    half, rest = 1 << top, below ^ 1 << top
+    return (_gather(source, rest, top) + _gather(source[half:], rest, top)) \
+        * (1 << (s - top - 1))
+
+
+def _sizes(m, typecode):
+    """|J| for every J < 2^m, as an array of the given typecode."""
+    counts = bytearray(1)
+    for _ in range(m):
+        counts += counts.translate(_PLUS_ONE)
+    sizes = array(typecode, bytes(len(counts) * array(typecode).itemsize))
+    step = sizes.itemsize
+    memoryview(sizes).cast("B")[_LOW * (step - 1)::step] = counts
+    return sizes
+
+
+# ---------------------------------------------------------------------------
 # the shared subcomplex-homology cache
 # ---------------------------------------------------------------------------
 
+class _Store(_FastMapping):
+    """J -> profile of K_J for one (K, coeff); read-only to callers.
+
+    ``objs`` is the table of distinct profiles.  After a sweep ``ids``
+    holds the index in ``objs`` of every J, in an array of one width;
+    before, ``partial`` holds those of the few J computed one by one.
+    Iteration is by ascending J.
+    """
+
+    def __init__(self):
+        self.objs = []
+        self._index = {}  # profile.key() -> its index in objs
+        self.ids = None
+        self.partial = {}
+        self.histogram = None  # Counter of id << bits | |J|, in ascending J
+
+    def intern(self, prof):
+        """Index of the one stored profile equal to prof, adding prof if new."""
+        i = self._index.setdefault(prof.key(), len(self.objs))
+        if i == len(self.objs):
+            self.objs.append(prof)
+        return i
+
+    def __len__(self):
+        return len(self.partial) if self.ids is None else len(self.ids)
+
+    def __getitem__(self, J):
+        if self.ids is None:
+            return self.objs[self.partial[J]]
+        if type(J) is not int or not 0 <= J < len(self.ids):
+            raise KeyError(J)
+        return self.objs[self.ids[J]]
+
+    def __iter__(self):
+        return iter(sorted(self.partial) if self.ids is None else range(len(self.ids)))
+
+    def _values(self):
+        ids = self.ids
+        if ids is None:
+            ids = map(self.partial.__getitem__, sorted(self.partial))
+        return map(self.objs.__getitem__, ids)
+
+
 _CACHE = {}
-_DISTINCT = {}  # same keys -> (profiles, {profile.key(): index in profiles})
 
 
 def clear_cache():
     _CACHE.clear()
-    _DISTINCT.clear()
 
 
 @lru_cache(maxsize=64)
@@ -82,164 +249,312 @@ def _canonical_key(K):
 
 
 def _cache_for(K, coeff):
-    return _CACHE.setdefault((_canonical_key(K), coeff.key()), {})
-
-
-def _distinct_for(K, coeff):
-    return _DISTINCT.setdefault((_canonical_key(K), coeff.key()), ([], {}))
-
-
-def _intern(distinct, prof):
-    """Index of the one stored profile equal to prof, adding prof if new."""
-    objs, index = distinct
-    i = index.setdefault(prof.key(), len(objs))
-    if i == len(objs):
-        objs.append(prof)
-    return i
+    return _CACHE.setdefault((_canonical_key(K), coeff.key()), _Store())
 
 
 def cache_snapshot(K, coeff):
-    return dict(_cache_for(K, coeff))
+    return dict(_cache_for(K, coeff).items())
 
 
 def profile_for_subset(K, Jmask, coeff):
     store = _cache_for(K, coeff)
-    prof = store.get(Jmask)
-    if prof is None:
-        distinct = _distinct_for(K, coeff)
+    if store.ids is not None:
+        return store[Jmask]
+    i = store.partial.get(Jmask)
+    if i is None:
         prof = homology.subcomplex_homology(K, Jmask, coeff)
-        prof = store[Jmask] = distinct[0][_intern(distinct, prof)]
-    return prof
+        i = store.partial[Jmask] = store.intern(prof)
+    return store.objs[i]
 
 
 def subcomplex_profiles(K, coeff):
     """Reduced homology of every full subcomplex K_J, keyed by bitmask.
 
-    Returns a read-only view of the shared cache, not a copy; use
+    Returns the shared store, a read-only mapping, not a copy; use
     ``cache_snapshot`` for a copy.  Subsets with equal profiles share a
-    single profile object.
+    single profile object, so a profile computed before the sweep by
+    ``profile_for_subset`` is the one the sweep holds at its J.
     """
-    if K.m > SWEEP_CAP:
-        raise ComplexTooLargeError(
-            f"full subcomplex sweep needs m <= {SWEEP_CAP}, got m = {K.m}")
+    check_sweep_cap(K)
     store = _cache_for(K, coeff)
-    if len(store) == 1 << K.m:
-        return MappingProxyType(store)
-    distinct = _distinct_for(K, coeff)
-    objs = distinct[0]
-    geo = homology.geometry(K)
-    vertices, full_link, adj = geo.vertices, geo.full_link_vertices, geo.adjacency
-    ids = [None] * (1 << K.m)  # J -> index of its profile
-    for J, prof in store.items():
-        ids[J] = _intern(distinct, prof)
-    settled = {}  # (index of link) << 32 | (index of rest) -> index, or -1
-    for J in range(1 << K.m):
-        if ids[J] is not None:
-            continue
-        if J & ~vertices:
-            i = ids[J & vertices]
-        elif J and not J & (J - 1):
-            i = _intern(distinct, homology.HomologyProfile())  # a point
-        else:
-            i, T = -1, J & full_link
-            while T:
-                top = T.bit_length() - 1
-                T ^= 1 << top
-                rest = J ^ 1 << top
-                link = ids[adj[top] & rest]
-                key = link << 32 | ids[rest]
-                i = settled.get(key)
-                if i is None:
-                    prof = homology.mayer_vietoris(objs[link], objs[ids[rest]])
-                    i = settled[key] = -1 if prof is None else _intern(distinct, prof)
-                if i >= 0:
-                    break
-            if i < 0:
-                parts = homology.reduction(geo, J)
-                if parts is None:
-                    prof = homology._profile_restricted(geo, J, coeff)
-                else:
-                    prof = homology.direct_sum([objs[ids[P]] for P in parts])
-                i = _intern(distinct, prof)
-        ids[J] = i
-        store[J] = objs[i]
-    return MappingProxyType(store)
+    if store.ids is None:
+        store.ids = _Sweep(K, coeff, store).run()
+        store.partial = {}
+    return store
 
 
 def distinct_profiles(K, coeff):
     """Each distinct profile of the full subcomplexes of K, once."""
-    subcomplex_profiles(K, coeff)
-    return list(_distinct_for(K, coeff)[0])
+    return list(subcomplex_profiles(K, coeff).objs)
+
+
+class _Widen(Exception):
+    """A new profile id does not fit the sweep's id width."""
+
+
+class _Settled(dict):
+    """link id << bits | rest id -> id of K_J by Mayer-Vietoris, or unset."""
+
+    def __init__(self, sweep):
+        super().__init__()
+        self.sweep = sweep
+
+    def __missing__(self, key):
+        sweep = self.sweep
+        objs, bits = sweep.store.objs, sweep.width.bits
+        prof = homology.mayer_vietoris(objs[key >> bits], objs[key & sweep.width.unset])
+        i = self[key] = sweep.width.unset if prof is None else sweep.intern(prof)
+        return i
+
+
+class _Sweep:
+    """One ascending pass over every J, writing profile ids in place."""
+
+    def __init__(self, K, coeff, store):
+        self.m, self.coeff, self.store = K.m, coeff, store
+        self.geo = homology.geometry(K)
+        self.width = _WIDTHS[0]
+        self.ids = self.width.ids([self.width.unset]) * (1 << K.m)
+        self.settled = _Settled(self)
+        self.point = None
+
+    def run(self):
+        self.ids[0] = self.one(0)
+        for t in range(self.m):
+            while True:
+                try:
+                    self.layer(t)
+                    break
+                except _Widen:
+                    self.widen(t)
+        return self.ids
+
+    def intern(self, prof):
+        i = self.store.intern(prof)
+        if i >= self.width.limit:
+            raise _Widen
+        return i
+
+    def widen(self, t):
+        """Move to two-byte ids and unset every J from layer t up."""
+        if self.width is _WIDTHS[-1]:
+            raise ComplexTooLargeError(
+                f"a sweep holds at most {self.width.limit} distinct profiles")
+        self.width = _WIDTHS[_WIDTHS.index(self.width) + 1]
+        wide = array(self.width.typecode, self.ids[:1 << t])
+        self.ids = wide + array(wide.typecode, [self.width.unset]) * (len(self.ids) - len(wide))
+        self.settled.clear()
+
+    def layer(self, t):
+        """Settle every J whose top vertex is t."""
+        ids, geo, n = self.ids, self.geo, 1 << t
+        if not n & geo.vertices:  # a ghost: K_J is K_{J-t}
+            ids[n:2 * n] = ids[:n]
+        elif n & geo.full_link_vertices and n >= _SHORT:
+            self.block(0, t)
+        else:
+            for J in range(n, 2 * n):
+                ids[J] = self.one(J)
+
+    def block(self, base, s):
+        """Settle J = base + 2^s + x for every x < 2^s.
+
+        s is a full-link vertex, base holds only vertices above s, and
+        every id below base + 2^s is settled.  Vertex s goes first for the
+        whole block.  What it leaves goes, one sub-block of the x with top
+        bit r at a time, in ascending r, to vertex r by the same pass, or
+        J by J when the sub-block is short, r is not a full-link vertex, or
+        few of its J are unsettled.
+        """
+        ids, width, n = self.ids, self.width, 1 << s
+        lo = base | n
+        nbrs = self.geo.adjacency[s]
+        linked = base & nbrs
+        link = _gather(ids[linked:linked + n], nbrs & (n - 1), s)
+        new = width.ids(map(self.settled.__getitem__, _pack(link, ids[base:lo])))
+        if base:  # keep what a vertex above s settled
+            new = _and(ids[lo:lo + n], new)
+        ids[lo:lo + n] = new
+        raw = new.tobytes()
+        if width.find_unset(raw, 0, n) < 0:
+            return
+        # an unset J failed at s and at every vertex of base, so J by J it
+        # tries only the vertices below s
+        if new[0] == width.unset:
+            ids[lo] = self.one(lo, n - 1)
+        full_link = self.geo.full_link_vertices
+        for r in range(s):
+            a, b = 1 << r, 2 << r
+            i = width.find_unset(raw, a, b)
+            if i < 0:
+                continue
+            if a >= _SHORT and full_link >> r & 1 and \
+                    _PASS_COST * raw.count(width.unset_bytes, a * width.size, b * width.size) >= a:
+                self.block(lo, r)
+                continue
+            while i >= 0:
+                ids[lo + i] = self.one(lo + i, n - 1)
+                i = width.find_unset(raw, i + 1, b)
+
+    def one(self, J, below=-1):
+        """The id of K_J by the rules for one J at a time.
+
+        The vertex rule is tried at the full-link vertices of J in
+        ``below``, from the top down.
+        """
+        geo, ids, store = self.geo, self.ids, self.store
+        if J & ~geo.vertices:
+            return ids[J & geo.vertices]
+        if J and not J & (J - 1):
+            if self.point is None:
+                self.point = self.intern(homology.HomologyProfile())
+            return self.point
+        T, adj, settled = J & geo.full_link_vertices & below, geo.adjacency, self.settled
+        bits, unset = self.width.bits, self.width.unset
+        while T:
+            top = T.bit_length() - 1
+            T ^= 1 << top
+            rest = J ^ 1 << top
+            i = settled[ids[adj[top] & rest] << bits | ids[rest]]
+            if i != unset:
+                return i
+        parts = homology.reduction(geo, J)
+        if parts is None:
+            prof = homology._profile_restricted(geo, J, self.coeff)
+        else:
+            prof = homology.direct_sum([store.objs[ids[P]] for P in parts])
+        return self.intern(prof)
 
 
 # ---------------------------------------------------------------------------
 # the two decompositions
 # ---------------------------------------------------------------------------
 
-def _assemble(kind, profiles, shift_by_J):
-    table = HochsterTable(kind)
-    entries = table.entries
-    # equal profiles are one object, so the shifted (p, (rank, torsion))
-    # rows are built once per (object, |J|) and the totals are folded from
-    # how many J share them
-    shifted = {}
-    for J, prof in profiles.items():
-        size = J.bit_count() if shift_by_J else 0
-        group = shifted.get((id(prof), size))
-        if group is None:
-            group = shifted[id(prof), size] = [
-                [(n + size + 1, (r, t)) for n, r, t in prof.rows()], 0]
-        group[1] += 1
-        for p, summand in group[0]:
-            entries[J, p] = summand
-    rank, torsion = table.totals_rank, {}
-    for rows, count in shifted.values():
-        for p, (r, t) in rows:
+class _Entries(_FastMapping):
+    """(J, p) -> (rank, torsion) of a Hochster table, read off the ids.
+
+    Yields the items of a dict filled in ascending J and, within a J, in
+    ascending p.  The rows of each group, one profile at one |J| (or one
+    profile, unshifted), are built once, on first read; nothing is stored
+    per J.
+    """
+
+    def __init__(self, store, objs, shift_by_J):
+        self._store, self._objs, self._shift = store, objs, shift_by_J
+        self._groups = None
+
+    def _keys(self):
+        """The group of every J, ascending: its histogram key, or its id."""
+        return _size_keys(self._store.ids) if self._shift else self._store.ids
+
+    def _rows(self):
+        """group -> number of rows, group -> their p, group -> their values."""
+        if self._groups is None:
+            counts, ps, summands = {}, {}, {}
+            bits = 8 * self._store.ids.itemsize
+            for key in self._store.histogram:
+                i, size = key >> bits, key & ((1 << bits) - 1)
+                if not self._shift:
+                    key, size = i, 0
+                rows = list(self._objs[i].rows())
+                counts[key] = len(rows)
+                ps[key] = [n + size + 1 for n, _, _ in rows]
+                summands[key] = [(r, t) for _, r, t in rows]
+            self._groups = counts, ps, summands
+        return self._groups
+
+    def __len__(self):
+        counts = self._rows()[0]
+        bits = 0 if self._shift else 8 * self._store.ids.itemsize
+        return sum(counts[key >> bits] * c for key, c in self._store.histogram.items())
+
+    def __getitem__(self, key):
+        try:
+            J, p = key
+            if J < 0:
+                raise IndexError
+            prof = self._objs[self._store.ids[J]]
+            n = p - 1 - (J.bit_count() if self._shift else 0)
+        except (TypeError, ValueError, IndexError):
+            raise KeyError(key) from None
+        r, t = prof.rank(n), prof.torsion_at(n)
+        if not r and not t:
+            raise KeyError(key)
+        return r, t
+
+    def __iter__(self):
+        counts, ps, _ = self._rows()
+        keys = self._keys()
+        Js = chain.from_iterable(map(repeat, count(), map(counts.__getitem__, keys)))
+        return zip(Js, chain.from_iterable(map(ps.__getitem__, keys)))
+
+    def _values(self):
+        summands = self._rows()[2]
+        return chain.from_iterable(map(summands.__getitem__, self._keys()))
+
+
+def _size_keys(ids):
+    """id << bits | |J| for every J, ascending."""
+    return _pack(ids, _sizes(len(ids).bit_length() - 1, ids.typecode))
+
+
+def _histogram(store):
+    """Counter of id << bits | |J| over every J, in order of first appearance."""
+    if store.histogram is None:
+        store.histogram = Counter(_size_keys(store.ids))
+    return store.histogram
+
+
+def _assemble(kind, store, objs, shift_by_J):
+    """The table of a swept store whose ids index objs.
+
+    Totals are folded from the (profile id, |J|) histogram, group by group
+    in order of first appearance in ascending J; the entries stay lazy.
+    """
+    bits = 8 * store.ids.itemsize
+    groups = {}
+    for key, c in _histogram(store).items():
+        group = key >> bits, key & ((1 << bits) - 1) if shift_by_J else 0
+        groups[group] = groups.get(group, 0) + c
+    rank, torsion = {}, {}
+    for (i, size), c in groups.items():
+        for n, r, t in objs[i].rows():
+            p = n + size + 1
             if r:
-                rank[p] = rank.get(p, 0) + r * count
+                rank[p] = rank.get(p, 0) + r * c
             if t:
-                torsion.setdefault(p, []).extend(t * count)
-    table.totals_torsion = {p: tuple(sorted(t)) for p, t in torsion.items()}
-    return table
+                torsion.setdefault(p, []).extend(t * c)
+    return HochsterTable(kind, _Entries(store, objs, shift_by_J), rank,
+                         {p: tuple(sorted(t)) for p, t in torsion.items()})
 
 
 def zk_homology(K, coeff):
     """H_p(Z_K) = sum over J of reduced H_{p-|J|-1}(K_J)."""
-    profiles = subcomplex_profiles(K, coeff)
-    return _assemble("zk", profiles, shift_by_J=True)
+    store = subcomplex_profiles(K, coeff)
+    return _assemble("zk", store, store.objs, shift_by_J=True)
 
 
 def rk_homology(K, coeff):
     """H_p(R_K) = sum over J of reduced H_{p-1}(K_J)."""
-    profiles = subcomplex_profiles(K, coeff)
-    return _assemble("rk", profiles, shift_by_J=False)
+    store = subcomplex_profiles(K, coeff)
+    return _assemble("rk", store, store.objs, shift_by_J=False)
 
 
-def _dualize(profiles):
-    """Cohomology profiles of every subcomplex from the homology ones.
-
-    Each distinct homology profile is dualized once, into one object.
-    """
-    dual = {}
-    out = {}
-    for J, p in profiles.items():
-        d = dual.get(id(p))
-        if d is None:
-            d = dual[id(p)] = p.cohomology()
-        out[J] = d
-    return out
+def _dualize(objs):
+    """The cohomology profile of each distinct homology profile, by id."""
+    return [p.cohomology() for p in objs]
 
 
 def zk_cohomology(K, coeff):
     """H^p(Z_K) = sum over J of reduced H^{p-|J|-1}(K_J)."""
-    profiles = subcomplex_profiles(K, coeff)
-    return _assemble("zk", _dualize(profiles), shift_by_J=True)
+    store = subcomplex_profiles(K, coeff)
+    return _assemble("zk", store, _dualize(store.objs), shift_by_J=True)
 
 
 def rk_cohomology(K, coeff):
     """H^p(R_K) = sum over J of reduced H^{p-1}(K_J)."""
-    profiles = subcomplex_profiles(K, coeff)
-    return _assemble("rk", _dualize(profiles), shift_by_J=False)
+    store = subcomplex_profiles(K, coeff)
+    return _assemble("rk", store, _dualize(store.objs), shift_by_J=False)
 
 
 def torsion_primes(K):

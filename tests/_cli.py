@@ -13,9 +13,14 @@ from pathlib import Path
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def flagtor(*args):
+def python(*args):
+    """Run this interpreter on args with the tree's ``src`` first on the path."""
     env = dict(os.environ)
     rest = env.get("PYTHONPATH")
     env["PYTHONPATH"] = os.pathsep.join([SRC, rest]) if rest else SRC
-    return subprocess.run([sys.executable, "-m", "flagtor", *args],
+    return subprocess.run([sys.executable, *args],
                           capture_output=True, text=True, env=env)
+
+
+def flagtor(*args):
+    return python("-m", "flagtor", *args)

@@ -22,7 +22,7 @@ from flagtor.complexes import mask_of
 from flagtor.exact_linalg import ExactMatrix, rank, smith_normal_form
 from flagtor.series import MultiSeries
 
-from _cli import flagtor
+from _cli import flagtor, python
 
 
 def report(criterion, detail=""):
@@ -288,6 +288,30 @@ def test_criterion_11_check_all_performance():
     assert elapsed <= 120.0
     assert peak_kb <= 2 * 1024 * 1024
     report("criterion 11: m=16 check-all",
+           f"{elapsed:.1f}s, {peak_kb // 1024} MB")
+
+
+# the CLI run in a child that reports its own peak RSS in KB on stderr;
+# RUSAGE_CHILDREN would keep the largest earlier child of the test run
+_PEAK_RSS_CHILD = """
+import resource, sys
+from flagtor import cli
+code = cli.run(sys.argv[1:])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_criterion_13_sweep_memory_at_m20():
+    """zk-homology over Z at m = 20 stays under 100 MB peak RSS."""
+    t0 = time.monotonic()
+    r = python("-c", _PEAK_RSS_CHILD, "zk-homology", "--named",
+               "random-flag:20:40:1", "--coeff", "z")
+    elapsed = time.monotonic() - t0
+    assert r.returncode == 0, r.stderr
+    peak_kb = int(r.stderr.split()[-1])
+    assert peak_kb < 100 * 1024
+    report("criterion 13: m=20 zk-homology memory",
            f"{elapsed:.1f}s, {peak_kb // 1024} MB")
 
 

@@ -143,6 +143,15 @@ def test_negative_length_or_exponent_exits_two(argv):
     assert r.stderr.startswith("error: ") and "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("command", ["zk-homology", "tor", "series"])
+def test_sweep_cap_exits_two_with_one_error_line(command):
+    r = flagtor(command, "--named", "cycle:25")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.splitlines() == [
+        "error: full subcomplex sweep needs m <= 24, got m = 25"]
+
+
 def test_multidegree_serialization_doubles_lambda():
     r = flagtor("tor", "--named", "cycle:4", "--coeff", "q")
     entries = json.loads(r.stdout)["result"]["entries"]

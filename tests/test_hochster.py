@@ -2,6 +2,7 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -82,13 +83,19 @@ def test_cache_is_shared_and_consistent():
     assert Ho.cache_snapshot(K, H.RATIONALS) == a
 
 
-def test_sweep_keeps_earlier_entries_first_then_ascending_order():
+def test_sweep_keeps_earlier_entries_in_ascending_order():
+    # a store iterates in ascending J, before and after the sweep, and the
+    # sweep holds the very objects computed one by one before it
     Ho.clear_cache()
     K = C.random_flag(8, 0.4, 5)
     first = Ho.profile_for_subset(K, 0b10110, H.INTEGERS)
+    second = Ho.profile_for_subset(K, 0b00111, H.INTEGERS)
+    store = Ho._cache_for(K, H.INTEGERS)
+    assert list(store) == [0b00111, 0b10110] and len(store) == 2
+    assert list(store.values()) == [second, first]
     sweep = Ho.subcomplex_profiles(K, H.INTEGERS)
-    assert sweep[0b10110] is first
-    assert list(sweep) == [0b10110] + [J for J in range(1 << 8) if J != 0b10110]
+    assert sweep[0b10110] is first and sweep[0b00111] is second
+    assert list(sweep) == list(range(1 << 8)) == [J for J, _ in sweep.items()]
 
 
 def test_reduction_collapses_cones_and_splits_components():
@@ -193,6 +200,91 @@ def test_sweep_matches_plain_elimination_on_every_subset(monkeypatch):
     assert any(link.torsion and out is None for link, _, out in seen["mv"])
 
 
+def _top_two_vertices_fail(K, J, profiles):
+    """Whether the vertex rule settles K_J at neither of its top two vertices."""
+    adj = H.geometry(K).adjacency
+    for _ in range(2):
+        if J.bit_count() < 2:
+            return False
+        t = J.bit_length() - 1
+        rest = J ^ 1 << t
+        if H.mayer_vietoris(profiles[adj[t] & rest], profiles[rest]) is not None:
+            return False
+        J = rest
+    return True
+
+
+def test_block_sweep_matches_plain_elimination_on_every_subset(monkeypatch):
+    # the block passes, the passes of lower vertices over sub-blocks and the
+    # J-by-J fallback, on sparse flag graphs, ghost vertices, RP^2 joins
+    # (whose vertices of RP^2 have links that are not full subcomplexes)
+    # and a store that already holds a few J
+    rp2 = C.real_projective_plane()
+    flag = [C.random_flag(m, p, seed) for m, p, seed in
+            ((8, .3, 1), (9, .2, 4), (10, .3, 2), (11, .25, 3))]
+    base = C.random_flag(10, .4, 9)
+    ghosts = [_without_vertex(base, v) for v in (0, 5, 9)]
+    joins = [C.join(rp2, C.random_flag(4, .5, 2)), C.join(rp2, C.points(3))]
+    one_by_one = []
+    one = Ho._Sweep.one
+
+    def spy_one(self, J, *below):
+        one_by_one.append(J)
+        return one(self, J, *below)
+
+    monkeypatch.setattr(Ho._Sweep, "one", spy_one)
+    deep = 0
+    for K in flag + ghosts + joins:
+        full = 1 << K.m
+        for key in ("z", "fp:2"):
+            coeff = H.parse_coefficients(key)
+            expected = [H.subcomplex_homology(K, J, coeff) for J in range(full)]
+            Ho.clear_cache()
+            early = {J: Ho.profile_for_subset(K, J, coeff) for J in (full - 1, full // 3, 5)}
+            one_by_one.clear()
+            sweep = Ho.subcomplex_profiles(K, coeff)
+            assert len(sweep) == full and list(sweep) == list(range(full))
+            assert [p for _, p in sweep.items()] == expected, (K.m, key)
+            assert all(sweep[J] is prof for J, prof in early.items())
+            if K in flag:
+                skipped = set(one_by_one)
+                deep += sum(1 for J in range(full) if J not in skipped
+                            and _top_two_vertices_fail(K, J, expected))
+            elif K in joins:
+                assert C.is_flag(K) is False
+                assert len(one_by_one) > full // 8  # most layers go J by J
+    # some J were settled by a block pass at the third vertex or lower
+    assert deep > 0
+
+
+def test_sweep_widens_its_ids_past_the_byte_limit(monkeypatch):
+    # ids are one byte each until the store holds the byte width's limit
+    # of profiles; then the sweep restarts the layer with two-byte ids
+    K = C.disjoint_union(C.real_projective_plane(), C.random_flag(6, 0.5, 1))
+    expected = [H.subcomplex_homology(K, J, H.INTEGERS) for J in range(1 << K.m)]
+    distinct = len({p.key() for p in expected})
+    assert distinct > 4
+    # ids 0 .. limit - 1 fit, so a limit of exactly the number of profiles
+    # needs no widening, and one less does
+    monkeypatch.setattr(Ho._WIDTHS[0], "limit", distinct)
+    Ho.clear_cache()
+    assert Ho.subcomplex_profiles(K, H.INTEGERS).ids.typecode == "B"
+    monkeypatch.setattr(Ho._WIDTHS[0], "limit", distinct - 1)
+    Ho.clear_cache()
+    assert Ho.subcomplex_profiles(K, H.INTEGERS).ids.typecode == "H"
+    monkeypatch.setattr(Ho._WIDTHS[0], "limit", 4)
+    Ho.clear_cache()
+    sweep = Ho.subcomplex_profiles(K, H.INTEGERS)
+    assert sweep.ids.typecode == "H"
+    assert list(sweep.values()) == expected
+    assert Ho.zk_homology(K, H.INTEGERS).totals_torsion
+    monkeypatch.setattr(Ho._WIDTHS[1], "limit", 4)
+    Ho.clear_cache()
+    with pytest.raises(Ho.ComplexTooLargeError):
+        Ho.subcomplex_profiles(K, H.INTEGERS)
+    Ho.clear_cache()
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_sweep_with_a_ghost_vertex_matches_plain_elimination(data):
@@ -225,12 +317,79 @@ def test_mayer_vietoris_leaves_a_possible_extension_undecided():
         H.HomologyProfile({0: 1, 1: 1})
 
 
-def test_sweep_cap():
-    import pytest
+def _per_J_table(K, coeff, shift_by_J, dual):
+    """entries, totals_rank and totals_torsion as a loop over every J fills them."""
+    entries, rank, torsion = {}, {}, {}
+    for J in range(1 << K.m):
+        prof = H.subcomplex_homology(K, J, coeff)
+        if dual:
+            prof = prof.cohomology()
+        size = J.bit_count() if shift_by_J else 0
+        for n, r, t in prof.rows():
+            p = n + size + 1
+            entries[J, p] = (r, t)
+            if r:
+                rank[p] = rank.get(p, 0) + r
+            if t:
+                torsion.setdefault(p, []).extend(t)
+    return entries, rank, {p: tuple(sorted(t)) for p, t in torsion.items()}
 
+
+def test_tables_read_off_the_ids_match_a_loop_over_every_J():
+    rp2 = C.real_projective_plane()
+    cases = [C.disjoint_union(rp2, C.points(1)), C.join(rp2, C.points(3)),
+             C.cycle_complex(5), C.random_flag(9, 0.4, 2),
+             _without_vertex(C.random_flag(7, 0.5, 3), 3)]
+    tables = ((Ho.zk_homology, True, False), (Ho.rk_homology, False, False),
+              (Ho.zk_cohomology, True, True), (Ho.rk_cohomology, False, True))
+    for K in cases:
+        for coeff in (H.INTEGERS, H.GF(2)):
+            Ho.clear_cache()
+            for fn, shift_by_J, dual in tables:
+                entries, rank, torsion = _per_J_table(K, coeff, shift_by_J, dual)
+                table = fn(K, coeff)
+                assert list(table.entries.items()) == list(entries.items())
+                assert list(table.entries) == list(entries)
+                assert list(table.entries.values()) == list(entries.values())
+                assert len(table.entries) == len(entries)
+                assert table.entries == entries
+                # insertion order too: first appearance in ascending J
+                assert list(table.totals_rank.items()) == list(rank.items())
+                assert list(table.totals_torsion.items()) == list(torsion.items())
+
+
+def test_table_entries_are_a_read_only_mapping():
+    K = C.disjoint_union(C.real_projective_plane(), C.points(1))
+    Ho.clear_cache()
+    entries = Ho.zk_homology(K, H.INTEGERS).entries
+    rp2_mask = C.mask_of(range(1, 7))
+    assert (rp2_mask, 8) in entries and entries[rp2_mask, 8] == (0, (2,))
+    assert entries.get((rp2_mask, 8)) == (0, (2,))
+    assert ((rp2_mask, 8), (0, (2,))) in entries.items()
+    for absent in ((rp2_mask, 7), (1 << K.m, 1), (-1, 1), (0, 5), "x", (1, 2, 3)):
+        assert absent not in entries
+        with pytest.raises(KeyError):
+            entries[absent]
+    assert entries != {} and entries == dict(entries.items())
+    with pytest.raises(TypeError):
+        entries[rp2_mask, 8] = (1, ())
+    with pytest.raises(TypeError):
+        del entries[rp2_mask, 8]
+    store = Ho.subcomplex_profiles(K, H.INTEGERS)
+    with pytest.raises(TypeError):
+        store[0] = store[1]
+    with pytest.raises(KeyError):
+        store[1 << K.m]
+
+
+def test_sweep_cap():
     K = C.barycentric_subdivision(C.real_projective_plane())
     with pytest.raises(Ho.ComplexTooLargeError):
         Ho.subcomplex_profiles(K, H.RATIONALS)
+    # one error for every 2^m sweep, also the chi-tilde transform's
+    assert Ho.ComplexTooLargeError is C.ComplexTooLargeError
+    with pytest.raises(C.ComplexTooLargeError, match="needs m <= 24, got m = 31"):
+        C.chi_subcomplexes(K)
 
 
 def test_torsion_primes_harvest():
