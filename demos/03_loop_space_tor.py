@@ -14,9 +14,10 @@ from flagtor.complexes import verts_of
 
 K = C.cycle_complex(4)
 
+# route one is the R_K table of the Hochster decomposition, keyed (J, n)
 table = P.tor_via_subcomplexes(K, H.RATIONALS)
 print("Tor table of the 4-cycle (via subcomplex homology):")
-for (n, J), (r, _) in sorted(table.entries.items()):
+for n, J, r in sorted((n, J, r) for (J, n), (r, _) in table.entries.items()):
     print(f"  Tor_{n} at J = {verts_of(J)}: rank {r}")
 
 print("\nthe same multidegrees through the slice complex:")

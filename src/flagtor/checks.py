@@ -162,11 +162,10 @@ def _links_are_full_subcomplexes(K):
 def _tor_matches_koszul_slices(K, coeff, rng):
     """Squarefree Tor from the sweep equals the Koszul slice homology.
 
+    Tor_n at J is reduced H_{n-1}(K_J), read off the sweep's profiles.
     Every J for m <= 10, else 128 J sampled with ``rng``.
     """
-    by_J = {}
-    for (n, J), (r, _) in pontryagin.tor_via_subcomplexes(K, coeff).entries.items():
-        by_J.setdefault(J, {})[n] = r
+    profiles = hochster.subcomplex_profiles(K, coeff)
     if K.m <= 10:
         masks = range(1 << K.m)
     else:
@@ -174,7 +173,8 @@ def _tor_matches_koszul_slices(K, coeff, rng):
     for J in masks:
         beta = tuple((J >> i) & 1 for i in range(K.m))
         slice_h = pontryagin.tor_via_koszul_complex(K, coeff, beta)
-        if {n: r for n, (r, _) in slice_h.items()} != by_J.get(J, {}):
+        if {n: r for n, (r, _) in slice_h.items()} != \
+                {d + 1: r for d, r, _ in profiles[J].rows()}:
             return False
     return True
 

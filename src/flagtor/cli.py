@@ -256,13 +256,16 @@ def _cmd_tor(cfg, args):
             for n, (r, t) in sorted(slice_.items())]
         return {"coefficients": str(cfg.coeff), "entries": entries}
     table = pontryagin.tor_via_subcomplexes(cfg.K, cfg.coeff)
+    rows = sorted((n, J, r, t) for (J, n), (r, t) in table.entries.items())
     entries = [
         {**_mask_multidegree_json(n, J, cfg.K.m), "J": _subset_json(J),
          "rank": r, "torsion": list(t)}
-        for (n, J), (r, t) in sorted(table.entries.items())]
-    return {"coefficients": str(cfg.coeff), "exact": table.exact,
-            "entries": entries, "by_degree": {str(n): r for n, r in
-                                              sorted(table.by_degree().items())}}
+        for n, J, r, t in rows]
+    # a degree that holds only torsion has rank 0
+    degrees = sorted(table.totals_rank.keys() | table.totals_torsion.keys())
+    return {"coefficients": str(cfg.coeff), "exact": cfg.coeff.is_field,
+            "entries": entries,
+            "by_degree": {str(n): table.totals_rank.get(n, 0) for n in degrees}}
 
 
 def _cmd_gens_rels(cfg, args):

@@ -340,17 +340,20 @@ def _snf_diagonal(rows):
 
 
 def _divisibility_chain(diag):
+    """The invariant factors of a diagonal, ascending; units divide every
+    factor, so only the factors > 1 need the gcd/lcm passes."""
     diag = [abs(d) for d in diag if d]
+    big = [d for d in diag if d > 1]
     changed = True
     while changed:
         changed = False
-        for i in range(len(diag)):
-            for j in range(i + 1, len(diag)):
-                if diag[j] % diag[i]:
-                    g = gcd(diag[i], diag[j])
-                    diag[i], diag[j] = g, diag[i] * diag[j] // g
+        for i in range(len(big)):
+            for j in range(i + 1, len(big)):
+                if big[j] % big[i]:
+                    g = gcd(big[i], big[j])
+                    big[i], big[j] = g, big[i] * big[j] // g
                     changed = True
-    return tuple(sorted(diag))
+    return (1,) * (len(diag) - len(big)) + tuple(sorted(big))
 
 
 def smith_normal_form(matrix):

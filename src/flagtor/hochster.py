@@ -26,12 +26,14 @@ vertex settles go J by J: vertices in no face are dropped, a single
 vertex is a point, the vertex rule is tried at each qualifying vertex not
 yet tried, from the top down, then the collapse and split rules of
 ``homology.reduction``, and only then elimination, which on flag
-complexes is left with the empty J alone.  Single subsets
-(``profile_for_subset``) are plain elimination.
+complexes is left with the empty J alone.  A single subset
+(``profile_for_subset``) is read off a finished sweep, or else is plain
+elimination.
 
 Totals are folded from a histogram of (profile id, |J|) pairs, and
 ``HochsterTable.entries`` is a read-only mapping over the id array that
-builds nothing per J until it is read.
+builds nothing per J until it is read.  For flag K the ``rk_homology``
+table, keyed (J, n), is also route one of ``pontryagin``'s Tor table.
 """
 
 from __future__ import annotations
@@ -196,17 +198,15 @@ def _sizes(m, typecode):
 class _Store(_FastMapping):
     """J -> profile of K_J for one (K, coeff); read-only to callers.
 
-    ``objs`` is the table of distinct profiles.  After a sweep ``ids``
-    holds the index in ``objs`` of every J, in an array of one width;
-    before, ``partial`` holds those of the few J computed one by one.
-    Iteration is by ascending J.
+    ``objs`` is the table of distinct profiles.  A store is empty until
+    its sweep has run; then ``ids`` holds the index in ``objs`` of every
+    J, in an array of one width.  Iteration is by ascending J.
     """
 
     def __init__(self):
         self.objs = []
         self._index = {}  # profile.key() -> its index in objs
-        self.ids = None
-        self.partial = {}
+        self.ids = array("B")
         self.histogram = None  # Counter of id << bits | |J|, in ascending J
 
     def intern(self, prof):
@@ -217,23 +217,18 @@ class _Store(_FastMapping):
         return i
 
     def __len__(self):
-        return len(self.partial) if self.ids is None else len(self.ids)
+        return len(self.ids)
 
     def __getitem__(self, J):
-        if self.ids is None:
-            return self.objs[self.partial[J]]
         if type(J) is not int or not 0 <= J < len(self.ids):
             raise KeyError(J)
         return self.objs[self.ids[J]]
 
     def __iter__(self):
-        return iter(sorted(self.partial) if self.ids is None else range(len(self.ids)))
+        return iter(range(len(self.ids)))
 
     def _values(self):
-        ids = self.ids
-        if ids is None:
-            ids = map(self.partial.__getitem__, sorted(self.partial))
-        return map(self.objs.__getitem__, ids)
+        return map(self.objs.__getitem__, self.ids)
 
 
 _CACHE = {}
@@ -257,14 +252,11 @@ def cache_snapshot(K, coeff):
 
 
 def profile_for_subset(K, Jmask, coeff):
-    store = _cache_for(K, coeff)
-    if store.ids is not None:
+    """Reduced homology of K_J, off a finished sweep or else by elimination."""
+    store = _CACHE.get((_canonical_key(K), coeff.key()))
+    if store:
         return store[Jmask]
-    i = store.partial.get(Jmask)
-    if i is None:
-        prof = homology.subcomplex_homology(K, Jmask, coeff)
-        i = store.partial[Jmask] = store.intern(prof)
-    return store.objs[i]
+    return homology.subcomplex_homology(K, Jmask, coeff)
 
 
 def subcomplex_profiles(K, coeff):
@@ -272,14 +264,12 @@ def subcomplex_profiles(K, coeff):
 
     Returns the shared store, a read-only mapping, not a copy; use
     ``cache_snapshot`` for a copy.  Subsets with equal profiles share a
-    single profile object, so a profile computed before the sweep by
-    ``profile_for_subset`` is the one the sweep holds at its J.
+    single profile object.
     """
     check_sweep_cap(K)
     store = _cache_for(K, coeff)
-    if store.ids is None:
+    if not store:
         store.ids = _Sweep(K, coeff, store).run()
-        store.partial = {}
     return store
 
 

@@ -141,7 +141,7 @@ class HomologyProfile:
 
 
 # ---------------------------------------------------------------------------
-# boundary geometry, precomputed once per complex
+# boundary geometry, built once per complex
 # ---------------------------------------------------------------------------
 
 class ComplexGeometry:
@@ -150,7 +150,8 @@ class ComplexGeometry:
     ``position[f]`` is the index of face f among the faces of its
     dimension, and ``adjacency`` the 1-skeleton as neighbour bitmasks.
     ``boundary[f]`` lists (position, sign) for each codimension-one face
-    of f.
+    of f.  Both are built on first read, which a flag sweep never makes:
+    it eliminates only the empty J.
     """
 
     def __init__(self, K):
@@ -160,11 +161,16 @@ class ComplexGeometry:
             by_dim.setdefault(f.bit_count() - 1, []).append(f)
         self.by_dim = {d: sorted(by_dim[d]) for d in sorted(by_dim)}
         self.dim = max(self.by_dim)
-        self.position = {f: i for fs in self.by_dim.values()
-                         for i, f in enumerate(fs)}
         self.vertices = sum(self.by_dim.get(0, ()))
         self.adjacency = adjacency(K)
-        boundary = {}
+
+    @cached_property
+    def position(self):
+        return {f: i for fs in self.by_dim.values() for i, f in enumerate(fs)}
+
+    @cached_property
+    def boundary(self):
+        position, boundary = self.position, {}
         for d, fs in self.by_dim.items():
             if d < 0:
                 continue
@@ -173,13 +179,13 @@ class ComplexGeometry:
                 low, i = f, 0
                 while low:
                     bit = low & -low
-                    subs.append((self.position[f ^ bit], -1 if i & 1 else 1))
+                    subs.append((position[f ^ bit], -1 if i & 1 else 1))
                     low ^= bit
                     i += 1
                 boundary[f] = tuple(subs)
-        self.boundary = boundary
-        if __debug__ and len(K.faces) <= 4096:
-            self._check_boundary_squares_to_zero()
+        if __debug__ and len(self.K.faces) <= 4096:
+            self._check_boundary_squares_to_zero(boundary)
+        return boundary
 
     @cached_property
     def big_non_faces(self):
@@ -221,14 +227,14 @@ class ComplexGeometry:
                         out.setdefault((1 << i, w), []).append(N)
         return {pair: tuple(Ns) for pair, Ns in out.items()}
 
-    def _check_boundary_squares_to_zero(self):
-        for f, subs in self.boundary.items():
+    def _check_boundary_squares_to_zero(self, boundary):
+        for f, subs in boundary.items():
             d = f.bit_count() - 1
             if d < 1:
                 continue
             acc = {}
             for sub, sign in subs:
-                for subsub, sign2 in self.boundary[self.by_dim[d - 1][sub]]:
+                for subsub, sign2 in boundary[self.by_dim[d - 1][sub]]:
                     acc[subsub] = acc.get(subsub, 0) + sign * sign2
             assert all(v == 0 for v in acc.values()), "boundary square nonzero"
 

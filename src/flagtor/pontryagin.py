@@ -3,10 +3,12 @@
 For a flag complex K, Tor_n of the Pontryagin algebra H_*(ΩZ_K) in
 multidegree (-|J|, 2J) is the reduced homology of the full subcomplex
 K_J in degree n-1, and vanishes in every non-squarefree multidegree.
-This module computes the Tor table along that decomposition and,
-independently, as the homology of finite multidegree slices of the
-twisted complex Λ[u_1..u_m] ⊗ k<K> whose differential peels one letter
-off the divided-power part:
+That is the summand the Hochster decomposition puts in H_n(R_K), so
+route one, the Tor table, is the R_K table of ``hochster.rk_homology``,
+keyed (J, n).  Route two computes the same numbers independently, as
+the homology of finite multidegree slices of the twisted complex
+Λ[u_1..u_m] ⊗ k<K> whose differential peels one letter off the
+divided-power part:
 
     d(u_I ⊗ χ_α) = sum over j in supp α of (u_I ∧ u_j) ⊗ χ_{α - e_j}.
 
@@ -21,7 +23,7 @@ actual numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import hochster, homology
 from .complexes import NotFlagError, adjacency, is_flag
@@ -31,23 +33,6 @@ DEFAULT_DEGREE_BOUND = 8
 
 class BoundExceededError(ValueError):
     """Requested multidegree exceeds the configured total-degree bound."""
-
-
-@dataclass
-class TorTable:
-    """(n, Jmask) -> (rank, torsion); support is squarefree with n >= 0."""
-
-    entries: dict = field(default_factory=dict)
-    exact: bool = True  # False over Z: counts are lower-bound data
-
-    def rank(self, n, Jmask):
-        return self.entries.get((n, Jmask), (0, ()))[0]
-
-    def by_degree(self):
-        out = {}
-        for (n, _), (r, _) in self.entries.items():
-            out[n] = out.get(n, 0) + r
-        return out
 
 
 def _require_flag(K):
@@ -60,13 +45,10 @@ def _require_flag(K):
 # ---------------------------------------------------------------------------
 
 def tor_via_subcomplexes(K, coeff):
+    """Tor_n at multidegree (-|J|, 2J), keyed (J, n): the R_K table, whose
+    totals are the Tor ranks and torsion per degree n."""
     _require_flag(K)
-    profiles = hochster.subcomplex_profiles(K, coeff)
-    table = TorTable(exact=coeff.is_field)
-    for J, prof in profiles.items():
-        for d, r, t in prof.rows():
-            table.entries[(d + 1, J)] = (r, t)
-    return table
+    return hochster.rk_homology(K, coeff)
 
 
 def tor_for_subset(K, Jmask, coeff):

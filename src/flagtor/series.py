@@ -168,13 +168,10 @@ class MultiSeries:
                             del tgt[k]
         return MultiSeries(self.nvars, trunc, _buckets=out)
 
-    def _unit_check(self):
-        if self._buckets.get(0, {}).get(0, 0) != 1:
-            raise NonUnitConstantTermError("constant term must be 1")
-
     def inverse(self):
         """Degree-by-degree inverse of a series with constant term 1."""
-        self._unit_check()
+        if self._buckets.get(0, {}).get(0, 0) != 1:
+            raise NonUnitConstantTermError("constant term must be 1")
         out = {0: {0: 1}}
         for d in range(1, self.trunc + 1):
             cur = {}
@@ -194,18 +191,6 @@ class MultiSeries:
                             del cur[k]
             if cur:
                 out[d] = cur
-        return MultiSeries(self.nvars, self.trunc, _buckets=out)
-
-    def neg_log(self):
-        """-log of a series with constant term 1.
-
-        Degree d of the result is D_d / d, where D is the Euler-operator
-        recurrence of ``_log_derivative``.
-        """
-        self._unit_check()
-        out = {}
-        for d, b in _log_derivative(self._buckets, self.trunc).items():
-            out[d] = {k: Fraction(v, d) for k, v in b.items()}
         return MultiSeries(self.nvars, self.trunc, _buckets=out)
 
     def z_graded(self):

@@ -77,7 +77,7 @@ def test_criterion_01_tor_oracle_equivalence():
         for coeff in (H.RATIONALS, H.GF(2)):
             table = P.tor_via_subcomplexes(K, coeff)
             direct = {}
-            for (n, J), (r, _) in table.entries.items():
+            for (J, n), (r, _) in table.entries.items():
                 if r:
                     direct.setdefault(J, {})[n] = r
             for J in range(1 << K.m):
@@ -106,11 +106,11 @@ def test_criterion_02_four_cycle_end_to_end():
     assert tot["generators"] == 2 and tot["relations"] == 1
 
     table = P.tor_via_subcomplexes(K, H.RATIONALS)
-    nonzero = {(n, J): r for (n, J), (r, _) in table.entries.items()
+    nonzero = {(J, n): r for (J, n), (r, _) in table.entries.items()
                if r and n >= 1}
-    assert nonzero == {(1, mask_of([1, 3])): 1,
-                       (1, mask_of([2, 4])): 1,
-                       (2, mask_of([1, 2, 3, 4])): 1}
+    assert nonzero == {(mask_of([1, 3]), 1): 1,
+                       (mask_of([2, 4]), 1): 1,
+                       (mask_of([1, 2, 3, 4]), 2): 1}
     assert table.entries[(0, 0)] == (1, ())
 
     assert L.cat_zk(K) == 2

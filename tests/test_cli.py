@@ -1,11 +1,13 @@
 """Command-line behaviour: exit codes, formats, determinism, options."""
 
+import hashlib
 import json
 
 import pytest
 from _cli import flagtor
+from _fixtures import RP2_FLAG12
 
-from flagtor import cli, complexes, lscat, series
+from flagtor import cli, complexes, hochster, lscat, pontryagin, series
 
 
 def test_cat_on_named_cycle():
@@ -203,6 +205,40 @@ def test_tor_subset_slice_on_large_complex():
     r = flagtor("gens-rels", "--named", "rp2-flag", "--coeff", "fp:2",
                 "--subset", "all")
     assert json.loads(r.stdout)["result"]["relations"] == 1
+
+
+# sha256 of stdout over Z on the 12-vertex flag RP^2, and a few of its values
+RP2_FLAG12_STDOUT = {
+    "tor": ("88cbb771cf0186de02ac2e677de55323691420e12cb29943e92b8c47961ef51f",
+            lambda result: len(result["entries"]) == 2715 and not result["exact"]
+            and result["by_degree"] == {"0": 1, "1": 669, "2": 2716}),
+    "gens-rels": ("654a99734488b16242bcf1b95d7dde0a23971f0c4f50a340c95d06cb7a3b5dae",
+                  lambda result: result["generators"]["total"] == 669
+                  and result["relations"]["total"] == 2717),
+    "check-all": ("971809aeae0dd11108dd2cb37dd5069d936283e3e84cac594d2bb1ed02d90d3d",
+                  lambda result: result["ok"] and len(result["checks"]) == 18),
+}
+
+
+@pytest.mark.parametrize("command", sorted(RP2_FLAG12_STDOUT))
+def test_flag_rp2_stdout_is_pinned(command):
+    # a sweepable flag complex whose Tor over Z has 2-torsion
+    digest, holds = RP2_FLAG12_STDOUT[command]
+    r = flagtor(command, "--input", str(RP2_FLAG12), "--coeff", "z")
+    assert r.returncode == 0
+    assert holds(json.loads(r.stdout)["result"])
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest
+
+
+def test_tor_by_degree_keeps_a_degree_with_only_torsion(monkeypatch, capsys):
+    table = hochster.HochsterTable("rk", {(0, 0): (1, ()), (7, 3): (0, (2,))},
+                                   {0: 1}, {3: (2,)})
+    monkeypatch.setattr(pontryagin, "tor_via_subcomplexes", lambda K, coeff: table)
+    assert cli.run(["tor", "--named", "cycle:3", "--coeff", "z"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["by_degree"] == {"0": 1, "3": 0}
+    assert [(e["n"], e["J"], e["torsion"]) for e in result["entries"]] == \
+        [(0, [], []), (3, [1, 2, 3], [2])]
 
 
 def test_chi_check_routes_by_gcd():

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from _fixtures import rp2_flag12
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -84,17 +85,19 @@ def test_cache_is_shared_and_consistent():
 
 
 def test_sweep_keeps_earlier_entries_in_ascending_order():
-    # a store iterates in ascending J, before and after the sweep, and the
-    # sweep holds the very objects computed one by one before it
+    # profiles computed one by one before the sweep are not stored, equal
+    # what the sweep holds at their J, and the sweep iterates in ascending J
     Ho.clear_cache()
     K = C.random_flag(8, 0.4, 5)
     first = Ho.profile_for_subset(K, 0b10110, H.INTEGERS)
     second = Ho.profile_for_subset(K, 0b00111, H.INTEGERS)
+    assert not Ho._CACHE
     store = Ho._cache_for(K, H.INTEGERS)
-    assert list(store) == [0b00111, 0b10110] and len(store) == 2
-    assert list(store.values()) == [second, first]
+    assert list(store) == [] and len(store) == 0
     sweep = Ho.subcomplex_profiles(K, H.INTEGERS)
-    assert sweep[0b10110] is first and sweep[0b00111] is second
+    assert sweep is store
+    assert sweep[0b10110] == first and sweep[0b00111] == second
+    assert Ho.profile_for_subset(K, 0b10110, H.INTEGERS) is sweep[0b10110]
     assert list(sweep) == list(range(1 << 8)) == [J for J, _ in sweep.items()]
 
 
@@ -216,12 +219,12 @@ def _top_two_vertices_fail(K, J, profiles):
 
 def test_block_sweep_matches_plain_elimination_on_every_subset(monkeypatch):
     # the block passes, the passes of lower vertices over sub-blocks and the
-    # J-by-J fallback, on sparse flag graphs, ghost vertices, RP^2 joins
-    # (whose vertices of RP^2 have links that are not full subcomplexes)
-    # and a store that already holds a few J
+    # J-by-J fallback, on sparse flag graphs, a flag RP^2 (whose full
+    # subcomplexes carry 2-torsion), ghost vertices and RP^2 joins (whose
+    # vertices of RP^2 have links that are not full subcomplexes)
     rp2 = C.real_projective_plane()
     flag = [C.random_flag(m, p, seed) for m, p, seed in
-            ((8, .3, 1), (9, .2, 4), (10, .3, 2), (11, .25, 3))]
+            ((8, .3, 1), (9, .2, 4), (10, .3, 2), (11, .25, 3))] + [rp2_flag12()]
     base = C.random_flag(10, .4, 9)
     ghosts = [_without_vertex(base, v) for v in (0, 5, 9)]
     joins = [C.join(rp2, C.random_flag(4, .5, 2)), C.join(rp2, C.points(3))]
@@ -240,12 +243,10 @@ def test_block_sweep_matches_plain_elimination_on_every_subset(monkeypatch):
             coeff = H.parse_coefficients(key)
             expected = [H.subcomplex_homology(K, J, coeff) for J in range(full)]
             Ho.clear_cache()
-            early = {J: Ho.profile_for_subset(K, J, coeff) for J in (full - 1, full // 3, 5)}
             one_by_one.clear()
             sweep = Ho.subcomplex_profiles(K, coeff)
             assert len(sweep) == full and list(sweep) == list(range(full))
             assert [p for _, p in sweep.items()] == expected, (K.m, key)
-            assert all(sweep[J] is prof for J, prof in early.items())
             if K in flag:
                 skipped = set(one_by_one)
                 deep += sum(1 for J in range(full) if J not in skipped

@@ -1,8 +1,10 @@
 """LS-category values, Toomer invariants, bounds, and cup witnesses."""
 
 import pytest
+from _fixtures import rp2_flag12
 
 from flagtor import complexes as C
+from flagtor import hochster as Ho
 from flagtor import homology as H
 from flagtor import lscat as L
 from flagtor.complexes import NotFlagError
@@ -45,11 +47,15 @@ def test_toomer_values():
 
 
 def test_toomer_sees_torsion_fields():
-    # gluing a flag projective plane into the corpus is too large for a
-    # sweep, so use a complex whose subcomplexes carry 2-torsion: the
-    # 6-vertex projective plane is not flag, but the Toomer formula's
-    # field sweep is exercised through the report on a flag complex whose
-    # subcomplex homology has torsion; the octahedron has none, so Q wins
+    # the full subcomplexes of the 12-vertex flag RP^2 carry 2-torsion, so
+    # the Toomer invariant over F2 exceeds the one over Q, and it is F2's
+    # that equals cat
+    K = rp2_flag12()
+    assert C.is_flag(K) and Ho.torsion_primes(K) == [2]
+    rep = L.toomer_report(K)
+    assert rep["by_field"] == {"Q": 2, "F2": 3}
+    assert rep["max"] == 3 == L.cat_zk(K)
+    # the octahedron has none, so Q alone is swept
     rep = L.toomer_report(C.cross_polytope(3))
     assert rep["by_field"] == {"Q": 3}
     assert rep["max"] == L.cat_zk(C.cross_polytope(3))
