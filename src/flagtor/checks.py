@@ -65,10 +65,7 @@ def check_all(K, coeff, trunc):
     if flag:
         record("link-equals-full-subcomplex", _links_are_full_subcomplexes(K))
 
-    sweepable = K.m <= hochster.SWEEP_CAP
-    chi_all = complexes.chi_subcomplexes(K) if sweepable else None
-    denom = series.euler_denominator_t(K, chi_all) if sweepable else None
-    if sweepable:
+    if K.m <= hochster.SWEEP_CAP:
         if flag:
             for ring in fields:
                 mm = pontryagin.milnor_moore_check(K, ring)
@@ -82,7 +79,8 @@ def check_all(K, coeff, trunc):
 
         table = hochster.zk_homology(K, fields[0])
         euler_zk = sum((-1) ** p * r for p, r in table.totals_rank.items())
-        expected = sum(c * (-1) ** d for d, c in enumerate(denom))
+        expected = sum(c * (-1) ** d
+                       for d, c in enumerate(series.euler_denominator_t(K)))
         record("hochster-euler-vs-series", euler_zk == expected,
                f"{euler_zk} vs {expected}")
 
@@ -98,27 +96,27 @@ def check_all(K, coeff, trunc):
                        f"toomer {rep['max']} vs cat {cat}")
 
     if flag and K.m <= 20:
-        ok, _, _ = series.panov_ray_check(K, chi_all)
+        ok, _, _ = series.panov_ray_check(K)
         record("panov-ray-identity", ok)
-        Ft = series.poincare_ozk_t(K, trunc, chi_all)
+        Ft = series.poincare_ozk_t(K, trunc)
         record("series-coefficients-nonnegative", all(c >= 0 for c in Ft))
-        prod = series.poly_mul(denom, Ft, trunc)
+        prod = series.poly_mul(series.euler_denominator_t(K), Ft, trunc)
         record("series-inverse-roundtrip", prod[0] == 1 and not any(prod[1:]))
 
     if flag and K.m <= 10:
         N = min(trunc, 8)
-        F = series.poincare_ozk(K, N, chi_all)
-        ranks = series.homotopy_ranks(K, N, chi_all)
+        F = series.poincare_ozk(K, N)
+        ranks = series.homotopy_ranks(K, N)
         record("pbw-roundtrip", series.pbw_reconstruct(ranks, K.m, N) == F)
         ok = True
         for alpha in [a for a in ranks if gcd(*a) == 1][:8]:
-            val, nonneg = series.chi_inequality(K, alpha, chi_all)
+            val, nonneg = series.chi_inequality(K, alpha)
             if not nonneg or val != ranks.get(alpha, 0):
                 ok = False
         record("chi-inequality-matches-ranks", ok)
         bound = min(4, N)
         counts = pontryagin.normal_word_counts(K, bound)
-        odj = series.poincare_odj(K, bound, chi_all)
+        odj = series.poincare_odj(K, bound)
         ok = all(odj.coefficient(a) == c for a, c in counts.items())
         ok = ok and all(counts.get(a, 0) == v for a, v in odj.terms.items())
         record("odj-series-vs-normal-words", ok)

@@ -325,10 +325,8 @@ def _series_json(F):
 
 
 def _cmd_series(cfg, args):
-    # a non-flag K fails in poincare_ozk, before chi would be read
-    chi = complexes.chi_subcomplexes(cfg.K) if complexes.is_flag(cfg.K) else None
-    F = series.poincare_ozk(cfg.K, cfg.trunc, chi)
-    ok, lhs, rhs = series.panov_ray_check(cfg.K, chi)
+    F = series.poincare_ozk(cfg.K, cfg.trunc)
+    ok, lhs, rhs = series.panov_ray_check(cfg.K)
     return {"poincare_loop_zk": _series_json(F),
             "z_graded": [int(c) for c in F.z_graded()],
             "panov_ray_identity": {"ok": ok, "lhs": lhs, "rhs": rhs}}

@@ -347,10 +347,6 @@ def nu_direct(K):
     return worst + 1
 
 
-def nu(K):
-    return nu_direct(K)
-
-
 # ---------------------------------------------------------------------------
 # face counts
 # ---------------------------------------------------------------------------
@@ -381,22 +377,24 @@ def reduced_euler_char(K):
     return -sum((-1) ** f.bit_count() for f in K.faces)
 
 
+@lru_cache(maxsize=1)
 def chi_subcomplexes(K):
-    """chi-tilde of every full subcomplex, as a list indexed by bitmask.
+    """chi-tilde of every full subcomplex, as a tuple indexed by bitmask.
 
-    Uses a subset-sum (zeta) transform, O(m 2^m).
+    Uses a subset-sum (zeta) transform, O(m 2^m).  Only the last
+    complex's table is kept: one is 134 MB at m = 24.
     """
     check_sweep_cap(K)
     size = 1 << K.m
     acc = [0] * size
     for f in K.faces:
-        acc[f] += (-1) ** f.bit_count()
+        acc[f] -= (-1) ** f.bit_count()
     for v in range(K.m):
         bit = 1 << v
         for mask in range(size):
             if mask & bit:
                 acc[mask] += acc[mask ^ bit]
-    return [-x for x in acc]
+    return tuple(acc)
 
 
 def skeleton(K, i):

@@ -29,6 +29,7 @@ from . import hochster, homology
 from .complexes import NotFlagError, adjacency, is_flag
 
 DEFAULT_DEGREE_BOUND = 8
+MAX_DEGREE_BOUND = 31  # as MultiSeries; cobar words recurse once per letter
 
 
 class BoundExceededError(ValueError):
@@ -372,6 +373,7 @@ def cobar_ext(K, coeff, beta, bound=DEFAULT_DEGREE_BOUND):
     if not coeff.is_field:
         raise ValueError("cobar Ext needs field coefficients")
     beta = tuple(beta)
+    bound = min(bound, MAX_DEGREE_BOUND)
     if sum(beta) > bound:
         raise BoundExceededError(f"|beta| = {sum(beta)} exceeds bound {bound}")
     words, matrices = cobar_slice(K, beta)
@@ -395,7 +397,6 @@ def milnor_moore_check(K, coeff):
     _require_flag(K)
     if not coeff.is_field:
         raise ValueError("Milnor-Moore totals need field coefficients")
-    profiles = hochster.subcomplex_profiles(K, coeff)
-    e2 = sum(prof.total_dim() for prof in profiles.values())
+    e2 = sum(tor_via_subcomplexes(K, coeff).totals_rank.values())
     einf = sum(hochster.zk_homology(K, coeff).totals_rank.values())
     return {"e2_total": e2, "einf_total": einf, "collapse": e2 == einf}

@@ -10,6 +10,10 @@ diagonal one by the factor prod (1 + t^{-1} lambda_i^2), whose terms are
 again diagonal monomials.  Serializers restore the (t, lambda) exponents
 on output.
 
+The series functions take K alone and read one table, chi~(K_J) for
+every J, from ``complexes.chi_subcomplexes``; it and the Z-graded
+denominator are memoized for the last complex.
+
 Internally exponent vectors are packed into integers, five bits per
 variable, and terms are bucketed by total degree; convolution then runs
 on plain integer additions, which is what makes the degree-8 products
@@ -26,9 +30,11 @@ accumulator in place.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
-from .complexes import (NotFlagError, chi_subcomplexes, f_vector, is_flag)
+from . import complexes
+from .complexes import NotFlagError, f_vector, is_flag
 
 _SHIFT = 5
 _MAXCOORD = (1 << _SHIFT) - 1
@@ -241,11 +247,10 @@ def _trim(a):
 # Poincare series of the loop homology algebras
 # ---------------------------------------------------------------------------
 
-def euler_denominator(K, trunc, chi=None):
+def euler_denominator(K, trunc):
     """The polynomial -sum_J chi~(K_J) x^J (constant term 1)."""
-    chi = chi_subcomplexes(K) if chi is None else chi
     buckets = {}
-    for J, c in enumerate(chi):
+    for J, c in enumerate(complexes.chi_subcomplexes(K)):
         d = J.bit_count()
         if c and d <= trunc:
             key = _pack(tuple((J >> i) & 1 for i in range(K.m)))
@@ -253,39 +258,39 @@ def euler_denominator(K, trunc, chi=None):
     return MultiSeries(K.m, trunc, _buckets=buckets)
 
 
-def euler_denominator_t(K, chi=None):
+@lru_cache(maxsize=1)
+def euler_denominator_t(K):
     """The Z-graded specialization -sum_J chi~(K_J) t^{|J|}, degrees 0..m."""
-    chi = chi_subcomplexes(K) if chi is None else chi
     denom = [0] * (K.m + 1)
-    for J, c in enumerate(chi):
+    for J, c in enumerate(complexes.chi_subcomplexes(K)):
         denom[J.bit_count()] -= c
-    return denom
+    return tuple(denom)
 
 
-def poincare_ozk(K, trunc, chi=None):
+def poincare_ozk(K, trunc):
     """Multigraded Poincare series of the loop homology of Z_K (flag case).
 
     Coefficient at alpha = dim of the (-|alpha|, 2 alpha) component.
     """
     if not is_flag(K):
         raise NotFlagError("Poincare series formula needs a flag complex")
-    return euler_denominator(K, trunc, chi).inverse()
+    return euler_denominator(K, trunc).inverse()
 
 
-def poincare_ozk_t(K, trunc, chi=None):
+def poincare_ozk_t(K, trunc):
     """The Z-graded specialization, as a coefficient list in t."""
     if not is_flag(K):
         raise NotFlagError("Poincare series formula needs a flag complex")
-    return poly_inverse(euler_denominator_t(K, chi), trunc)
+    return poly_inverse(euler_denominator_t(K), trunc)
 
 
-def poincare_odj(K, trunc, chi=None):
+def poincare_odj(K, trunc):
     """Series of the loop homology of the ambient polyhedral-product space.
 
     Equals the Z_K series times prod_i (1 + x_{e_i}); its coefficient at
     alpha counts the normal words with letter multiset alpha.
     """
-    F = poincare_ozk(K, trunc, chi)
+    F = poincare_ozk(K, trunc)
     zero = tuple([0] * K.m)
     for i in range(K.m):
         e = tuple(1 if j == i else 0 for j in range(K.m))
@@ -293,14 +298,14 @@ def poincare_odj(K, trunc, chi=None):
     return F
 
 
-def poincare_odj_t(K, trunc, chi=None):
-    F = poincare_ozk_t(K, trunc, chi)
+def poincare_odj_t(K, trunc):
+    F = poincare_ozk_t(K, trunc)
     for _ in range(K.m):
         F = poly_mul(F, [1, 1], trunc)
     return F
 
 
-def panov_ray_check(K, chi=None):
+def panov_ray_check(K):
     """(1+t)^{m-n} sum h_i (-t)^i == -sum_J chi~(K_J) t^{|J|}, exactly.
 
     n = dim K + 1; returns (ok, lhs, rhs) as coefficient lists.
@@ -312,7 +317,7 @@ def panov_ray_check(K, chi=None):
     lhs = [comb(K.m - n, j) for j in range(K.m - n + 1)]
     hpoly = [h * (-1) ** i for i, h in enumerate(fv.h)]
     lhs = _trim(poly_mul(lhs, hpoly))
-    rhs = _trim(euler_denominator_t(K, chi))
+    rhs = _trim(list(euler_denominator_t(K)))
     return lhs == rhs, lhs, rhs
 
 
@@ -337,7 +342,7 @@ def moebius(n):
     return mu
 
 
-def homotopy_ranks(K, trunc, chi=None):
+def homotopy_ranks(K, trunc):
     """Ranks of the rational homotopy of Z_K per halved multidegree.
 
     l_alpha = dim of pi in degree (-|alpha|, 2 alpha).  With w =
@@ -355,7 +360,7 @@ def homotopy_ranks(K, trunc, chi=None):
         raise NotFlagError("homotopy ranks are computed via the flag formula")
     # the Euler denominator at -x, an integer series with constant term 1
     f = {d: ({k: -v for k, v in b.items()} if d % 2 else b)
-         for d, b in euler_denominator(K, trunc, chi)._buckets.items()}
+         for d, b in euler_denominator(K, trunc)._buckets.items()}
     mus = [(k, mu) for k in range(1, trunc + 1) if (mu := moebius(k))]
     sums = {}
     for d, b in _log_derivative(f, trunc).items():
@@ -410,7 +415,7 @@ def pbw_reconstruct(ranks, nvars, trunc):
     return acc
 
 
-def chi_inequality(K, alpha, chi=None):
+def chi_inequality(K, alpha):
     """Direct compositional value sum_N (1/N) sum over alpha = J_1+..+J_N.
 
     The J_i are nonempty vertex subsets summing to alpha coordinatewise;
@@ -420,7 +425,7 @@ def chi_inequality(K, alpha, chi=None):
     if not is_flag(K):
         raise NotFlagError("the inequality is stated for flag complexes")
     alpha = tuple(alpha)
-    chi = chi_subcomplexes(K) if chi is None else chi
+    chi = complexes.chi_subcomplexes(K)
     supp = [i for i, a in enumerate(alpha) if a]
     subsets = []
     for S in range(1, 1 << len(supp)):

@@ -127,9 +127,8 @@ def test_criterion_03_pbw_roundtrip():
     """pbw_reconstruct(homotopy_ranks(K, 8), 8) equals poincare_ozk(K, 8)
     exactly on the whole corpus; all ranks non-negative integers."""
     for name, K in CORPUS.items():
-        chi = C.chi_subcomplexes(K)
-        F = S.poincare_ozk(K, 8, chi)
-        ranks = S.homotopy_ranks(K, 8, chi)  # raises unless ints >= 0
+        F = S.poincare_ozk(K, 8)
+        ranks = S.homotopy_ranks(K, 8)  # raises unless ints >= 0
         assert all(isinstance(v, int) and v > 0 for v in ranks.values())
         assert S.pbw_reconstruct(ranks, K.m, 8) == F, name
     report("criterion 3: series-log-PBW round trip on %d complexes"
@@ -151,8 +150,7 @@ def test_criterion_05_diagonal_ext_matches_word_basis():
     counts to total degree 6."""
     for name, K in CORPUS.items():
         counts = P.normal_word_counts(K, 6)
-        chi = C.chi_subcomplexes(K)
-        odj = S.poincare_odj(K, 6, chi)
+        odj = S.poincare_odj(K, 6)
         assert all(odj.coefficient(a) == c for a, c in counts.items()), name
         assert all(counts.get(a, 0) == v for a, v in odj.terms.items()), name
 

@@ -51,19 +51,12 @@ def test_check_all_reports_a_failed_check(monkeypatch, capsys):
     assert "FAIL panov-ray-identity\n" in err
 
 
-def test_series_sweeps_chi_once(monkeypatch, capsys):
-    calls = []
-    chi = complexes.chi_subcomplexes
-
-    def counted(K):
-        calls.append(K)
-        return chi(K)
-
-    monkeypatch.setattr(complexes, "chi_subcomplexes", counted)
-    monkeypatch.setattr(series, "chi_subcomplexes", counted)
+def test_series_sweeps_chi_once(capsys):
+    # the series and the h-vector identity read one memoized chi~ table
+    complexes.chi_subcomplexes.cache_clear()
     assert cli.run(["series", "--named", "cycle:5"]) == 0
     assert json.loads(capsys.readouterr().out)["result"]["panov_ray_identity"]["ok"]
-    assert len(calls) == 1
+    assert complexes.chi_subcomplexes.cache_info().misses == 1
 
 
 def test_corpus_roundtrip(tmp_path):
@@ -192,6 +185,15 @@ def test_cobar_ext_cli():
     r = flagtor("cobar-ext", "--named", "boundary:3", "--alpha", "1,1,1")
     data = json.loads(r.stdout)["result"]
     assert data["ext_dims"]["2"] == 1
+
+
+def test_cobar_ext_over_the_degree_cap_exits_two():
+    # words of 1200 letters would recurse past the interpreter's limit
+    r = flagtor("cobar-ext", "--named", "points:2", "--alpha", "600,600",
+                "--trunc", "1200")
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.splitlines() == ["error: |beta| = 1200 exceeds bound 31"]
 
 
 def test_tor_subset_slice_on_large_complex():

@@ -6,7 +6,9 @@ from math import comb, gcd
 
 import pytest
 
+from flagtor import checks
 from flagtor import complexes as C
+from flagtor import homology as H
 from flagtor import pontryagin as P
 from flagtor import series as S
 from flagtor.complexes import NotFlagError
@@ -277,3 +279,18 @@ def test_ranks_reject_non_flag_input_that_passes_the_gate(monkeypatch):
     with pytest.raises(S.IntegralityViolationError,
                        match=r"rank at \(1, 1, 1\) is -1"):
         S.homotopy_ranks(C.simplex_boundary(3), 8)
+
+
+def test_check_all_builds_the_chi_table_and_denominator_once():
+    # every series check of a flag complex with m <= 10 reads the same two
+    # memoized tuples: one chi~ transform, one Z-graded denominator
+    K = C.random_flag(8, 0.4, 1)
+    C.chi_subcomplexes.cache_clear()
+    S.euler_denominator_t.cache_clear()
+    assert all(ok for _, ok, _ in checks.check_all(K, H.INTEGERS, 8))
+    assert C.chi_subcomplexes.cache_info().misses == 1
+    assert S.euler_denominator_t.cache_info().misses == 1
+    assert C.chi_subcomplexes.cache_info().hits > 0
+    assert S.euler_denominator_t.cache_info().hits > 0
+    assert type(C.chi_subcomplexes(K)) is tuple
+    assert type(S.euler_denominator_t(K)) is tuple
