@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 from . import checks, complexes, hochster, homology, lscat, pontryagin, series
@@ -433,7 +434,9 @@ COMMANDS = {
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=1)
 def build_parser():
+    """The one parser of the process: ``run`` only reads it."""
     parser = argparse.ArgumentParser(
         prog="flagtor",
         description="Exact homotopy invariants of moment-angle complexes")

@@ -272,7 +272,10 @@ def missing_faces(K):
 
 @lru_cache(maxsize=64)
 def is_flag(K):
-    return all(f.bit_count() == 2 for f in missing_faces(K))
+    """True when every minimal non-face of K has two vertices, that is,
+    when every clique of the 1-skeleton is a face.  The walk over the
+    cliques stops at the first one that is not."""
+    return all(map(K.faces.__contains__, _cliques(adjacency(K))))
 
 
 def adjacency(K):
@@ -287,19 +290,22 @@ def adjacency(K):
     return adj
 
 
-def _clique_complex(m, adj, labels):
-    faces = {0}
-    stack = [(1 << v, adj[v] & ~((1 << (v + 1)) - 1)) for v in range(m)]
+def _cliques(adj):
+    """Every nonempty clique of the graph with neighbour masks adj, once each."""
+    stack = [(1 << v, adj[v] & ~((1 << (v + 1)) - 1)) for v in range(len(adj))]
     while stack:
         f, ext = stack.pop()
-        faces.add(f)
+        yield f
         low = ext
         while low:
             bit = low & -low
             low ^= bit
             v = bit.bit_length() - 1
             stack.append((f | bit, ext & adj[v] & ~((bit << 1) - 1)))
-    return SimplicialComplex(m, frozenset(faces), labels)
+
+
+def _clique_complex(m, adj, labels):
+    return SimplicialComplex(m, frozenset([0, *_cliques(adj)]), labels)
 
 
 def flagification(K):

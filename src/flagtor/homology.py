@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
-from .complexes import adjacency, missing_faces
+from .complexes import adjacency, is_flag, missing_faces
 from .exact_linalg import (NonPrimeModulusError, is_prime, rank_columns,
                            snf_columns)
 
@@ -190,6 +190,8 @@ class ComplexGeometry:
     @cached_property
     def big_non_faces(self):
         """The minimal non-faces of 3 or more vertices; none if K is flag."""
+        if is_flag(self.K):
+            return []
         return [N for N in missing_faces(self.K) if N.bit_count() >= 3]
 
     @cached_property

@@ -97,10 +97,13 @@ def gens_rels_for_subset(K, Jmask, coeff):
 def koszul_slice(K, beta):
     """Basis and differential of the slice at multidegree 2*beta.
 
-    Basis elements are pairs (Imask, alpha) with I squarefree,
-    supp(alpha) a face, and I + alpha = beta; the homological index is
-    |alpha|.  Returns (bases, matrices) where bases[t] lists the basis
-    and matrices[t] holds the columns of d: C_t -> C_{t-1}.
+    A basis element u_I ⊗ χ_α has I squarefree, supp(α) a face and
+    I + α = beta, so its exterior mask I alone fixes it: α = beta - 1_I,
+    and its homological index is t = |α| = |beta| - |I|.  Returns
+    (bases, matrices) where bases[t] is the ascending list of the masks I
+    in degree t and matrices[t] holds the columns of d: C_t -> C_{t-1}.
+    Column I of d_t has one entry per j in supp(beta) - I, at row
+    I + j of C_{t-1} with sign (-1)^{|I ∩ [0, j)|}.
     """
     beta = tuple(beta)
     if len(beta) != K.m or any(b < 0 for b in beta):
@@ -116,43 +119,39 @@ def koszul_slice(K, beta):
             pin |= 1 << i
         elif b == 1:
             ones |= 1 << i
+    supp = pin | ones
+    outside = ~supp
+    faces = [G for G in K.faces if not G & outside and G & pin == pin]
+    pinned = [0]  # every subset of pin
+    low = pin
+    while low:
+        bit = low & -low
+        low ^= bit
+        pinned += [R | bit for R in pinned]
+    total = sum(beta)
     bases = {}
-    for G in K.faces:
-        if G & pin != pin or G & ~(pin | ones):
-            continue
-        T = G ^ pin  # the support within the squarefree coordinates
-        base_I = ones & ~T
-        R = pin
-        while True:  # all subsets R of pin
-            Imask = base_I | R
-            alpha = tuple(b - ((Imask >> i) & 1) for i, b in enumerate(beta))
-            bases.setdefault(sum(alpha), []).append((Imask, alpha))
-            if R == 0:
-                break
-            R = (R - 1) & pin
-    for t in bases:
-        bases[t].sort()
-    index = {t: {b: i for i, b in enumerate(bs)} for t, bs in bases.items()}
+    for I in sorted(ones & ~G | R for G in faces for R in pinned):
+        bases.setdefault(total - I.bit_count(), []).append(I)
+    bases = dict(sorted(bases.items()))
+    # Every degree above the lowest holds an I with a free j, so the
+    # degrees run without a gap and rows indexes C_{t-1}; the lowest
+    # degree's columns are empty.
     matrices = {}
+    rows = {}
     for t, bs in bases.items():
-        if t == 0:
-            continue
-        rows = index.get(t - 1, {})
-        cols = []
-        for Imask, alpha in bs:
-            col = []
-            for j, a in enumerate(alpha):
-                if not a:
-                    continue
-                bit = 1 << j
-                if Imask & bit:
-                    continue  # u_j ∧ u_j = 0
-                below = (Imask & (bit - 1)).bit_count()
-                sign = -1 if below & 1 else 1
-                tgt = alpha[:j] + (a - 1,) + alpha[j + 1:]
-                col.append((rows[(Imask | bit, tgt)], sign))
-            cols.append(col)
-        matrices[t] = cols
+        if t:
+            cols = []
+            for I in bs:
+                col = []
+                free = supp & ~I
+                while free:
+                    bit = free & -free
+                    free ^= bit
+                    col.append((rows[I | bit],
+                                -1 if (I & (bit - 1)).bit_count() & 1 else 1))
+                cols.append(col)
+            matrices[t] = cols
+        rows = {I: i for i, I in enumerate(bs)}
     return bases, matrices
 
 

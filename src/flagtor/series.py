@@ -404,8 +404,10 @@ def pbw_reconstruct(ranks, nvars, trunc):
         coeffs = [comb(l - 1 + j, j) if d % 2 == 0 else comb(l, j)
                   for j in range(1, top + 1)]
         step = _pack(alpha)
-        for e in sorted(buckets, reverse=True):
-            src = buckets[e]
+        for e in range(trunc - d, -1, -1):  # higher buckets have no target in range
+            src = buckets.get(e)
+            if not src:
+                continue
             for j, c in enumerate(coeffs[:(trunc - e) // d], 1):
                 shift = step * j
                 tgt = buckets.setdefault(e + j * d, {})

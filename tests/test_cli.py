@@ -51,6 +51,25 @@ def test_check_all_reports_a_failed_check(monkeypatch, capsys):
     assert "FAIL panov-ray-identity\n" in err
 
 
+def test_one_parser_serves_successive_runs(capsys):
+    # run reuses the process's one parser: an option given to one call
+    # must not leak into the next, and --help must not break it
+    assert cli.build_parser() is cli.build_parser()
+    assert cli.run(["tor", "--named", "cycle:4", "--subset", "1,2"]) == 0
+    sliced = json.loads(capsys.readouterr().out)["result"]
+    assert "by_degree" not in sliced
+    assert cli.run(["tor", "--named", "cycle:4"]) == 0
+    full = json.loads(capsys.readouterr().out)["result"]
+    assert full["by_degree"] == {"0": 1, "1": 2, "2": 1}
+    assert len(full["entries"]) == 4
+    assert cli.run(["--help"]) == 0
+    assert "check-all" in capsys.readouterr().out
+    code = cli.run(["check-all", "--named", "cycle:4"])
+    out, err = capsys.readouterr()
+    fresh = flagtor("check-all", "--named", "cycle:4")
+    assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+
 def test_series_sweeps_chi_once(capsys):
     # the series and the h-vector identity read one memoized chi~ table
     complexes.chi_subcomplexes.cache_clear()

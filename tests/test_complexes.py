@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from flagtor import cli
 from flagtor import complexes as C
 from flagtor.complexes import (GhostVertexError, NotAFaceError,
                                VertexOutOfRangeError, mask_of, verts_of)
@@ -113,6 +114,43 @@ def test_missing_faces_and_flagness():
 
     sk = C.skeleton(C.simplex(4), 1)
     assert C.flagification(sk).faces == C.simplex(4).faces
+
+
+def _flag_by_missing_faces(K):
+    """The reference: every minimal non-face has exactly two vertices."""
+    return all(f.bit_count() == 2 for f in C.missing_faces(K))
+
+
+NAMED = ["cycle:3", "cycle:4", "cycle:7", "simplex:1", "simplex:4", "boundary:2",
+         "boundary:3", "boundary:5", "points:1", "points:4", "cross:3", "icosahedron",
+         "octahedron", "rp2", "rp2-flag", "skeleton:1:simplex:5", "skeleton:0:cycle:5",
+         "skeleton:2:cross:4", "barycentric:boundary:3", "barycentric:rp2",
+         "random-flag:9:50:2", "random-flag:12:30:1", "boundary:3+boundary:6",
+         "rp2*points:3", "cycle:4*cycle:5", "rp2+cycle:4", "points:2*boundary:3"]
+
+
+def test_is_flag_matches_the_minimal_non_faces():
+    for name in NAMED:
+        K = cli.corpus(name)
+        assert C.is_flag(K) == _flag_by_missing_faces(K), name
+    rng = random.Random(17)
+    seen = set()
+    for case in range(500):
+        m = rng.randint(1, 8)
+        if case % 4 == 0:
+            K = C.random_flag(m, rng.random(), rng.randint(0, 10 ** 6))
+        else:
+            facets = [[v] for v in range(1, m + 1)]
+            for _ in range(rng.randint(0, 6) if m > 1 else 0):
+                facets.append(sorted(rng.sample(range(1, m + 1), rng.randint(2, m))))
+            K = C.from_facets(m, facets)
+        if case % 5 == 0:  # drop every face through one vertex: a ghost
+            v = rng.randrange(m)
+            K = C.SimplicialComplex(m, frozenset(f for f in K.faces if not f >> v & 1))
+        flag = C.is_flag(K)
+        assert flag == _flag_by_missing_faces(K), sorted(K.faces)
+        seen.add(flag)
+    assert seen == {True, False}
 
 
 def test_flagification_idempotent_and_fixes_flag():

@@ -9,6 +9,8 @@ from flagtor import homology as H
 from flagtor import pontryagin as P
 from flagtor.complexes import NotFlagError, mask_of
 
+from _fixtures import rp2_flag12
+
 
 def tor_ranks(table):
     return {(J, n): r for (J, n), (r, _) in table.entries.items() if r}
@@ -53,6 +55,89 @@ def compose_is_zero(bases, matrices):
                 for rr, ss in cols[r]:
                     acc[rr] = acc.get(rr, 0) + s * ss
             assert all(v == 0 for v in acc.values())
+
+
+def _tuple_koszul_slice(K, beta):
+    """The slice with (Imask, alpha) pairs as its basis: the reference.
+
+    Each basis element carries its divided-power exponent alpha, rows are
+    looked up by (I + j, alpha - e_j), and each degree is sorted by pair.
+    """
+    beta = tuple(beta)
+    pin = ones = 0
+    for i, b in enumerate(beta):
+        if b >= 2:
+            pin |= 1 << i
+        elif b == 1:
+            ones |= 1 << i
+    bases = {}
+    for G in K.faces:
+        if G & pin != pin or G & ~(pin | ones):
+            continue
+        base_I = ones & ~(G ^ pin)
+        R = pin
+        while True:
+            Imask = base_I | R
+            alpha = tuple(b - ((Imask >> i) & 1) for i, b in enumerate(beta))
+            bases.setdefault(sum(alpha), []).append((Imask, alpha))
+            if R == 0:
+                break
+            R = (R - 1) & pin
+    for t in bases:
+        bases[t].sort()
+    index = {t: {b: i for i, b in enumerate(bs)} for t, bs in bases.items()}
+    matrices = {}
+    for t, bs in bases.items():
+        if t == 0:
+            continue
+        rows = index.get(t - 1, {})
+        cols = []
+        for Imask, alpha in bs:
+            col = []
+            for j, a in enumerate(alpha):
+                bit = 1 << j
+                if not a or Imask & bit:
+                    continue
+                sign = -1 if (Imask & (bit - 1)).bit_count() & 1 else 1
+                tgt = alpha[:j] + (a - 1,) + alpha[j + 1:]
+                col.append((rows[(Imask | bit, tgt)], sign))
+            cols.append(col)
+        matrices[t] = cols
+    return bases, matrices
+
+
+def _assert_slice_matches_reference(K, beta):
+    bases, matrices = P.koszul_slice(K, beta)
+    ref_bases, ref_matrices = _tuple_koszul_slice(K, beta)
+    assert bases == {t: [I for I, _ in bs] for t, bs in ref_bases.items()}, beta
+    assert matrices == ref_matrices, beta
+    for t, bs in bases.items():  # alpha = beta - 1_I, in degree |alpha|
+        for I, (_, alpha) in zip(bs, ref_bases[t]):
+            assert alpha == tuple(b - (I >> i & 1) for i, b in enumerate(beta))
+
+
+def test_mask_slices_match_the_tuple_reference():
+    rng = random.Random(47)
+    for case in range(320):
+        m = rng.randint(2, 7)
+        if case % 2:
+            K = C.random_flag(m, rng.random(), rng.randint(0, 10 ** 6))
+        else:
+            facets = [[v] for v in range(1, m + 1)]
+            for _ in range(rng.randint(1, 4)):
+                facets.append(sorted(rng.sample(range(1, m + 1), rng.randint(2, m))))
+            K = C.from_facets(m, facets)
+        if case % 3 == 0:  # drop every face through one vertex: a ghost
+            v = rng.randrange(m)
+            K = C.SimplicialComplex(m, frozenset(f for f in K.faces if not f >> v & 1))
+        beta = tuple(rng.randint(0, 3) for _ in range(m))
+        _assert_slice_matches_reference(K, beta)
+
+
+def test_mask_slices_match_the_tuple_reference_on_every_subset_of_flag_rp2():
+    K = rp2_flag12()
+    for J in range(1 << K.m):
+        _assert_slice_matches_reference(K, tuple(J >> i & 1 for i in range(K.m)))
 
 
 def test_koszul_differential_squares_to_zero():
