@@ -25,7 +25,7 @@ print("\nh-vector identity: (1+t)^{m-n} sum h_i(-t)^i =", lhs,
       "= -sum chi~ t^|J| =", rhs, "->", ok)
 
 ranks = S.homotopy_ranks(K, 8)
-print("\nhomotopy ranks:", ranks)
+print("\nhomotopy ranks:", dict(ranks))
 print("(Z_K = S^3 x S^3: two spherical generators, nothing else rationally)")
 print("PBW product rebuilds the series:",
       S.pbw_reconstruct(ranks, K.m, 8) == F)

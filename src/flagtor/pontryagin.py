@@ -387,15 +387,19 @@ def cobar_ext(K, coeff, beta, bound=DEFAULT_DEGREE_BOUND):
 # Milnor-Moore bookkeeping
 # ---------------------------------------------------------------------------
 
-def milnor_moore_check(K, coeff):
+def milnor_moore_check(K, coeff, e2_total=None):
     """Total dimension of the Tor table vs. total Betti of Z_K.
 
     For flag K the loop-homology spectral sequence degenerates, so the
-    two sums agree; a mismatch means an implementation bug.
+    two sums agree; a mismatch means an implementation bug.  Both totals
+    fold the same sweep unless ``e2_total`` supplies E2 from another
+    route, such as the Koszul slices.
     """
     _require_flag(K)
     if not coeff.is_field:
         raise ValueError("Milnor-Moore totals need field coefficients")
-    e2 = sum(tor_via_subcomplexes(K, coeff).totals_rank.values())
+    e2 = e2_total
+    if e2 is None:
+        e2 = sum(tor_via_subcomplexes(K, coeff).totals_rank.values())
     einf = sum(hochster.zk_homology(K, coeff).totals_rank.values())
     return {"e2_total": e2, "einf_total": einf, "collapse": e2 == einf}

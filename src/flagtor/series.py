@@ -14,17 +14,26 @@ The series functions take K alone and read one table, chi~(K_J) for
 every J, from ``complexes.chi_subcomplexes``; it and the Z-graded
 denominator are memoized for the last complex.
 
-Internally exponent vectors are packed into integers, five bits per
-variable, and terms are bucketed by total degree; convolution then runs
-on plain integer additions, which is what makes the degree-8 products
-over eight variables cheap.
+Internally an exponent vector is packed into an integer, one byte per
+variable with the first variable in the most significant byte, and terms
+are bucketed by total degree.  Every exponent is at most the truncation,
+which is capped at 31, so a sum of keys never carries across a byte:
+convolution runs on plain integer additions, which is what makes the
+degree-8 products over eight variables cheap, and the integer order of
+the keys is the lexicographic order of the vectors.
+
+``poincare_ozk`` and ``homotopy_ranks`` keep the last complex's series F
+and rank table, held at the highest truncation asked for so far; a lower
+truncation is read off them, since no term of degree <= t depends on a
+higher one.  Both are returned read-only: F as a ``MultiSeries`` that no
+caller mutates, the ranks as a ``MappingProxyType``.
 
 Logarithms come from the Euler operator E (degree d times d): for f with
 constant term 1, D = E(-log f) satisfies D f = -E f, a single bucket
 convolution that stays in the integers when f is integral.  Homotopy
 ranks are read off D by Moebius inversion with one exact division each,
 and the PBW round trip multiplies each generator's factor into one
-accumulator in place.
+accumulator in place, those of degree above trunc/2 all at once.
 """
 
 from __future__ import annotations
@@ -32,12 +41,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from types import MappingProxyType
 
 from . import complexes
 from .complexes import NotFlagError, f_vector, is_flag
 
-_SHIFT = 5
-_MAXCOORD = (1 << _SHIFT) - 1
+_MAXTRUNC = 31
 
 
 class NonUnitConstantTermError(ValueError):
@@ -49,15 +58,17 @@ class IntegralityViolationError(ValueError):
 
 
 def _pack(alpha):
-    key = 0
-    for i, a in enumerate(alpha):
-        if a:
-            key |= a << (_SHIFT * i)
-    return key
+    return int.from_bytes(bytes(alpha), "big")
 
 
 def _unpack(key, nvars):
-    return tuple((key >> (_SHIFT * i)) & _MAXCOORD for i in range(nvars))
+    return tuple(key.to_bytes(nvars, "big"))
+
+
+def _check_vector(alpha, nvars):
+    if len(alpha) != nvars or min(alpha, default=0) < 0:
+        raise ValueError(f"{tuple(alpha)} is not an exponent vector "
+                         f"of length {nvars}")
 
 
 def _log_derivative(buckets, trunc):
@@ -89,13 +100,20 @@ def _log_derivative(buckets, trunc):
 
 
 class MultiSeries:
-    """A truncated formal power series over exact rationals."""
+    """A truncated formal power series over exact rationals.
+
+    ``terms`` maps exponent vectors (nvars non-negative ints) to
+    coefficients; a term of total degree above ``trunc`` is cut off, and
+    any other key raises ``ValueError``.  ``coefficient`` raises on a
+    vector with an exponent above ``trunc``, as well as on one that is
+    not an exponent vector.
+    """
 
     __slots__ = ("nvars", "trunc", "_buckets")
 
     def __init__(self, nvars, trunc, terms=None, _buckets=None):
-        if trunc > _MAXCOORD:
-            raise ValueError(f"truncation capped at {_MAXCOORD}")
+        if not 0 <= trunc <= _MAXTRUNC:
+            raise ValueError(f"truncation must be in 0..{_MAXTRUNC}")
         self.nvars = nvars
         self.trunc = trunc
         self._buckets = {}
@@ -105,6 +123,7 @@ class MultiSeries:
                     self._buckets[d] = dict(b)
         elif terms:
             for k, v in terms.items():
+                _check_vector(k, nvars)
                 d = sum(k)
                 if v and d <= trunc:
                     self._buckets.setdefault(d, {})[_pack(k)] = v
@@ -122,6 +141,10 @@ class MultiSeries:
         return out
 
     def coefficient(self, alpha):
+        _check_vector(alpha, self.nvars)
+        if max(alpha, default=0) > self.trunc:
+            raise ValueError(f"{tuple(alpha)} has an exponent above the "
+                             f"truncation {self.trunc}")
         d = sum(alpha)
         return self._buckets.get(d, {}).get(_pack(alpha), 0)
 
@@ -267,14 +290,35 @@ def euler_denominator_t(K):
     return tuple(denom)
 
 
+_last = {}  # the last complex's tables: {"K": K, name: (trunc, table)}
+
+
+def _memoized(K, name, trunc, build, cut):
+    """K's table ``name`` at truncation trunc, built at most once per K.
+
+    The table is held at the highest truncation asked for so far; a lower
+    one is ``cut(table, trunc)``.  Only the last complex's tables are kept.
+    """
+    global _last
+    if _last.get("K") != K:
+        _last = {"K": K}
+    held = _last.get(name)
+    if held is None or held[0] < trunc:
+        held = _last[name] = (trunc, build(K, trunc))
+    return held[1] if held[0] == trunc else cut(held[1], trunc)
+
+
 def poincare_ozk(K, trunc):
     """Multigraded Poincare series of the loop homology of Z_K (flag case).
 
     Coefficient at alpha = dim of the (-|alpha|, 2 alpha) component.
+    Memoized for the last complex; the result must not be mutated.
     """
     if not is_flag(K):
         raise NotFlagError("Poincare series formula needs a flag complex")
-    return euler_denominator(K, trunc).inverse()
+    return _memoized(K, "F", trunc,
+                     lambda K, trunc: euler_denominator(K, trunc).inverse(),
+                     lambda F, trunc: MultiSeries(F.nvars, trunc, _buckets=F._buckets))
 
 
 def poincare_ozk_t(K, trunc):
@@ -354,10 +398,17 @@ def homotopy_ranks(K, trunc):
 
     The sum runs on packed keys: D_beta feeds alpha = k beta for every k
     with k |beta| <= trunc.  Raises if a value fails to be a non-negative
-    integer (which cannot happen for genuine flag input).
+    integer (which cannot happen for genuine flag input).  Memoized for
+    the last complex, and returned read-only in ascending order of alpha.
     """
     if not is_flag(K):
         raise NotFlagError("homotopy ranks are computed via the flag formula")
+    return _memoized(K, "ranks", trunc, _homotopy_ranks,
+                     lambda ranks, trunc: MappingProxyType(
+                         {a: r for a, r in ranks.items() if sum(a) <= trunc}))
+
+
+def _homotopy_ranks(K, trunc):
     # the Euler denominator at -x, an integer series with constant term 1
     f = {d: ({k: -v for k, v in b.items()} if d % 2 else b)
          for d, b in euler_denominator(K, trunc)._buckets.items()}
@@ -370,8 +421,8 @@ def homotopy_ranks(K, trunc):
                     break
                 sums[key * k] = sums.get(key * k, 0) + mu * v
     ranks = {}
-    for alpha, key in sorted((_unpack(key, K.m), key)
-                             for key, total in sums.items() if total):
+    for key in sorted(key for key, total in sums.items() if total):
+        alpha = _unpack(key, K.m)
         d = sum(alpha)
         total = sums[key] if d % 2 == 0 else -sums[key]
         if total < 0 or total % d:
@@ -379,7 +430,7 @@ def homotopy_ranks(K, trunc):
                 f"rank at {alpha} is {Fraction(total, d)}; "
                 "non-flag input smuggled in?")
         ranks[alpha] = total // d
-    return ranks
+    return MappingProxyType(ranks)
 
 
 def pbw_reconstruct(ranks, nvars, trunc):
@@ -390,15 +441,22 @@ def pbw_reconstruct(ranks, nvars, trunc):
     C(l, j) x^{j alpha}; the result must equal the loop homology series.
     Every factor multiplies the accumulator in place, walking its degree
     buckets downwards so that no term is read after it has been updated.
+    A generator of degree d with 2d > trunc keeps only the linear term
+    l x^alpha of its factor, and that term meets only terms of degree
+    < d; these generators are multiplied in last, one bucket convolution
+    per degree.
     """
     acc = MultiSeries.one(nvars, trunc)
     buckets = acc._buckets
-    for alpha in sorted(ranks):
-        l = ranks[alpha]
+    high = {}
+    for alpha, l in ranks.items():
         if l < 0:
             raise ValueError("ranks must be non-negative")
         d = sum(alpha)
         if l == 0 or d > trunc:
+            continue
+        if 2 * d > trunc:
+            high.setdefault(d, {})[_pack(alpha)] = l
             continue
         top = trunc // d if d % 2 == 0 else min(l, trunc // d)
         coeffs = [comb(l - 1 + j, j) if d % 2 == 0 else comb(l, j)
@@ -414,6 +472,17 @@ def pbw_reconstruct(ranks, nvars, trunc):
                 for k, v in src.items():
                     k += shift
                     tgt[k] = tgt.get(k, 0) + c * v
+    # sources have degree <= trunc - d < trunc/2 and targets degree >= d
+    for d, gens in high.items():
+        for e in range(trunc - d + 1):
+            src = buckets.get(e)
+            if not src:
+                continue
+            tgt = buckets.setdefault(e + d, {})
+            for step, l in gens.items():
+                for k, v in src.items():
+                    k += step
+                    tgt[k] = tgt.get(k, 0) + l * v
     return acc
 
 

@@ -5,6 +5,8 @@ from fractions import Fraction
 from math import comb, gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flagtor import checks
 from flagtor import complexes as C
@@ -294,3 +296,156 @@ def test_check_all_builds_the_chi_table_and_denominator_once():
     assert S.euler_denominator_t.cache_info().hits > 0
     assert type(C.chi_subcomplexes(K)) is tuple
     assert type(S.euler_denominator_t(K)) is tuple
+
+
+# ---------------------------------------------------------------------------
+# byte-packed keys, the PBW fold and the per-complex memo
+# ---------------------------------------------------------------------------
+
+def _vector_pairs(n):
+    vec = st.tuples(*[st.integers(0, S._MAXTRUNC)] * n)
+    return st.tuples(vec, vec)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 24).flatmap(_vector_pairs))
+def test_packed_keys_roundtrip_keep_order_and_add_coordinatewise(pair):
+    a, b = pair
+    ka, kb = S._pack(a), S._pack(b)
+    assert S._unpack(ka, len(a)) == a
+    assert (ka < kb) == (a < b)
+    assert S._unpack(ka + kb, len(a)) == tuple(x + y for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("terms", [{(-1, 2): 5}, {(1,): 5}, {(1, 2, 0): 5}])
+def test_series_rejects_keys_that_are_not_exponent_vectors(terms):
+    with pytest.raises(ValueError):
+        MultiSeries(2, 8, terms)
+
+
+def test_series_cuts_terms_with_an_exponent_above_the_truncation():
+    assert MultiSeries(2, 3, {(0, 0): 1, (4, 0): 5, (2, 2): 7}).terms == {(0, 0): 1}
+
+
+@pytest.mark.parametrize("alpha", [(-1, 2), (1,), (1, 2, 0), (4, 0)])
+def test_coefficient_rejects_bad_vectors(alpha):
+    F = MultiSeries(2, 3, {(0, 0): 1, (1, 2): 4})
+    assert F.coefficient((1, 2)) == 4
+    with pytest.raises(ValueError):
+        F.coefficient(alpha)
+
+
+def _pbw_per_generator(ranks, nvars, trunc):
+    """The in-place product with every generator's factor multiplied in
+    separately, in sorted order: the reference for the fold."""
+    acc = MultiSeries.one(nvars, trunc)
+    buckets = acc._buckets
+    for alpha in sorted(ranks):
+        l, d = ranks[alpha], sum(alpha)
+        if l == 0 or d > trunc:
+            continue
+        top = trunc // d if d % 2 == 0 else min(l, trunc // d)
+        coeffs = [comb(l - 1 + j, j) if d % 2 == 0 else comb(l, j)
+                  for j in range(1, top + 1)]
+        step = S._pack(alpha)
+        for e in range(trunc - d, -1, -1):
+            src = buckets.get(e)
+            if not src:
+                continue
+            for j, c in enumerate(coeffs[:(trunc - e) // d], 1):
+                tgt = buckets.setdefault(e + j * d, {})
+                for k, v in src.items():
+                    k += step * j
+                    tgt[k] = tgt.get(k, 0) + c * v
+    return acc
+
+
+def test_pbw_fold_matches_the_per_generator_product():
+    rng = random.Random(101)
+    for trial in range(120):
+        nvars = rng.randint(1, 4)
+        trunc = rng.randint(1, 9)
+        ranks = {}
+        # degrees around trunc/2, where the fold starts, and any others
+        for d in [trunc // 2, (trunc + 1) // 2, trunc // 2 + 1] + \
+                [rng.randint(1, trunc + 1) for _ in range(rng.randint(0, 8))]:
+            cuts = sorted(rng.randint(0, d) for _ in range(nvars - 1))
+            alpha = tuple(b - a for a, b in zip([0] + cuts, cuts + [d]))
+            if any(alpha):
+                ranks[alpha] = rng.choice([0, 1, 1, 2, 3, 7])
+        got = S.pbw_reconstruct(ranks, nvars, trunc)
+        assert got == _pbw_per_generator(ranks, nvars, trunc), (ranks, trunc)
+    K = C.random_flag(7, 0.5, 3)
+    for trunc in (7, 8):
+        ranks = S.homotopy_ranks(K, trunc)
+        assert S.pbw_reconstruct(ranks, K.m, trunc) == \
+            _pbw_per_generator(ranks, K.m, trunc) == S.poincare_ozk(K, trunc)
+
+
+def _counting(monkeypatch):
+    """Count calls to MultiSeries.inverse and series._log_derivative."""
+    calls = {"inverse": 0, "log": 0}
+    inverse, log = MultiSeries.inverse, S._log_derivative
+
+    def counted_inverse(self):
+        calls["inverse"] += 1
+        return inverse(self)
+
+    def counted_log(*args):
+        calls["log"] += 1
+        return log(*args)
+
+    monkeypatch.setattr(MultiSeries, "inverse", counted_inverse)
+    monkeypatch.setattr(S, "_log_derivative", counted_log)
+    return calls
+
+
+def _relabel(K, perm):
+    """K with vertex v renamed perm[v - 1]."""
+    return C.from_facets(K.m, [[perm[v - 1] for v in f] for f in K.facet_lists()])
+
+
+def test_series_memo_is_read_only_and_per_complex(monkeypatch):
+    monkeypatch.setattr(S, "_last", {})
+    calls = _counting(monkeypatch)
+    K = C.random_flag(7, 0.5, 4)
+    ranks = S.homotopy_ranks(K, 8)
+    F = S.poincare_ozk(K, 8)
+    with pytest.raises(TypeError):
+        ranks[(1,) * K.m] = 1
+    with pytest.raises(TypeError):
+        del ranks[next(iter(ranks))]
+    # an equal complex built anew, and lower truncations, are read off
+    again = C.from_facets(K.m, [list(f) for f in K.facet_lists()])
+    assert S.homotopy_ranks(again, 8) is ranks
+    assert S.poincare_ozk(again, 8) is F
+    assert list(S.homotopy_ranks(K, 5).items()) == \
+        [(a, r) for a, r in ranks.items() if sum(a) <= 5]
+    assert S.poincare_ozk(K, 4) == MultiSeries(K.m, 4, F.terms)
+    assert calls == {"inverse": 1, "log": 1}
+    assert list(ranks) == sorted(ranks)
+    # a relabelled isomorphic complex gets its own tables
+    perm = [3, 1, 7, 2, 6, 4, 5]
+    L = _relabel(K, perm)
+    assert L != K
+    moved = {tuple(a[perm.index(i + 1)] for i in range(K.m)): r
+             for a, r in ranks.items()}
+    assert dict(S.homotopy_ranks(L, 8)) == moved
+    assert list(S.homotopy_ranks(L, 8)) == sorted(moved)
+    assert S.poincare_ozk(L, 8).terms == {
+        tuple(a[perm.index(i + 1)] for i in range(K.m)): v
+        for a, v in F.terms.items()}
+    assert calls == {"inverse": 2, "log": 2}
+    # only the last complex is kept; a higher truncation is rebuilt
+    assert S.homotopy_ranks(K, 8) == ranks
+    assert S.homotopy_ranks(K, 9) is S.homotopy_ranks(K, 9)
+    assert calls["log"] == 4
+
+
+def test_second_check_all_on_one_complex_inverts_nothing(monkeypatch):
+    K = C.random_flag(8, 0.5, 2)
+    checks.check_all(K, H.INTEGERS, 8)
+    calls = _counting(monkeypatch)
+    again = C.from_facets(K.m, [list(f) for f in K.facet_lists()])
+    assert all(ok for _, ok, _ in checks.check_all(again, H.GF(3), 8))
+    assert calls == {"inverse": 0, "log": 0}
