@@ -46,9 +46,10 @@ print("  over Z:           ", P.tor_for_subset(rp2f, full, H.INTEGERS))
 
 # The quadratic dual algebra has a monomial basis of normal words; its
 # diagonal dimensions agree with a brute-force cobar computation of Ext.
+# The basis comes back as letter tuples, plus a count per exponent vector.
 words, counts = P.koszul_dual_basis(K, 2)
 print(f"\nnormal words of length 2 in the dual algebra: "
-      f"{[''.join(map(str, w.word)) for w in words]}")
+      f"{[''.join(map(str, w)) for w in words]}")
 print("Ext at beta = (1,1,0,0):", P.cobar_ext(K, H.RATIONALS, (1, 1, 0, 0)))
 
 # For a non-flag complex, Ext acquires classes off the diagonal, one for

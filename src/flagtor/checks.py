@@ -70,7 +70,7 @@ def check_all(K, coeff, trunc):
     if flag:
         record("link-equals-full-subcomplex", _links_are_full_subcomplexes(K))
 
-    if K.m <= hochster.SWEEP_CAP:
+    if K.m <= complexes.SWEEP_CAP:
         if flag:
             oracle = {}
             if K.m <= 10:

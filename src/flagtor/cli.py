@@ -153,9 +153,10 @@ def _subset_json(Jmask):
     return list(complexes.verts_of(Jmask))
 
 
-def _mask_multidegree_json(n, Jmask, m):
-    alpha = tuple((Jmask >> k) & 1 for k in range(m))
-    return {"n": n, **hochster.MultiDegree(Jmask.bit_count(), alpha).display()}
+def _degree_json(i, alpha):
+    """The multidegree (-i, 2 alpha) of homological index i and halved
+    exponent vector alpha: the one place where exponents are doubled."""
+    return {"t": -i, "lambda": [2 * a for a in alpha]}
 
 
 def emit(payload, cfg):
@@ -246,22 +247,24 @@ def _parse_alpha(text, m):
     return alpha
 
 
+def _tor_entry(n, J, m, rank, torsion):
+    """Tor_n at the multidegree (-|J|, 2J) of the vertex subset J."""
+    alpha = [(J >> k) & 1 for k in range(m)]
+    return {"n": n, **_degree_json(J.bit_count(), alpha), "J": _subset_json(J),
+            "rank": rank, "torsion": list(torsion)}
+
+
 def _cmd_tor(cfg, args):
+    m = cfg.K.m
     if args.subset is not None:
         # one multidegree column; works beyond the 2^m sweep cap
-        J = _parse_subset(args.subset, cfg.K.m)
+        J = _parse_subset(args.subset, m)
         slice_ = pontryagin.tor_for_subset(cfg.K, J, cfg.coeff)
-        entries = [
-            {**_mask_multidegree_json(n, J, cfg.K.m), "J": _subset_json(J),
-             "rank": r, "torsion": list(t)}
-            for n, (r, t) in sorted(slice_.items())]
+        entries = [_tor_entry(n, J, m, r, t) for n, (r, t) in sorted(slice_.items())]
         return {"coefficients": str(cfg.coeff), "entries": entries}
     table = pontryagin.tor_via_subcomplexes(cfg.K, cfg.coeff)
     rows = sorted((n, J, r, t) for (J, n), (r, t) in table.entries.items())
-    entries = [
-        {**_mask_multidegree_json(n, J, cfg.K.m), "J": _subset_json(J),
-         "rank": r, "torsion": list(t)}
-        for n, J, r, t in rows]
+    entries = [_tor_entry(n, J, m, r, t) for n, J, r, t in rows]
     # a degree that holds only torsion has rank 0
     degrees = sorted(table.totals_rank.keys() | table.totals_torsion.keys())
     return {"coefficients": str(cfg.coeff), "exact": cfg.coeff.is_field,
@@ -299,7 +302,7 @@ def _cmd_koszul_dual(cfg, args):
     return {
         "length": length,
         "total": len(words),
-        "words": [list(w.word) for w in words],
+        "words": [list(w) for w in words],
         "counts": [{"alpha": list(a), "count": c}
                    for a, c in sorted(counts.items())],
     }
@@ -320,8 +323,7 @@ def _cmd_mm_check(cfg, args):
 
 def _series_json(F):
     return {"trunc": F.trunc,
-            "terms": [{**hochster.MultiDegree(sum(k), k).display(),
-                       "coefficient": str(v)}
+            "terms": [{**_degree_json(sum(k), k), "coefficient": str(v)}
                       for k, v in sorted(F.terms.items())]}
 
 
@@ -335,9 +337,8 @@ def _cmd_series(cfg, args):
 
 def _cmd_ranks(cfg, args):
     ranks = series.homotopy_ranks(cfg.K, cfg.trunc)
-    return {"ranks": [{**hochster.MultiDegree(sum(a), a).display(),
-                       "alpha": list(a),
-                       "rank": r} for a, r in sorted(ranks.items())]}
+    return {"ranks": [{**_degree_json(sum(a), a), "alpha": list(a), "rank": r}
+                      for a, r in sorted(ranks.items())]}
 
 
 def _cmd_chi_check(cfg, args):
@@ -354,19 +355,6 @@ def _cmd_chi_check(cfg, args):
         route = "homotopy-rank"
     return {"alpha": list(alpha), "value": str(val),
             "nonnegative": bool(ok), "route": route}
-
-
-def _cmd_cat(cfg, args):
-    report = lscat.cat_report(cfg.K)
-    out = {"is_flag": report.is_flag,
-           "via_subcomplexes": report.via_subcomplexes,
-           "via_links": report.via_links}
-    if report.is_flag:
-        out["cat"] = report.cat_flag
-        out["toomer"] = report.toomer
-    else:
-        out["lower_bound"] = report.lower_bound_nonflag
-    return out
 
 
 def _cmd_toomer(cfg, args):
@@ -421,7 +409,7 @@ COMMANDS = {
     "series": _cmd_series,
     "ranks": _cmd_ranks,
     "chi-check": _cmd_chi_check,
-    "cat": _cmd_cat,
+    "cat": lambda cfg, args: lscat.cat_report(cfg.K),
     "toomer": _cmd_toomer,
     "cat-bound": _cmd_cat_bound,
     "cup-search": _cmd_cup_search,

@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 
 SWEEP_CAP = 24
@@ -116,8 +116,16 @@ def validate(K):
                 raise ValueError(f"not downward closed at {verts_of(f)}")
             low ^= bit
     if seen != K.full_mask:
-        missing = [v for v in range(1, K.m + 1) if not (seen >> (v - 1)) & 1]
-        raise GhostVertexError(f"ghost vertices {missing}")
+        _raise_ghosts(K.m, set(verts_of(seen & K.full_mask)))
+
+
+def _raise_ghosts(m, used):
+    """Raise GhostVertexError for the vertices of 1..m not in the set used,
+    naming only the first few, since m may be huge."""
+    count = m - len(used)
+    ghosts = list(islice((v for v in range(1, m + 1) if v not in used), 5))
+    more = f" and {count - 5} more" if count > 5 else ""
+    raise GhostVertexError(f"ghost vertices {ghosts}{more}")
 
 
 def _close_downward(masks):
@@ -145,7 +153,8 @@ def from_facets(m, facets_list):
     """Downward closure of the given facets (1-based vertex lists)."""
     if m < 1:
         raise VertexOutOfRangeError("need at least one vertex")
-    masks = []
+    facets_list = list(facets_list)  # read twice
+    used = set()
     for f in facets_list:
         for v in f:
             if not (1 <= v <= m):
@@ -156,15 +165,11 @@ def from_facets(m, facets_list):
             # faces are stored explicitly; a k-facet closes to 2^k faces
             raise ValueError(f"facet with {len(set(f))} vertices is out of "
                              "scope (face sets are stored explicitly)")
-        masks.append(mask_of(f))
-    faces = _close_downward(masks)
-    seen = 0
-    for f in faces:
-        seen |= f
-    if seen != (1 << m) - 1:
-        missing = [v for v in range(1, m + 1) if not (seen >> (v - 1)) & 1]
-        raise GhostVertexError(f"ghost vertices {missing}")
-    return SimplicialComplex(m, frozenset(faces))
+        used.update(f)
+    # decided on the vertex set, before any mask of m bits is built
+    if len(used) != m:
+        _raise_ghosts(m, used)
+    return SimplicialComplex(m, frozenset(_close_downward(map(mask_of, facets_list))))
 
 
 EMPTY_COMPLEX = SimplicialComplex(0, frozenset({0}), ())

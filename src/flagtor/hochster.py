@@ -47,7 +47,7 @@ from functools import lru_cache
 from itertools import chain, count, repeat
 
 from . import homology
-from .complexes import SWEEP_CAP, ComplexTooLargeError, check_sweep_cap  # noqa: F401 - re-exported
+from .complexes import ComplexTooLargeError, check_sweep_cap
 
 # sub-blocks of fewer J than this are settled J by J
 _SHORT = 16
@@ -60,26 +60,10 @@ _LOW = 0 if sys.byteorder == "little" else 1
 _PLUS_ONE = bytes(range(1, 256)) + b"\0"
 
 
-@dataclass(frozen=True)
-class MultiDegree:
-    """Homological index i plus a halved exponent vector alpha.
-
-    The externally visible degree is (-i, 2*alpha); serializers double
-    the exponents on output.
-    """
-
-    i: int
-    alpha: tuple
-
-    def display(self):
-        return {"t": -self.i, "lambda": [2 * a for a in self.alpha]}
-
-
 @dataclass
 class HochsterTable:
     """Per-(J, p) summands of H_*(Z_K) or H_*(R_K), plus totals."""
 
-    kind: str  # 'zk' | 'rk'
     # (Jmask, p) -> (rank, torsion): a read-only mapping over the store's
     # id array, in ascending J and then p; nothing per J is built until
     # it is read
@@ -495,7 +479,7 @@ def _histogram(store):
     return store.histogram
 
 
-def _assemble(kind, store, objs, shift_by_J):
+def _assemble(store, objs, shift_by_J):
     """The table of a swept store whose ids index objs.
 
     Totals are folded from the (profile id, |J|) histogram, group by group
@@ -514,20 +498,20 @@ def _assemble(kind, store, objs, shift_by_J):
                 rank[p] = rank.get(p, 0) + r * c
             if t:
                 torsion.setdefault(p, []).extend(t * c)
-    return HochsterTable(kind, _Entries(store, objs, shift_by_J), rank,
+    return HochsterTable(_Entries(store, objs, shift_by_J), rank,
                          {p: tuple(sorted(t)) for p, t in torsion.items()})
 
 
 def zk_homology(K, coeff):
     """H_p(Z_K) = sum over J of reduced H_{p-|J|-1}(K_J)."""
     store = subcomplex_profiles(K, coeff)
-    return _assemble("zk", store, store.objs, shift_by_J=True)
+    return _assemble(store, store.objs, shift_by_J=True)
 
 
 def rk_homology(K, coeff):
     """H_p(R_K) = sum over J of reduced H_{p-1}(K_J)."""
     store = subcomplex_profiles(K, coeff)
-    return _assemble("rk", store, store.objs, shift_by_J=False)
+    return _assemble(store, store.objs, shift_by_J=False)
 
 
 def _dualize(objs):
@@ -538,13 +522,13 @@ def _dualize(objs):
 def zk_cohomology(K, coeff):
     """H^p(Z_K) = sum over J of reduced H^{p-|J|-1}(K_J)."""
     store = subcomplex_profiles(K, coeff)
-    return _assemble("zk", store, _dualize(store.objs), shift_by_J=True)
+    return _assemble(store, _dualize(store.objs), shift_by_J=True)
 
 
 def rk_cohomology(K, coeff):
     """H^p(R_K) = sum over J of reduced H^{p-1}(K_J)."""
     store = subcomplex_profiles(K, coeff)
-    return _assemble("rk", store, _dualize(store.objs), shift_by_J=False)
+    return _assemble(store, _dualize(store.objs), shift_by_J=False)
 
 
 def torsion_primes(K):

@@ -104,10 +104,6 @@ class HomologyProfile:
             if r or t:
                 yield n, r, t
 
-    def total_dim(self):
-        """Sum of ranks (= total dimension over a field)."""
-        return sum(self.ranks.values())
-
     def hdim(self):
         """Top degree >= 0 with nonzero reduced homology, else -1."""
         top = -1

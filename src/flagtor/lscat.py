@@ -8,27 +8,15 @@ maximum of the Toomer invariants over Q and the torsion prime fields
 recovers the category.  For non-flag K, flagifying and discounting by
 nu(K) gives a lower bound.  A small exhaustive search for witnesses that
 the cup-length attains the category is included; coming up empty is a
-legitimate (and recorded) outcome.
+legitimate (and recorded) outcome.  ``cat_report`` gathers the values
+into one plain dict, the one the ``cat`` subcommand prints.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import hochster, homology
 from .complexes import NotFlagError, flagification, is_flag, link, nu_direct
 from .exact_linalg import rank_columns
-
-
-@dataclass
-class CatReport:
-    is_flag: bool
-    cat_flag: int = None
-    via_subcomplexes: int = 0
-    via_links: int = 0
-    toomer: dict = field(default_factory=dict)
-    lower_bound_nonflag: int = None
-    cup_witness: dict = None
 
 
 def max_subcomplex_cdim(K):
@@ -260,13 +248,18 @@ def cup_witness_search(K):
 
 
 def cat_report(K):
-    flag = is_flag(K)
-    report = CatReport(is_flag=flag)
-    report.via_subcomplexes = 1 + max_subcomplex_cdim(K)
-    report.via_links = cat_via_links(K)
-    if flag:
-        report.cat_flag = cat_zk(K)
-        report.toomer = toomer_report(K)
+    """The category of Z_K by subcomplexes and by links, as a dict.
+
+    Keys ``is_flag``, ``via_subcomplexes`` and ``via_links``; for flag K
+    also ``cat`` and ``toomer`` (the ``toomer_report``), and otherwise
+    ``lower_bound`` (``cat_lower_bound``).
+    """
+    report = {"is_flag": is_flag(K),
+              "via_subcomplexes": 1 + max_subcomplex_cdim(K),
+              "via_links": cat_via_links(K)}
+    if report["is_flag"]:
+        report["cat"] = cat_zk(K)
+        report["toomer"] = toomer_report(K)
     else:
-        report.lower_bound_nonflag = cat_lower_bound(K)
+        report["lower_bound"] = cat_lower_bound(K)
     return report

@@ -19,11 +19,13 @@ It also enumerates a monomial basis of the quadratic dual algebra
 and computes Ext of the Stanley-Reisner ring by a brute-force cobar
 slice, so the diagonal identity between the two can be verified on
 actual numbers.
+
+Results are plain data: a slice is a pair (basis by degree, differential
+columns by degree), a basis word is a tuple of letters, and exponent
+vectors are halved, as in the multidegree 2*beta.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from . import hochster, homology
 from .complexes import NotFlagError, adjacency, is_flag
@@ -173,21 +175,6 @@ def tor_via_koszul_complex(K, coeff, beta):
 # the quadratic dual: normal-word basis
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class KoszulDualWord:
-    """A basis monomial u_{w_1}...u_{w_s} of the quadratic dual algebra."""
-
-    word: tuple
-    degree: hochster.MultiDegree
-
-    @classmethod
-    def make(cls, word, m):
-        alpha = [0] * m
-        for v in word:
-            alpha[v - 1] += 1
-        return cls(tuple(word), hochster.MultiDegree(len(word), tuple(alpha)))
-
-
 def _can_append(word, x, adj):
     """Keep only words that are canonical in their commutation class.
 
@@ -242,15 +229,15 @@ def normal_words(K, length):
 
 
 def koszul_dual_basis(K, length):
-    """Basis words of length s plus their count per exponent vector."""
+    """The basis words of the given length plus their count per exponent
+    vector: the words as letter tuples, in lexicographic order, and a dict
+    alpha -> count."""
     words = normal_words(K, length)
     counts = {}
     for w in words:
-        alpha = [0] * K.m
-        for v in w:
-            alpha[v - 1] += 1
-        counts[tuple(alpha)] = counts.get(tuple(alpha), 0) + 1
-    return [KoszulDualWord.make(w, K.m) for w in words], counts
+        alpha = _exponents(w, K.m)
+        counts[alpha] = counts.get(alpha, 0) + 1
+    return words, counts
 
 
 def normal_word_counts(K, max_total):
@@ -259,41 +246,29 @@ def normal_word_counts(K, max_total):
     for word in _walk_normal_words(K, max_total):
         key = tuple(sorted(word))
         by_letters[key] = by_letters.get(key, 0) + 1
-    counts = {}
-    for letters, c in by_letters.items():
-        alpha = [0] * K.m
-        for v in letters:
-            alpha[v - 1] += 1
-        counts[tuple(alpha)] = c
-    return counts
+    return {_exponents(letters, K.m): c for letters, c in by_letters.items()}
+
+
+def _exponents(letters, m):
+    """The exponent vector of a word: how often each letter 1..m occurs."""
+    alpha = [0] * m
+    for v in letters:
+        alpha[v - 1] += 1
+    return tuple(alpha)
 
 
 # ---------------------------------------------------------------------------
 # cobar construction of the Stanley-Reisner coalgebra
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CobarComplexSlice:
-    """The finite piece of the cobar construction at multidegree 2*beta.
-
-    ``words[s]`` lists the length-s tensor words; ``matrices[s]`` holds
-    the columns of the (degree-raising) differential C_s -> C_{s+1}.
-    """
-
-    beta: tuple
-    words: dict
-    matrices: dict
-
-    def __iter__(self):  # allows `words, matrices = cobar_slice(...)`
-        return iter((self.words, self.matrices))
-
-
 def cobar_slice(K, beta):
     """Words and differential of the cobar slice at multidegree 2*beta.
 
     Words are tuples of nonzero exponent vectors with face support
-    summing to beta; the differential splits one letter via the
-    deconcatenation coproduct with alternating signs:
+    summing to beta.  Returns (words, matrices), where words[s] lists the
+    length-s words and matrices[s] holds the columns of the differential
+    C_s -> C_{s+1}, which splits one letter via the deconcatenation
+    coproduct with alternating signs:
 
         d[x_1|..|x_s] = sum_k (-1)^k [x_1|..|x'_k|x''_k|..|x_s].
 
@@ -337,7 +312,7 @@ def cobar_slice(K, beta):
                     col[r] = col.get(r, 0) + sign
             cols.append([(r, v) for r, v in col.items() if v])
         matrices[s] = cols
-    return CobarComplexSlice(beta, words, matrices)
+    return words, matrices
 
 
 def _subvectors(vec):

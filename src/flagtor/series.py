@@ -28,12 +28,15 @@ truncation is read off them, since no term of degree <= t depends on a
 higher one.  Both are returned read-only: F as a ``MultiSeries`` that no
 caller mutates, the ranks as a ``MappingProxyType``.
 
-Logarithms come from the Euler operator E (degree d times d): for f with
-constant term 1, D = E(-log f) satisfies D f = -E f, a single bucket
-convolution that stays in the integers when f is integral.  Homotopy
-ranks are read off D by Moebius inversion with one exact division each,
-and the PBW round trip multiplies each generator's factor into one
-accumulator in place, those of degree above trunc/2 all at once.
+The inverse and the logarithm are one division: ``_divide`` solves
+q f = h degree by degree for f with constant term 1, one bucket
+convolution.  ``MultiSeries.inverse`` divides 1 by f.  Logarithms come
+from the Euler operator E (degree d times d): D = E(-log f) satisfies
+D f = -E f, so ``_log_derivative`` divides -E f by f, and D stays in the
+integers when f is integral.  Homotopy ranks are read off D by Moebius
+inversion with one exact division each, and the PBW round trip
+multiplies each generator's factor into one accumulator in place, those
+of degree above trunc/2 all at once.
 """
 
 from __future__ import annotations
@@ -71,26 +74,25 @@ def _check_vector(alpha, nvars):
                          f"of length {nvars}")
 
 
-def _log_derivative(buckets, trunc):
-    """Buckets of D = E(-log f) for a series f with constant term 1.
+def _divide(h, f, trunc):
+    """Buckets of q = h / f up to degree trunc, for f with constant term 1.
 
-    E is the Euler operator, which multiplies each degree-d term by d.
-    From E(log f) * f = E f and f_0 = 1,
+    h and f are buckets.  From q f = h and f_0 = 1, degree by degree,
 
-        D_d = -d f_d - sum_{0<j<d} D_j f_{d-j},
+        q_d = h_d - sum_{0<j<=d} f_j q_{d-j},
 
-    one bucket convolution; D is integral whenever f is.
+    one bucket convolution; q is integral whenever h and f are.
     """
     out = {}
-    for d in range(1, trunc + 1):
-        cur = {k: -d * v for k, v in buckets.get(d, {}).items()}
-        for j, lower in out.items():
-            fb = buckets.get(d - j)
-            if not fb:
+    for d in range(trunc + 1):
+        cur = dict(h.get(d, ()))
+        for j in range(1, d + 1):
+            fb, prev = f.get(j), out.get(d - j)
+            if not fb or not prev:
                 continue
-            fb = list(fb.items())
-            for k1, v1 in lower.items():
-                for k2, v2 in fb:
+            prev = list(prev.items())
+            for k1, v1 in fb.items():
+                for k2, v2 in prev:
                     k = k1 + k2
                     cur[k] = cur.get(k, 0) - v1 * v2
         cur = {k: v for k, v in cur.items() if v}
@@ -99,14 +101,24 @@ def _log_derivative(buckets, trunc):
     return out
 
 
+def _log_derivative(buckets, trunc):
+    """Buckets of D = E(-log f) for a series f with constant term 1.
+
+    E is the Euler operator, which multiplies each degree-d term by d.
+    From E(log f) * f = E f, D is the quotient -E f / f.
+    """
+    minus_ef = {d: {k: -d * v for k, v in b.items()} for d, b in buckets.items() if d}
+    return _divide(minus_ef, buckets, trunc)
+
+
 class MultiSeries:
     """A truncated formal power series over exact rationals.
 
     ``terms`` maps exponent vectors (nvars non-negative ints) to
     coefficients; a term of total degree above ``trunc`` is cut off, and
     any other key raises ``ValueError``.  ``coefficient`` raises on a
-    vector with an exponent above ``trunc``, as well as on one that is
-    not an exponent vector.
+    vector of total degree above ``trunc``, whose coefficient the series
+    does not hold, as well as on one that is not an exponent vector.
     """
 
     __slots__ = ("nvars", "trunc", "_buckets")
@@ -142,10 +154,10 @@ class MultiSeries:
 
     def coefficient(self, alpha):
         _check_vector(alpha, self.nvars)
-        if max(alpha, default=0) > self.trunc:
-            raise ValueError(f"{tuple(alpha)} has an exponent above the "
-                             f"truncation {self.trunc}")
         d = sum(alpha)
+        if d > self.trunc:
+            raise ValueError(f"{tuple(alpha)} has total degree above the "
+                             f"truncation {self.trunc}")
         return self._buckets.get(d, {}).get(_pack(alpha), 0)
 
     def __eq__(self, other):
@@ -201,26 +213,8 @@ class MultiSeries:
         """Degree-by-degree inverse of a series with constant term 1."""
         if self._buckets.get(0, {}).get(0, 0) != 1:
             raise NonUnitConstantTermError("constant term must be 1")
-        out = {0: {0: 1}}
-        for d in range(1, self.trunc + 1):
-            cur = {}
-            for dd, b in self._buckets.items():
-                if not 0 < dd <= d:
-                    continue
-                prev = out.get(d - dd)
-                if not prev:
-                    continue
-                for k1, v1 in b.items():
-                    for k2, v2 in prev.items():
-                        k = k1 + k2
-                        nv = cur.get(k, 0) - v1 * v2
-                        if nv:
-                            cur[k] = nv
-                        else:
-                            del cur[k]
-            if cur:
-                out[d] = cur
-        return MultiSeries(self.nvars, self.trunc, _buckets=out)
+        return MultiSeries(self.nvars, self.trunc,
+                           _buckets=_divide({0: {0: 1}}, self._buckets, self.trunc))
 
     def z_graded(self):
         """Collapse to totals per degree: list indexed by |alpha|."""

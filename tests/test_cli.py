@@ -4,7 +4,7 @@ import hashlib
 import json
 
 import pytest
-from _cli import flagtor
+from _cli import flagtor, python
 from _fixtures import RP2_FLAG12
 
 from flagtor import cli, complexes, hochster, lscat, pontryagin, series
@@ -145,6 +145,20 @@ def test_malformed_input_json_exits_two(tmp_path, text):
     assert "Traceback" not in r.stderr
 
 
+def test_huge_vertex_count_exits_two_naming_a_few_ghosts(tmp_path):
+    # no mask of m bits may be built: the child runs under a 2 GB cap
+    path = tmp_path / "k.json"
+    path.write_text('{"m": 1000000000000, "facets": [[1]]}')
+    r = python("-c", "import resource; "
+               "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+               "from flagtor.cli import main; main()",
+               "info", "--input", str(path))
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.splitlines() == [
+        "error: ghost vertices [2, 3, 4, 5, 6] and 999999999994 more"]
+
+
 @pytest.mark.parametrize("argv", [
     ("koszul-dual", "--named", "cycle:5", "--length", "-1"),
     ("chi-check", "--named", "cycle:4", "--alpha", "1,-1,1,1"),
@@ -251,8 +265,47 @@ def test_flag_rp2_stdout_is_pinned(command):
     assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest
 
 
+# sha256 of stdout on small named complexes, for the commands that render
+# multidegrees, words, slices, series, ranks and the category report
+SMALL_STDOUT = {
+    ("cat", "--named", "octahedron"):
+        ("1d97544681ef1beb19809f20c7064e03285ad1b14e40bb9cf429afb09d46ad6a",
+         lambda result: result["cat"] == 3 and result["toomer"]["max"] == 3),
+    ("cat", "--named", "boundary:4"):
+        ("008869a1587e06c218ab4b3a7f595003229c20b464efe8d535bf0891785709d9",
+         lambda result: not result["is_flag"] and "cat" not in result
+         and result["via_links"] == 3),
+    ("koszul-dual", "--named", "cycle:5", "--length", "3"):
+        ("4d808bf5d090265f1b6ec5218ed241f2b73f659e4e5a2e8cbd90a1522bcf1e5c",
+         lambda result: result["total"] == 40
+         and result["words"][0] == [1, 2, 3]),
+    ("cobar-ext", "--named", "cycle:4", "--alpha", "2,1,1,0"):
+        ("95076334fdaa5602ccdb899e68f996dd42b6046fa3a327305aea10b2f47bac21",
+         lambda result: result["ext_dims"] == {"4": 1}),
+    ("cobar-ext", "--named", "boundary:3", "--alpha", "1,1,1"):
+        ("76ef6d797c6b9b5f0af4e274ea3f0e8f3d11420ac350216173d9ff56e296d950",
+         lambda result: result["ext_dims"]["2"] == 1),
+    ("ranks", "--named", "cycle:5", "--trunc", "6"):
+        ("cac392440d4fdfc08cdb08d273314c909df8df4e679d9fb231f572879bbc6cf6",
+         lambda result: len(result["ranks"]) == 76
+         and sum(e["rank"] for e in result["ranks"]) == 99),
+    ("series", "--named", "cycle:5", "--trunc", "6"):
+        ("ebc8ccd027c478d76258f579c5a9d0571088823a3b305b40600cb0e83c2fe0bb",
+         lambda result: result["z_graded"] == [1, 0, 5, 5, 25, 49, 150]),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(SMALL_STDOUT), ids=" ".join)
+def test_small_stdout_is_pinned(argv):
+    digest, holds = SMALL_STDOUT[argv]
+    r = flagtor(*argv)
+    assert r.returncode == 0, r.stderr
+    assert holds(json.loads(r.stdout)["result"])
+    assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest
+
+
 def test_tor_by_degree_keeps_a_degree_with_only_torsion(monkeypatch, capsys):
-    table = hochster.HochsterTable("rk", {(0, 0): (1, ()), (7, 3): (0, (2,))},
+    table = hochster.HochsterTable({(0, 0): (1, ()), (7, 3): (0, (2,))},
                                    {0: 1}, {3: (2,)})
     monkeypatch.setattr(pontryagin, "tor_via_subcomplexes", lambda K, coeff: table)
     assert cli.run(["tor", "--named", "cycle:3", "--coeff", "z"]) == 0

@@ -398,7 +398,3 @@ def test_torsion_primes_harvest():
     assert Ho.torsion_primes(K) == [2]
     assert Ho.torsion_primes(C.cycle_complex(4)) == []
 
-
-def test_multidegree_display_doubles_exponents():
-    md = Ho.MultiDegree(2, (1, 0, 1))
-    assert md.display() == {"t": -2, "lambda": [2, 0, 2]}

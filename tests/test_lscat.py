@@ -121,8 +121,11 @@ def test_cup_witness_skipped_for_simplex():
 
 def test_cat_report_shapes():
     rep = L.cat_report(C.cycle_complex(4))
-    assert rep.is_flag and rep.cat_flag == 2
-    assert rep.via_subcomplexes == rep.via_links == 2
+    assert rep["is_flag"] and rep["cat"] == 2
+    assert rep["via_subcomplexes"] == rep["via_links"] == 2
+    assert rep["toomer"] == L.toomer_report(C.cycle_complex(4))
+    assert "lower_bound" not in rep
     rep = L.cat_report(C.simplex_boundary(3))
-    assert not rep.is_flag
-    assert rep.lower_bound_nonflag == -1
+    assert sorted(rep) == ["is_flag", "lower_bound", "via_links", "via_subcomplexes"]
+    assert not rep["is_flag"]
+    assert rep["lower_bound"] == -1

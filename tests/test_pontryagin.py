@@ -290,8 +290,8 @@ def test_koszul_dual_basis_degrees():
     assert len(words) == 8
     assert counts[(1, 1, 0, 0)] == 1  # only u1u2 (the edge anticommutes)
     assert counts[(1, 0, 1, 0)] == 2  # u1u3 and u3u1 (no relation)
-    w = words[0]
-    assert w.degree.i == 2 and sum(w.degree.alpha) == 2
+    assert words[0] == (1, 2)
+    assert words == sorted(words) and all(len(w) == 2 for w in words)
 
 
 def test_cobar_examples():

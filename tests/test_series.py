@@ -327,12 +327,16 @@ def test_series_cuts_terms_with_an_exponent_above_the_truncation():
     assert MultiSeries(2, 3, {(0, 0): 1, (4, 0): 5, (2, 2): 7}).terms == {(0, 0): 1}
 
 
-@pytest.mark.parametrize("alpha", [(-1, 2), (1,), (1, 2, 0), (4, 0)])
+@pytest.mark.parametrize("alpha", [(-1, 2), (1,), (1, 2, 0), (4, 0), (2, 2)])
 def test_coefficient_rejects_bad_vectors(alpha):
     F = MultiSeries(2, 3, {(0, 0): 1, (1, 2): 4})
     assert F.coefficient((1, 2)) == 4
     with pytest.raises(ValueError):
         F.coefficient(alpha)
+    # (2, 2) has total degree 4 > 3: a series cut at 3 does not know its
+    # coefficient, which for 1/(1 - x - y) is C(4, 2) = 6
+    f = {(0, 0): 1, (1, 0): -1, (0, 1): -1}
+    assert MultiSeries(2, 4, f).inverse().coefficient((2, 2)) == 6
 
 
 def _pbw_per_generator(ranks, nvars, trunc):
