@@ -11,6 +11,7 @@ slices, and more.  ``check_all`` is the library entry point; the
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from math import gcd
 
 from . import complexes, exact_linalg, hochster, homology, lscat, pontryagin, series
@@ -174,10 +175,11 @@ def _tor_matches_koszul_slices(K, masks_by_ring):
 
     Tor_n at J is reduced H_{n-1}(K_J), read off the sweep's profiles.
     ``masks_by_ring`` maps each field to the J it checks (every J for
-    m <= 10, else 128 sampled ones).  Each J's slice is built once and
-    every field that asks for J runs on it.  Returns {field: (ok, total)}
-    with ok true when every J matched, and total the sum of the slice
-    ranks over the field's J.
+    m <= 10, else 128 sampled ones).  The slices are read from
+    ``_squarefree_slices``, so each is built once per complex, and every
+    field that asks for J eliminates J's slice on every call.  Returns
+    {field: (ok, total)} with ok true when every J matched, and total the
+    sum of the slice ranks over the field's J.
     """
     profiles = {ring: hochster.subcomplex_profiles(K, ring) for ring in masks_by_ring}
     rings_at = {}
@@ -186,10 +188,9 @@ def _tor_matches_koszul_slices(K, masks_by_ring):
             rings_at.setdefault(J, []).append(ring)
     ok = dict.fromkeys(masks_by_ring, True)
     total = dict.fromkeys(masks_by_ring, 0)
+    slices = _squarefree_slices(K)
     for J in sorted(rings_at):
-        beta = tuple((J >> i) & 1 for i in range(K.m))
-        bases, matrices = pontryagin.koszul_slice(K, beta)
-        sizes = {t: len(bs) for t, bs in bases.items()}
+        sizes, matrices = slices.get(J) or _build_squarefree_slice(K, J, slices)
         for ring in rings_at[J]:
             slice_h = {n: r for n, r, _ in
                        homology.chain_homology(sizes, matrices, ring).rows()}
@@ -197,6 +198,26 @@ def _tor_matches_koszul_slices(K, masks_by_ring):
             if slice_h != {d + 1: r for d, r, _ in profiles[ring][J].rows()}:
                 ok[ring] = False
     return {ring: (ok[ring], total[ring]) for ring in masks_by_ring}
+
+
+@lru_cache(maxsize=1)
+def _squarefree_slices(K):
+    """The Koszul slices of the last complex at the squarefree degrees 2J,
+    {J: (sizes, matrices)}, filled J by J as the Tor oracle asks for them.
+
+    A slice depends on K and J alone, so the four rings of ``check-all``
+    share one construction.  Only this module fills the table, and nothing
+    computed from a slice is kept in it.
+    """
+    return {}
+
+
+def _build_squarefree_slice(K, J, slices):
+    """Build the slice at 2J into ``slices`` and return it."""
+    beta = tuple((J >> i) & 1 for i in range(K.m))
+    bases, matrices = pontryagin.koszul_slice(K, beta)
+    slices[J] = {t: len(bs) for t, bs in bases.items()}, matrices
+    return slices[J]
 
 
 def _tor_vanishes_off_squarefree(K, coeff, trunc, rng):

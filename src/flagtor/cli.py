@@ -17,6 +17,7 @@ import json
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from math import gcd
 
 from . import checks, complexes, hochster, homology, lscat, pontryagin, series
@@ -131,7 +132,10 @@ def _load_complex(args):
                         for f in facets)):
             raise ValueError(f"{args.input}: 'facets' must be a list of "
                              "lists of integers")
-        return complexes.from_facets(m, facets)
+        try:
+            return complexes.from_facets(m, facets)
+        except ValueError as exc:
+            raise ValueError(f"{args.input}: {exc}") from exc
     raise ValueError("one of --named or --input is required")
 
 
@@ -159,9 +163,104 @@ def _degree_json(i, alpha):
     return {"t": -i, "lambda": [2 * a for a in alpha]}
 
 
+# the leaves json.dumps renders alike with and without indent; bool is
+# not int here, so True never prints as 1
+_LEAF_TEXT = {str: encode_basestring_ascii, int: int.__repr__,
+              bool: {True: "true", False: "false"}.__getitem__,
+              type(None): lambda _: "null"}
+_BATCH = 1 << 12  # chunks per write
+
+
+@lru_cache(maxsize=None)
+def _level(depth):
+    """The layout of a container at ``depth``: the newline and indent
+    before an item, the separator between items, the text before the
+    closing bracket, and the C encoder of a list of leaves."""
+    inner = "\n" + "  " * (depth + 1)
+    return (inner, "," + inner, inner[:-2],
+            c_make_encoder(None, None, encode_basestring_ascii, None, ": ",
+                           "," + inner, False, False, True))
+
+
+def _flat_list_text(o, depth):
+    """The text of a nonempty list of leaves at ``depth``: one C call."""
+    inner, _, close, encode = _level(depth)
+    return "[" + inner + encode(o, 0)[0][1:-1] + close + "]"
+
+
+def _write_json(obj, write):
+    """Write the text of json.dumps(obj, sort_keys=True, indent=2) through
+    ``write``, a few thousand chunks per call.
+
+    With ``indent`` set, json.dumps runs its pure-Python encoder.  Here
+    dicts and lists are walked in Python, and a list of leaves alone
+    (int, str, bool, None) is one call to the C encoder, whose item
+    separator carries the newline and the indent.  Chunks are written
+    between the items of a list: every long container of a report is one.
+    """
+    chunks = []
+    append = chunks.append
+    keys = {}
+    leaf_text = _LEAF_TEXT.get
+    leaf_types = _LEAF_TEXT.keys()
+
+    def walk(o, depth):
+        """Append o, a value at ``depth``; the loops below append the
+        leaves of a container themselves."""
+        if not isinstance(o, (dict, list, tuple)):
+            append(json.dumps(o))
+            return
+        if not o:
+            append("{}" if isinstance(o, dict) else "[]")
+            return
+        inner, sep, close, _ = _level(depth)
+        if isinstance(o, dict):
+            opening = "{" + inner
+            for k in sorted(o):
+                key = keys.get(k)
+                if key is None:
+                    key = json.dumps({k: 0})[1:-2]  # '"k": '
+                    if type(k) is str:  # 1, 1.0 and True are one dict key
+                        keys[k] = key
+                v = o[k]
+                text = leaf_text(type(v))
+                if text is not None:
+                    append(opening + key + text(v))
+                elif type(v) is list and v and leaf_types >= set(map(type, v)):
+                    append(opening + key + _flat_list_text(v, depth + 1))
+                else:
+                    append(opening + key)
+                    walk(v, depth + 1)
+                opening = sep
+            append(close + "}")
+        elif leaf_types >= set(map(type, o)):
+            append(_flat_list_text(o, depth))
+        else:
+            opening = "[" + inner
+            for v in o:
+                text = leaf_text(type(v))
+                if text is not None:
+                    append(opening + text(v))
+                else:
+                    append(opening)
+                    walk(v, depth + 1)
+                opening = sep
+                if len(chunks) >= _BATCH:
+                    write("".join(chunks))
+                    chunks.clear()
+            append(close + "]")
+
+    walk(obj, 0)
+    write("".join(chunks))
+
+
 def emit(payload, cfg):
+    """Write the report to stdout: the text of json.dumps(payload,
+    sort_keys=True, indent=2) and a newline, or a plain table."""
     if cfg.out == "json":
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        _write_json(payload, sys.stdout.write)
+        sys.stdout.write("\n")
+        return
     lines = []
 
     def walk(prefix, obj):
@@ -172,7 +271,7 @@ def emit(payload, cfg):
             lines.append(f"{prefix[:-1]}: {obj}")
 
     walk("", payload)
-    return "\n".join(lines) + "\n"
+    sys.stdout.write("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +603,7 @@ def run(argv=None):
 
     result = {"m": cfg.K.m, "facets": [list(t) for t in cfg.K.facet_lists()],
               "command": args.command, "result": payload}
-    sys.stdout.write(emit(result, cfg))
+    emit(result, cfg)
     if args.command == "check-all":
         for c in payload["checks"]:
             print(f"{c['status']} {c['name']}"

@@ -60,6 +60,28 @@ class IntegralityViolationError(ValueError):
     """A quantity that must be a non-negative integer came out otherwise."""
 
 
+# A series in m variables up to total degree t can hold C(m + t, t) terms.
+# The budget admits m = 16 at t = 8 (735,471 terms) and refuses m = 18 at
+# t = 8 (1,562,275), where `series` ran out of memory under a 3 GB limit.
+SERIES_BUDGET = 1_000_000
+
+
+class SeriesTooLargeError(ValueError):
+    """A multigraded series could hold more than ``SERIES_BUDGET`` terms."""
+
+
+def _check_series_budget(K, trunc):
+    """Raise before building a series in K.m variables to degree trunc
+    that could hold more than SERIES_BUDGET terms; check the sweep cap
+    first, since the series reads chi~ of every full subcomplex."""
+    complexes.check_sweep_cap(K)
+    terms = comb(K.m + trunc, trunc)
+    if terms > SERIES_BUDGET:
+        raise SeriesTooLargeError(
+            f"a series in {K.m} variables to total degree {trunc} can hold "
+            f"{terms} terms, over the budget of {SERIES_BUDGET}")
+
+
 def _pack(alpha):
     return int.from_bytes(bytes(alpha), "big")
 
@@ -310,6 +332,7 @@ def poincare_ozk(K, trunc):
     """
     if not is_flag(K):
         raise NotFlagError("Poincare series formula needs a flag complex")
+    _check_series_budget(K, trunc)
     return _memoized(K, "F", trunc,
                      lambda K, trunc: euler_denominator(K, trunc).inverse(),
                      lambda F, trunc: MultiSeries(F.nvars, trunc, _buckets=F._buckets))
@@ -397,6 +420,7 @@ def homotopy_ranks(K, trunc):
     """
     if not is_flag(K):
         raise NotFlagError("homotopy ranks are computed via the flag formula")
+    _check_series_budget(K, trunc)
     return _memoized(K, "ranks", trunc, _homotopy_ranks,
                      lambda ranks, trunc: MappingProxyType(
                          {a: r for a, r in ranks.items() if sum(a) <= trunc}))

@@ -9,6 +9,7 @@ from _fixtures import rp2_flag12
 
 
 def _count_squarefree_slices(monkeypatch):
+    checks._squarefree_slices.cache_clear()  # an earlier test may have filled it
     seen = []
     koszul_slice = P.koszul_slice
 
@@ -29,6 +30,38 @@ def test_check_all_over_z_builds_each_squarefree_slice_once(monkeypatch):
     assert sorted(seen) == list(range(1 << K.m))
     names = [name for name, _, _ in results]
     assert names.index("milnor-moore-collapse-Q") < names.index("tor-oracle-squarefree-Q")
+
+
+def test_check_alls_on_one_complex_build_each_squarefree_slice_once(monkeypatch):
+    K = C.random_flag(7, 0.5, 5)
+    seen = _count_squarefree_slices(monkeypatch)
+    # the second K is equal, not identical, as when each run reads a file
+    copy = C.from_facets(K.m, [list(f) for f in K.facet_lists()])
+    for L, coeff in ((K, H.RATIONALS), (copy, H.INTEGERS)):
+        assert all(ok for _, ok, _ in checks.check_all(L, coeff, 8))
+    assert sorted(seen) == list(range(1 << K.m))
+
+
+def test_a_built_slice_is_eliminated_on_every_call(monkeypatch):
+    K = C.cycle_complex(5)
+    masks = {H.RATIONALS: range(1 << K.m), H.GF(2): [K.full_mask]}
+    # builds the table and both sweeps
+    assert checks._tor_matches_koszul_slices(K, masks) == \
+        {H.RATIONALS: (True, 12), H.GF(2): (True, 1)}
+    # a wrong elimination on the warm table must still be seen
+    chain_homology = H.chain_homology
+    calls = []
+
+    def off_by_one(dims, matrices, coeff, known=None):
+        calls.append(coeff)
+        prof = chain_homology(dims, matrices, coeff, known)
+        return H.HomologyProfile({n: r + 1 for n, r in prof.ranks.items()},
+                                 prof.torsion)
+
+    monkeypatch.setattr(H, "chain_homology", off_by_one)
+    oracle = checks._tor_matches_koszul_slices(K, masks)
+    assert [ok for ok, _ in oracle.values()] == [False, False]
+    assert len(calls) == (1 << K.m) + 1
 
 
 def test_oracle_runs_each_field_on_its_own_subsets():

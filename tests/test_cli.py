@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 from _cli import flagtor, python
@@ -132,6 +133,7 @@ def test_ignored_options_are_accepted_and_change_nothing(tmp_path):
     '{"m": 3, "facets": [["a"]]}',
     '{"m": 3, "facets": [[1.5]]}',
     '{"m": 3}',
+    '{"m": 4, "facets": [[1, 3]]}',
 ])
 def test_malformed_input_json_exits_two(tmp_path, text):
     path = tmp_path / "k.json"
@@ -156,7 +158,7 @@ def test_huge_vertex_count_exits_two_naming_a_few_ghosts(tmp_path):
     assert r.returncode == 2
     assert r.stdout == ""
     assert r.stderr.splitlines() == [
-        "error: ghost vertices [2, 3, 4, 5, 6] and 999999999994 more"]
+        f"error: {path}: ghost vertices [2, 3, 4, 5, 6] and 999999999994 more"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -302,6 +304,78 @@ def test_small_stdout_is_pinned(argv):
     assert r.returncode == 0, r.stderr
     assert holds(json.loads(r.stdout)["result"])
     assert hashlib.sha256(r.stdout.encode()).hexdigest() == digest
+
+
+# every subcommand, with the options that change the payload's shape
+EVERY_COMMAND = [
+    ("info", "--named", "boundary:3+boundary:6"),
+    ("homology", "--named", "rp2", "--coeff", "z"),
+    ("zk-homology", "--named", "rp2+cycle:4", "--coeff", "z", "--detail", "--dual"),
+    ("rk-homology", "--named", "cycle:5", "--detail"),
+    ("tor", "--input", str(RP2_FLAG12), "--coeff", "z"),
+    ("tor", "--named", "cycle:6", "--subset", "1,3,5"),
+    ("gens-rels", "--named", "random-flag:7:40:1", "--coeff", "fp:2"),
+    ("gens-rels", "--named", "cycle:5", "--subset", "all"),
+    ("koszul-dual", "--named", "cycle:5", "--length", "2"),
+    ("koszul-dual", "--named", "cycle:5", "--length", "0"),
+    ("cobar-ext", "--named", "cycle:4", "--alpha", "2,1,1,0"),
+    ("mm-check", "--named", "cycle:5"),
+    ("series", "--named", "cycle:5", "--trunc", "4"),
+    ("ranks", "--named", "random-flag:7:50:1", "--trunc", "6"),
+    ("chi-check", "--named", "cycle:4", "--alpha", "1,0,1,0"),
+    ("chi-check", "--named", "points:2", "--alpha", "2,2"),
+    ("cat", "--named", "octahedron"),
+    ("cat", "--named", "boundary:4"),
+    ("toomer", "--input", str(RP2_FLAG12), "--coeff", "fp:2"),
+    ("toomer", "--named", "cycle:5", "--coeff", "z"),
+    ("cat-bound", "--named", "cycle:5"),
+    ("cup-search", "--named", "cycle:4"),
+    ("cup-search", "--named", "points:3"),
+    ("check-all", "--named", "cycle:5", "--coeff", "z"),
+    ("corpus", "--named", "skeleton:1:simplex:4"),
+]
+
+
+def test_every_command_is_compared_with_json_dumps():
+    assert {argv[0] for argv in EVERY_COMMAND} == set(cli.COMMANDS)
+
+
+def _argv_id(argv):
+    return " ".join(Path(a).name if a.endswith(".json") else a for a in argv)
+
+
+@pytest.mark.parametrize("argv", EVERY_COMMAND, ids=_argv_id)
+def test_emit_prints_what_json_dumps_prints(monkeypatch, capsys, argv):
+    payloads = []
+    emit = cli.emit
+    monkeypatch.setattr(cli, "emit", lambda payload, cfg:
+                        payloads.append(payload) or emit(payload, cfg))
+    assert cli.run(list(argv)) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(payloads[0], sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("argv, m, trunc, terms", [
+    (("series", "--named", "random-flag:18:40:1"), 18, 8, 1562275),
+    (("ranks", "--named", "random-flag:18:40:1"), 18, 8, 1562275),
+    # the homotopy-rank route raises its truncation to |alpha| = 20
+    (("chi-check", "--named", "cycle:10", "--alpha", "2,2,2,2,2,2,2,2,2,2"),
+     10, 20, 30045015),
+], ids=["series", "ranks", "chi-check"])
+def test_series_over_the_budget_exits_two(argv, m, trunc, terms):
+    r = flagtor(*argv)
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.splitlines() == [
+        f"error: a series in {m} variables to total degree {trunc} can hold "
+        f"{terms} terms, over the budget of {series.SERIES_BUDGET}"]
+
+
+def test_the_series_budget_admits_what_the_package_runs():
+    # m = 16 at the default truncation (735,471 terms), and check-all's
+    # series at m <= 10
+    for m in (16, 10):
+        series._check_series_budget(complexes.cycle_complex(m), 8)
 
 
 def test_tor_by_degree_keeps_a_degree_with_only_torsion(monkeypatch, capsys):

@@ -3,15 +3,19 @@
 ``check-all`` compares the squarefree Tor read off the Hochster sweep
 (route one) with the homology of the Koszul slices (route two).  The
 comparison checks something only while route two is computed without
-the sweep, so the slice functions, and the functions of ``pontryagin``
+the sweep, so the slice functions of ``pontryagin``, the per-complex
+slice table of ``checks``, and the functions of their own module that
 they call, may name neither ``hochster`` nor its per-subset profiles.
 """
 
 import ast
 from pathlib import Path
 
-PONTRYAGIN = Path(__file__).resolve().parent.parent / "src" / "flagtor" / "pontryagin.py"
-ROUTE_TWO = ("koszul_slice", "tor_via_koszul_complex")
+SRC = Path(__file__).resolve().parent.parent / "src" / "flagtor"
+ROUTE_TWO = {
+    "pontryagin.py": ("koszul_slice", "tor_via_koszul_complex"),
+    "checks.py": ("_squarefree_slices", "_build_squarefree_slice"),
+}
 BANNED = {"hochster", "subcomplex_profiles", "profile_for_subset"}
 
 
@@ -26,19 +30,33 @@ def _names(node):
     return out
 
 
-def test_koszul_route_names_nothing_of_the_sweep():
-    tree = ast.parse(PONTRYAGIN.read_text())
+def _scan(module, roots):
+    """The names that roots, and the module's functions they call, refer
+    to; and every banned one among them."""
+    tree = ast.parse((SRC / module).read_text())
     functions = {node.name: node for node in tree.body
                  if isinstance(node, ast.FunctionDef)}
-    assert set(ROUTE_TWO) <= set(functions)  # the scan saw both
-    seen, todo, offences = set(), list(ROUTE_TWO), []
+    assert set(roots) <= set(functions)  # the scan saw every root
+    seen, todo, named, offences = set(), list(roots), set(), []
     while todo:  # follow calls to the module's own functions
         name = todo.pop()
         if name in seen:
             continue
         seen.add(name)
         names = _names(functions[name])
-        offences += [f"{name} names {bad}" for bad in sorted(names & BANNED)]
+        named |= names
+        offences += [f"{module}: {name} names {bad}" for bad in sorted(names & BANNED)]
         todo += [n for n in names if n in functions and n != name]
-    assert "chain_homology" in set().union(*(_names(functions[n]) for n in seen))
+    return named, offences
+
+
+def test_koszul_route_names_nothing_of_the_sweep():
+    named, offences = _scan("pontryagin.py", ROUTE_TWO["pontryagin.py"])
+    assert "chain_homology" in named
+    assert not offences, offences
+
+
+def test_slice_table_names_nothing_of_the_sweep():
+    named, offences = _scan("checks.py", ROUTE_TWO["checks.py"])
+    assert "koszul_slice" in named  # the table builds through pontryagin
     assert not offences, offences
