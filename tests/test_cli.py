@@ -372,9 +372,9 @@ def test_series_over_the_budget_exits_two(argv, m, trunc, terms):
 
 
 def test_the_series_budget_admits_what_the_package_runs():
-    # m = 16 at the default truncation (735,471 terms), and check-all's
-    # series at m <= 10
-    for m in (16, 10):
+    # m = 17 and m = 16 at the default truncation (1,081,575 and 735,471
+    # terms), and check-all's series at m <= 10
+    for m in (17, 16, 10):
         series._check_series_budget(complexes.cycle_complex(m), 8)
 
 

@@ -51,3 +51,10 @@ def test_long_lists_are_written_in_bounded_batches():
     assert len(writes) > 3
     # each write holds at most one batch of chunks, a few per row
     assert max(map(len, writes)) < len("".join(writes)) / 3
+
+
+def test_a_list_of_many_leaves_is_written_whole():
+    # the C encoder returns a long list's text in several strings
+    leaves = [n if n % 3 else n % 2 == 0 for n in range(120_000)]
+    for obj in [leaves, {"alpha": leaves, "n": 1}, [leaves, {"x": leaves}]]:
+        assert "".join(_written(obj)) == json.dumps(obj, sort_keys=True, indent=2)
