@@ -11,7 +11,6 @@ slices, and more.  ``check_all`` is the library entry point; the
 from __future__ import annotations
 
 import random
-from functools import lru_cache
 from math import gcd
 
 from . import complexes, exact_linalg, hochster, homology, lscat, pontryagin, series
@@ -36,7 +35,7 @@ def check_all(K, coeff, trunc):
     def record(name, ok, detail=""):
         checks.append((name, bool(ok), detail))
 
-    rng = random.Random(repr(K.canonical_key()))
+    rng = random.Random(repr((K.m, tuple(sorted(K.faces)))))
     flag = complexes.is_flag(K)
     fields = [coeff] if coeff.is_field else [homology.RATIONALS, homology.GF(2)]
 
@@ -175,8 +174,8 @@ def _tor_matches_koszul_slices(K, masks_by_ring):
 
     Tor_n at J is reduced H_{n-1}(K_J), read off the sweep's profiles.
     ``masks_by_ring`` maps each field to the J it checks (every J for
-    m <= 10, else 128 sampled ones).  The slices are read from
-    ``_squarefree_slices``, so each is built once per complex, and every
+    m <= 10, else 128 sampled ones).  The slices are read through
+    ``_koszul_slice``, so each is built once per complex, and every
     field that asks for J eliminates J's slice on every call.  Returns
     {field: (ok, total)} with ok true when every J matched, and total the
     sum of the slice ranks over the field's J.
@@ -188,9 +187,10 @@ def _tor_matches_koszul_slices(K, masks_by_ring):
             rings_at.setdefault(J, []).append(ring)
     ok = dict.fromkeys(masks_by_ring, True)
     total = dict.fromkeys(masks_by_ring, 0)
-    slices = _squarefree_slices(K)
+    slices = complexes.tables(K).setdefault("koszul slices", {})
     for J in sorted(rings_at):
-        sizes, matrices = slices.get(J) or _build_squarefree_slice(K, J, slices)
+        beta = tuple((J >> i) & 1 for i in range(K.m))
+        sizes, matrices = _koszul_slice(K, beta, slices)
         for ring in rings_at[J]:
             slice_h = {n: r for n, r, _ in
                        homology.chain_homology(sizes, matrices, ring).rows()}
@@ -200,36 +200,28 @@ def _tor_matches_koszul_slices(K, masks_by_ring):
     return {ring: (ok[ring], total[ring]) for ring in masks_by_ring}
 
 
-@lru_cache(maxsize=1)
-def _squarefree_slices(K):
-    """The Koszul slices of the last complex at the squarefree degrees 2J,
-    {J: (sizes, matrices)}, filled J by J as the Tor oracle asks for them.
-
-    A slice depends on K and J alone, so the four rings of ``check-all``
-    share one construction.  Only this module fills the table, and nothing
-    computed from a slice is kept in it.
-    """
-    return {}
-
-
-def _build_squarefree_slice(K, J, slices):
-    """Build the slice at 2J into ``slices`` and return it."""
-    beta = tuple((J >> i) & 1 for i in range(K.m))
-    bases, matrices = pontryagin.koszul_slice(K, beta)
-    slices[J] = {t: len(bs) for t, bs in bases.items()}, matrices
-    return slices[J]
+def _koszul_slice(K, beta, slices):
+    """The Koszul slice at 2*beta as (sizes, matrices), from K's slice
+    table ``slices``, built into it on first use.  Every ring and every
+    run on K shares one construction; nothing computed from it is kept."""
+    held = slices.get(beta)
+    if held is None:
+        bases, matrices = pontryagin.koszul_slice(K, beta)
+        held = slices[beta] = {t: len(bs) for t, bs in bases.items()}, matrices
+    return held
 
 
 def _tor_vanishes_off_squarefree(K, coeff, trunc, rng):
     """The Koszul slices at 50 sampled non-squarefree beta have no homology."""
+    slices = complexes.tables(K).setdefault("koszul slices", {})
     for _ in range(50):
         beta = [0] * K.m
         for _ in range(rng.randint(2, max(2, min(6, trunc)))):
             beta[rng.randrange(K.m)] += 1
         if max(beta) < 2:
             beta[rng.randrange(K.m)] += 2
-        slice_h = pontryagin.tor_via_koszul_complex(K, coeff, tuple(beta))
-        if any(r for r, _ in slice_h.values()):
+        sizes, matrices = _koszul_slice(K, tuple(beta), slices)
+        if homology.chain_homology(sizes, matrices, coeff).ranks:
             return False
     return True
 

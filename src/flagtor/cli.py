@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from math import gcd
 
@@ -44,18 +44,9 @@ def corpus(name):
     e.g. 'boundary:3+boundary:6' or 'skeleton:1:simplex:4'.
     """
     name = name.strip()
-    if "+" in name:
-        parts = [corpus(p) for p in name.split("+")]
-        K = parts[0]
-        for p in parts[1:]:
-            K = complexes.disjoint_union(K, p)
-        return K
-    if "*" in name:
-        parts = [corpus(p) for p in name.split("*")]
-        K = parts[0]
-        for p in parts[1:]:
-            K = complexes.join(K, p)
-        return K
+    for sep, combine in (("+", complexes.disjoint_union), ("*", complexes.join)):
+        if sep in name:
+            return reduce(combine, [corpus(p) for p in name.split(sep)])
     return _atom(name)
 
 
@@ -368,8 +359,6 @@ def _cmd_tor(cfg, args):
 def _cmd_gens_rels(cfg, args):
     if args.subset is not None:
         J = _parse_subset(args.subset, cfg.K.m)
-        if not complexes.is_flag(cfg.K):
-            raise NotFlagError("generator/relation counts need a flag complex")
         g, r = pontryagin.gens_rels_for_subset(cfg.K, J, cfg.coeff)
         return {"coefficients": str(cfg.coeff), "J": _subset_json(J),
                 "generators": g, "relations": r,
@@ -482,10 +471,6 @@ def _cmd_check_all(cfg, args):
             "ok": all(ok for _, ok, _ in results)}
 
 
-def _cmd_corpus(cfg, args):
-    return _complex_json(cfg.K)
-
-
 # the subcommands, in the order that --help lists them
 COMMANDS = {
     "info": _cmd_info,
@@ -507,7 +492,7 @@ COMMANDS = {
     "cat-bound": _cmd_cat_bound,
     "cup-search": _cmd_cup_search,
     "check-all": _cmd_check_all,
-    "corpus": _cmd_corpus,
+    "corpus": lambda cfg, args: _complex_json(cfg.K),
 }
 
 
@@ -595,8 +580,7 @@ def run(argv=None):
         print(f"internal error: {str(exc) or 'assertion failed'}", file=sys.stderr)
         return 4
 
-    result = {"m": cfg.K.m, "facets": [list(t) for t in cfg.K.facet_lists()],
-              "command": args.command, "result": payload}
+    result = {**_complex_json(cfg.K), "command": args.command, "result": payload}
     emit(result, cfg)
     if args.command == "check-all":
         for c in payload["checks"]:

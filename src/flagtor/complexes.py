@@ -98,9 +98,6 @@ class SimplicialComplex:
     def facet_lists(self):
         return sorted((verts_of(f) for f in facets(self)), key=lambda t: (len(t), t))
 
-    def canonical_key(self):
-        return (self.m, tuple(sorted(self.faces)))
-
 
 def validate(K):
     """Check downward closure, ghost-freeness and the empty face."""
@@ -247,6 +244,29 @@ def original_faces(K):
 
 
 # ---------------------------------------------------------------------------
+# the per-complex memo
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=1)
+def tables(K):
+    """K's memo: one dict of every table computed from K's full subcomplexes.
+
+    Only the last complex asked for is kept, and an equal copy of K shares
+    its dict; ``hochster.clear_cache`` empties it.  Each call hashes K, so
+    callers fetch the dict once per call, not once per subset.
+    """
+    return {}
+
+
+def memo(K, name, build):
+    """K's table ``name``, built as build(K) on first use."""
+    held = tables(K)
+    if name not in held:
+        held[name] = build(K)
+    return held[name]
+
+
+# ---------------------------------------------------------------------------
 # flagness
 # ---------------------------------------------------------------------------
 
@@ -275,11 +295,13 @@ def missing_faces(K):
     return sorted(out)
 
 
-@lru_cache(maxsize=64)
 def is_flag(K):
     """True when every minimal non-face of K has two vertices, that is,
-    when every clique of the 1-skeleton is a face.  The walk over the
-    cliques stops at the first one that is not."""
+    when every clique of the 1-skeleton is a face; decided once per K."""
+    return memo(K, "flag", _is_flag)
+
+
+def _is_flag(K):
     return all(map(K.faces.__contains__, _cliques(adjacency(K))))
 
 
@@ -388,14 +410,17 @@ def reduced_euler_char(K):
     return -sum((-1) ** f.bit_count() for f in K.faces)
 
 
-@lru_cache(maxsize=1)
 def chi_subcomplexes(K):
     """chi-tilde of every full subcomplex, as a tuple indexed by bitmask.
 
-    Uses a subset-sum (zeta) transform, O(m 2^m).  Only the last
-    complex's table is kept: one is 134 MB at m = 24.
+    Uses a subset-sum (zeta) transform, O(m 2^m), once per K: one table
+    is 134 MB at m = 24.
     """
     check_sweep_cap(K)
+    return memo(K, "chi", _chi_subcomplexes)
+
+
+def _chi_subcomplexes(K):
     size = 1 << K.m
     acc = [0] * size
     for f in K.faces:

@@ -3,9 +3,10 @@
 H_p of the moment-angle complex Z_K is the direct sum over all vertex
 subsets J of the reduced homology of K_J in degree p-|J|-1; the real
 version R_K uses degree p-1.  The expensive part is one pass over all
-2^m full subcomplexes; its results are memoized in a process-wide cache
-(keyed by the complex and the coefficients) that every other module
-shares.
+2^m full subcomplexes; its results are held in K's memo
+(``complexes.tables``), one store per ring, which every other module
+shares and which lasts until another complex is asked for.
+``clear_cache`` is the one call that empties every per-complex table.
 
 A store holds each distinct profile once, interned by value, and after
 a sweep an id array with one entry per J, the index of its profile in
@@ -43,11 +44,10 @@ from array import array
 from collections import Counter
 from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import chain, count, repeat
 
 from . import homology
-from .complexes import ComplexTooLargeError, check_sweep_cap
+from .complexes import ComplexTooLargeError, check_sweep_cap, tables
 
 # sub-blocks of fewer J than this are settled J by J
 _SHORT = 16
@@ -176,7 +176,7 @@ def _sizes(m, typecode):
 
 
 # ---------------------------------------------------------------------------
-# the shared subcomplex-homology cache
+# the shared subcomplex-homology stores
 # ---------------------------------------------------------------------------
 
 class _Store(_FastMapping):
@@ -215,20 +215,14 @@ class _Store(_FastMapping):
         return map(self.objs.__getitem__, self.ids)
 
 
-_CACHE = {}
-
-
 def clear_cache():
-    _CACHE.clear()
-
-
-@lru_cache(maxsize=64)
-def _canonical_key(K):
-    return K.canonical_key()
+    """Empty every per-complex table: K's memo and the geometries."""
+    tables.cache_clear()
+    homology.geometry.cache_clear()
 
 
 def _cache_for(K, coeff):
-    return _CACHE.setdefault((_canonical_key(K), coeff.key()), _Store())
+    return tables(K).setdefault(("store", coeff.key()), _Store())
 
 
 def cache_snapshot(K, coeff):
@@ -237,7 +231,7 @@ def cache_snapshot(K, coeff):
 
 def profile_for_subset(K, Jmask, coeff):
     """Reduced homology of K_J, off a finished sweep or else by elimination."""
-    store = _CACHE.get((_canonical_key(K), coeff.key()))
+    store = tables(K).get(("store", coeff.key()))
     if store:
         return store[Jmask]
     return homology.subcomplex_homology(K, Jmask, coeff)

@@ -237,6 +237,9 @@ class ComplexGeometry:
             assert all(v == 0 for v in acc.values()), "boundary square nonzero"
 
 
+# The one per-complex memo besides ``complexes.tables``, which keeps one
+# complex: ``lscat.cat_via_links`` builds a geometry for the link of every
+# face, and the four ``check-all`` runs on one K reuse them.
 @lru_cache(maxsize=64)
 def geometry(K):
     return ComplexGeometry(K)

@@ -88,6 +88,9 @@ def generator_relation_counts(K, coeff):
 
 
 def gens_rels_for_subset(K, Jmask, coeff):
+    """Generator and relation counts at the single subset J (flag K)."""
+    if not is_flag(K):
+        raise NotFlagError("generator/relation counts need a flag complex")
     prof = hochster.profile_for_subset(K, Jmask, coeff)
     return prof.min_generators(0), prof.min_generators(1)
 

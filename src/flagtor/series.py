@@ -11,8 +11,9 @@ again diagonal monomials.  Serializers restore the (t, lambda) exponents
 on output.
 
 The series functions take K alone and read one table, chi~(K_J) for
-every J, from ``complexes.chi_subcomplexes``; it and the Z-graded
-denominator are memoized for the last complex.
+every J, from ``complexes.chi_subcomplexes``.  It, the Z-graded
+denominator, the series F and the rank table are held in K's memo
+(``complexes.tables``), which keeps the last complex asked for.
 
 Internally an exponent vector is packed into an integer, one byte per
 variable with the first variable in the most significant byte, and terms
@@ -22,11 +23,11 @@ convolution runs on plain integer additions, which is what makes the
 degree-8 products over eight variables cheap, and the integer order of
 the keys is the lexicographic order of the vectors.
 
-``poincare_ozk`` and ``homotopy_ranks`` keep the last complex's series F
-and rank table, held at the highest truncation asked for so far; a lower
-truncation is read off them, since no term of degree <= t depends on a
-higher one.  Both are returned read-only: F as a ``MultiSeries`` that no
-caller mutates, the ranks as a ``MappingProxyType``.
+``poincare_ozk`` and ``homotopy_ranks`` hold F and the rank table at the
+highest truncation asked for so far; a lower truncation is read off
+them, since no term of degree <= t depends on a higher one.  Both are
+returned read-only: F as a ``MultiSeries`` that no caller mutates, the
+ranks as a ``MappingProxyType``.
 
 The inverse and the logarithm are one division: ``_divide`` solves
 q f = h degree by degree for f with constant term 1, one bucket
@@ -42,7 +43,6 @@ of degree above trunc/2 all at once.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
 from types import MappingProxyType
 
@@ -299,30 +299,28 @@ def euler_denominator(K, trunc):
     return MultiSeries(K.m, trunc, _buckets=buckets)
 
 
-@lru_cache(maxsize=1)
 def euler_denominator_t(K):
     """The Z-graded specialization -sum_J chi~(K_J) t^{|J|}, degrees 0..m."""
+    return complexes.memo(K, "denominator", _euler_denominator_t)
+
+
+def _euler_denominator_t(K):
     denom = [0] * (K.m + 1)
     for J, c in enumerate(complexes.chi_subcomplexes(K)):
         denom[J.bit_count()] -= c
     return tuple(denom)
 
 
-_last = {}  # the last complex's tables: {"K": K, name: (trunc, table)}
-
-
 def _memoized(K, name, trunc, build, cut):
     """K's table ``name`` at truncation trunc, built at most once per K.
 
-    The table is held at the highest truncation asked for so far; a lower
-    one is ``cut(table, trunc)``.  Only the last complex's tables are kept.
+    The table is held in ``complexes.tables(K)`` at the highest truncation
+    asked for so far; a lower one is ``cut(table, trunc)``.
     """
-    global _last
-    if _last.get("K") != K:
-        _last = {"K": K}
-    held = _last.get(name)
+    tables = complexes.tables(K)
+    held = tables.get(name)
     if held is None or held[0] < trunc:
-        held = _last[name] = (trunc, build(K, trunc))
+        held = tables[name] = (trunc, build(K, trunc))
     return held[1] if held[0] == trunc else cut(held[1], trunc)
 
 
@@ -330,7 +328,7 @@ def poincare_ozk(K, trunc):
     """Multigraded Poincare series of the loop homology of Z_K (flag case).
 
     Coefficient at alpha = dim of the (-|alpha|, 2 alpha) component.
-    Memoized for the last complex; the result must not be mutated.
+    Held in K's memo; the result must not be mutated.
     """
     if not is_flag(K):
         raise NotFlagError("Poincare series formula needs a flag complex")
@@ -417,8 +415,8 @@ def homotopy_ranks(K, trunc):
 
     The sum runs on packed keys: D_beta feeds alpha = k beta for every k
     with k |beta| <= trunc.  Raises if a value fails to be a non-negative
-    integer (which cannot happen for genuine flag input).  Memoized for
-    the last complex, and returned read-only in ascending order of alpha.
+    integer (which cannot happen for genuine flag input).  Held in K's
+    memo, and returned read-only in ascending order of alpha.
     """
     if not is_flag(K):
         raise NotFlagError("homotopy ranks are computed via the flag formula")

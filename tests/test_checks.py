@@ -1,7 +1,10 @@
 """The Koszul-slice Tor oracle and the Milnor-Moore check of ``check_all``."""
 
+import random
+
 from flagtor import checks
 from flagtor import complexes as C
+from flagtor import hochster as Ho
 from flagtor import homology as H
 from flagtor import pontryagin as P
 
@@ -9,7 +12,7 @@ from _fixtures import rp2_flag12
 
 
 def _count_squarefree_slices(monkeypatch):
-    checks._squarefree_slices.cache_clear()  # an earlier test may have filled it
+    Ho.clear_cache()  # an earlier test may have filled K's slice table
     seen = []
     koszul_slice = P.koszul_slice
 
@@ -62,6 +65,24 @@ def test_a_built_slice_is_eliminated_on_every_call(monkeypatch):
     oracle = checks._tor_matches_koszul_slices(K, masks)
     assert [ok for ok, _ in oracle.values()] == [False, False]
     assert len(calls) == (1 << K.m) + 1
+
+
+def test_non_squarefree_slices_are_shared_and_eliminated_on_every_call(monkeypatch):
+    K = C.random_flag(7, 0.5, 5)
+    Ho.clear_cache()
+    built = []
+    koszul_slice = P.koszul_slice
+    monkeypatch.setattr(P, "koszul_slice",
+                        lambda K, beta: built.append(beta) or koszul_slice(K, beta))
+    assert checks._tor_vanishes_off_squarefree(K, H.RATIONALS, 8, random.Random(1))
+    assert built and len(set(built)) == len(built)
+    # a second ring draws the same beta and builds nothing
+    n = len(built)
+    assert checks._tor_vanishes_off_squarefree(K, H.GF(3), 8, random.Random(1))
+    assert len(built) == n
+    # a wrong elimination on the warm table must still be seen
+    monkeypatch.setattr(H, "chain_homology", lambda *args: H.HomologyProfile({0: 1}, {}))
+    assert not checks._tor_vanishes_off_squarefree(K, H.GF(3), 8, random.Random(1))
 
 
 def test_oracle_runs_each_field_on_its_own_subsets():

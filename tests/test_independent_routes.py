@@ -3,8 +3,8 @@
 ``check-all`` compares the squarefree Tor read off the Hochster sweep
 (route one) with the homology of the Koszul slices (route two).  The
 comparison checks something only while route two is computed without
-the sweep, so the slice functions of ``pontryagin``, the per-complex
-slice table of ``checks``, and the functions of their own module that
+the sweep, so the slice functions of ``pontryagin``, the slice builder
+of ``checks`` (which reads K's memo), and the functions of their own module that
 they call, may name neither ``hochster`` nor its per-subset profiles.
 """
 
@@ -14,7 +14,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "flagtor"
 ROUTE_TWO = {
     "pontryagin.py": ("koszul_slice", "tor_via_koszul_complex"),
-    "checks.py": ("_squarefree_slices", "_build_squarefree_slice"),
+    "checks.py": ("_koszul_slice", "_tor_vanishes_off_squarefree"),
 }
 BANNED = {"hochster", "subcomplex_profiles", "profile_for_subset"}
 

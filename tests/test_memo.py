@@ -1,0 +1,134 @@
+"""Every table computed from K's full subcomplexes has one owner.
+
+``complexes.tables(K)`` holds them all, for the last complex asked for,
+and ``hochster.clear_cache`` empties it.  ``homology.geometry`` is the
+one other per-complex memo, since links reuse it; ``cli._level`` and
+``cli.build_parser`` hold no complex.  Anywhere else in ``src/flagtor``
+an ``lru_cache`` or ``cache`` decorator, or an empty dict at module
+level, would be a second lifetime that the one clear does not reach.
+"""
+
+import ast
+import gc
+import weakref
+from pathlib import Path
+
+from flagtor import checks
+from flagtor import complexes as C
+from flagtor import hochster as Ho
+from flagtor import homology as H
+from flagtor import pontryagin as P
+from flagtor import series as S
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "flagtor"
+ALLOWED = {("complexes", "tables"), ("homology", "geometry"),
+           ("cli", "_level"), ("cli", "build_parser")}
+MEMO_DECORATORS = {"lru_cache", "cache"}
+DICT_FACTORIES = {"dict", "defaultdict", "OrderedDict"}
+
+
+def _called_name(node):
+    """The name of a decorator or factory, with or without its call."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return (node.id if isinstance(node, ast.Name)
+            else node.attr if isinstance(node, ast.Attribute) else None)
+
+
+def _is_empty_dict(node):
+    if isinstance(node, ast.Dict):
+        return not node.keys
+    return isinstance(node, ast.Call) and _called_name(node) in DICT_FACTORIES \
+        and not node.keywords and len(node.args) <= (_called_name(node) == "defaultdict")
+
+
+def _memos(tree):
+    """(name, line) of every memoized function and every empty dict
+    assigned at module level."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                _called_name(d) in MEMO_DECORATORS for d in node.decorator_list):
+            out.append((node.name, node.lineno))
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None \
+                and _is_empty_dict(node.value):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out += [(ast.unparse(t), node.lineno) for t in targets]
+    return out
+
+
+def test_per_complex_tables_have_one_owner():
+    stray, allowed = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        for name, line in _memos(ast.parse(path.read_text())):
+            if (path.stem, name) in ALLOWED:
+                allowed.add((path.stem, name))
+            else:
+                stray.append(f"{path.stem}.py:{line} {name}")
+    assert not stray, stray
+    assert allowed == ALLOWED  # the scan did reach each allowed memo
+
+
+def _count_builds(monkeypatch):
+    """Wrap the builder of every table in K's memo; count calls by name."""
+    builds = {}
+    for owner, name in ((C, "_is_flag"), (C, "_chi_subcomplexes"),
+                        (S, "_euler_denominator_t"), (S.MultiSeries, "inverse"),
+                        (S, "_homotopy_ranks"), (P, "koszul_slice"),
+                        (Ho._Sweep, "run")):
+        fn = getattr(owner, name)
+        builds[name] = 0
+
+        def counted(*args, fn=fn, name=name):
+            builds[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    return builds
+
+
+def _use_every_table(K):
+    """Read the flag bit, chi~, the denominator, F, the ranks, one Koszul
+    slice and the rational store of K."""
+    assert C.is_flag(K)
+    S.euler_denominator_t(K)
+    S.poincare_ozk(K, 6)
+    S.homotopy_ranks(K, 6)
+    assert checks._tor_matches_koszul_slices(K, {H.RATIONALS: [K.full_mask]}) \
+        [H.RATIONALS][0]
+
+
+def test_clear_cache_forces_every_table_to_be_rebuilt(monkeypatch):
+    K = C.random_flag(7, 0.5, 3)
+    Ho.clear_cache()
+    builds = _count_builds(monkeypatch)
+    _use_every_table(K)
+    _use_every_table(K)
+    assert set(builds.values()) == {1}, builds
+    Ho.clear_cache()
+    _use_every_table(K)
+    assert set(builds.values()) == {2}, builds
+
+
+def test_an_equal_copy_shares_the_tables(monkeypatch):
+    K = C.random_flag(7, 0.5, 3)
+    Ho.clear_cache()
+    builds = _count_builds(monkeypatch)
+    _use_every_table(K)
+    copy = C.from_facets(K.m, [list(f) for f in K.facet_lists()])
+    assert copy is not K and C.tables(copy) is C.tables(K)
+    _use_every_table(copy)
+    assert set(builds.values()) == {1}, builds
+
+
+def test_sweeping_another_complex_frees_the_stores():
+    K1, K2 = C.random_flag(9, 0.4, 1), C.random_flag(9, 0.4, 2)
+    Ho.clear_cache()
+    stores = [weakref.ref(Ho.subcomplex_profiles(K1, ring))
+              for ring in (H.INTEGERS, H.GF(2))]
+    assert all(ref() is not None for ref in stores)
+    Ho.subcomplex_profiles(K2, H.INTEGERS)
+    gc.collect()  # a finished sweep and its table of pairs form a cycle
+    assert all(ref() is None for ref in stores)
+    assert not Ho._cache_for(K1, H.INTEGERS)  # K1 sweeps anew

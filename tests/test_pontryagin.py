@@ -182,6 +182,12 @@ def test_generator_relation_counts():
     assert tot["generators"] == 2 and tot["relations"] == 1
 
 
+def test_gens_rels_for_subset_needs_a_flag_complex():
+    K = C.simplex_boundary(3)
+    with pytest.raises(NotFlagError, match="generator/relation counts need a flag complex"):
+        P.gens_rels_for_subset(K, K.full_mask, H.RATIONALS)
+
+
 def test_flag_projective_plane_relation_counts():
     # one extra relation appears only in characteristic two
     K = C.barycentric_subdivision(C.real_projective_plane())
