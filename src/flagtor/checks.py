@@ -175,8 +175,10 @@ def _tor_matches_koszul_slices(K, masks_by_ring):
     Tor_n at J is reduced H_{n-1}(K_J), read off the sweep's profiles.
     ``masks_by_ring`` maps each field to the J it checks (every J for
     m <= 10, else 128 sampled ones).  The slices are read through
-    ``_koszul_slice``, so each is built once per complex, and every
-    field that asks for J eliminates J's slice on every call.  Returns
+    ``_koszul_slice``, once per J for all the fields that ask for it, so
+    each is built once per complex and reduced over Z from its second
+    read on.  Every field that asks for J eliminates J's slice, as built
+    or reduced, on every call.  Returns
     {field: (ok, total)} with ok true when every J matched, and total the
     sum of the slice ranks over the field's J.
     """
@@ -202,13 +204,22 @@ def _tor_matches_koszul_slices(K, masks_by_ring):
 
 def _koszul_slice(K, beta, slices):
     """The Koszul slice at 2*beta as (sizes, matrices), from K's slice
-    table ``slices``, built into it on first use.  Every ring and every
-    run on K shares one construction; nothing computed from it is kept."""
+    table ``slices``.
+
+    The first read builds the slice and stores it as built.  A later read
+    (another ring, another run on K, or the other oracle) replaces it by
+    its reduction over Z, ``homology.reduce_over_z``, and every read from
+    then on returns that: a chain-homotopy equivalent complex, so each
+    ring finds the slice's homology in a smaller elimination.  A slice
+    read once costs one build and no reduction.  No homology is kept.
+    """
     held = slices.get(beta)
     if held is None:
         bases, matrices = pontryagin.koszul_slice(K, beta)
-        held = slices[beta] = {t: len(bs) for t, bs in bases.items()}, matrices
-    return held
+        held = slices[beta] = {t: len(bs) for t, bs in bases.items()}, matrices, False
+    elif not held[2]:
+        held = slices[beta] = *homology.reduce_over_z(*held[:2]), True
+    return held[:2]
 
 
 def _tor_vanishes_off_squarefree(K, coeff, trunc, rng):

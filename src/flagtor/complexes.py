@@ -251,9 +251,13 @@ def original_faces(K):
 def tables(K):
     """K's memo: one dict of every table computed from K's full subcomplexes.
 
-    Only the last complex asked for is kept, and an equal copy of K shares
-    its dict; ``hochster.clear_cache`` empties it.  Each call hashes K, so
-    callers fetch the dict once per call, not once per subset.
+    It holds the flag bit, the chi~ table, the Z-graded denominator, the
+    series F and the rank table, the sweep stores (one per ring), the
+    "koszul slices" of ``checks`` and the "cobar slices" of
+    ``pontryagin.cobar_ext``.  Only the last complex asked for is kept,
+    and an equal copy of K shares its dict; ``hochster.clear_cache``
+    empties it.  Each call hashes K, so callers fetch the dict once per
+    call, not once per subset.
     """
     return {}
 

@@ -7,8 +7,9 @@ the Smith normal form.  The Smith form first eliminates every +-1 pivot it
 can find through a column index, each one an invariant factor 1 (after
 Dumas, Heckenbach, Saunders and Welker, "Computing simplicial homology
 based on efficient Smith normal form algorithms", 2003), and runs
-minimal-absolute-value pivoting only on the core that is left.  No
-floating point is used anywhere.
+minimal-absolute-value pivoting only on the core that is left.  The same
+unit-pivot kernel reduces a chain complex over Z for
+``homology.reduce_over_z``.  No floating point is used anywhere.
 
 ``rank_columns`` and ``snf_columns`` take columns as [(row, value), ...]
 lists whose rows are indices 0, 1, ... of the target basis; homology
@@ -162,9 +163,10 @@ def _content_reduce(col):
 def rank_rational_columns(columns):
     """Rank over Q by fraction-free integer elimination.
 
-    Each column is a dict row -> int.  Columns are combined with integer
-    cross-multiplication and divided by their content, so values stay
-    exact and reasonably small.
+    Each column is a dict row -> int.  A +-1 pivot is subtracted from the
+    column in place; against any other pivot the two are combined with
+    integer cross-multiplication and divided by their content, so values
+    stay exact and reasonably small.
     """
     pivots = {}
     rank = 0
@@ -178,6 +180,15 @@ def rank_rational_columns(columns):
                 rank += 1
                 break
             a, b = piv[r], col[r]
+            if a == 1 or a == -1:
+                q = b * a  # = b / a
+                for rr, v in piv.items():
+                    nv = col.get(rr, 0) - q * v
+                    if nv:
+                        col[rr] = nv
+                    else:
+                        del col[rr]
+                continue
             new = {}
             for rr in set(col) | set(piv):
                 nv = col.get(rr, 0) * a - piv.get(rr, 0) * b
@@ -230,13 +241,14 @@ def _eliminate_units(live):
     stays in ``live``.  A column index {c: rows} finds the rows to update,
     and each row's pivot is its unit entry in the sparsest column.  Rows
     that change are scanned again.  ``live`` must hold no empty rows.
-    Returns the number of pivots eliminated.
+    Returns the (row, column) pairs pivoted on, in order; their rows and
+    columns are gone from ``live``, and rows left empty are dropped.
     """
     cols = {}
     for r, row in live.items():
         for c in row:
             cols.setdefault(c, set()).add(r)
-    units = 0
+    pairs = []
     queue = list(live)
     while queue:
         r = queue.pop()
@@ -250,7 +262,7 @@ def _eliminate_units(live):
         if pc is None:
             continue
         del live[r]
-        units += 1
+        pairs.append((r, pc))
         for c in row:
             cols[c].discard(r)
         pv = row[pc]
@@ -272,7 +284,7 @@ def _eliminate_units(live):
                 queue.append(r2)
             else:
                 del live[r2]
-    return units
+    return pairs
 
 
 def _snf_diagonal(rows):
@@ -284,7 +296,7 @@ def _snf_diagonal(rows):
     they leave, which for boundary matrices is usually empty.
     """
     live = {r: row for r, row in rows.items() if row}
-    diag = [1] * _eliminate_units(live)
+    diag = [1] * len(_eliminate_units(live))
     while live:
         # minimal absolute value pivot, deterministic tie-break
         pr = pc = pv = None

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from .complexes import adjacency, is_flag, missing_faces
-from .exact_linalg import (NonPrimeModulusError, is_prime, rank_columns,
-                           snf_columns)
+from .exact_linalg import (NonPrimeModulusError, _eliminate_units, is_prime,
+                           rank_columns, snf_columns)
 
 
 @dataclass(frozen=True)
@@ -313,6 +313,41 @@ def chain_homology(dims, differentials, coeff, known=None):
         if b:
             betti[n] = b
     return HomologyProfile(betti, torsion)
+
+
+def reduce_over_z(dims, differentials):
+    """A smaller complex, chain-homotopy equivalent over Z, in the format
+    of ``chain_homology``: (dims, differentials) with fewer basis elements.
+
+    Each +-1 entry d_k[τ, σ] that the Smith form's unit-pivot kernel picks
+    cancels σ in C_k against τ in C_{k-1}: d_k keeps its Schur complement,
+    d_{k+1} loses row σ and d_{k-1} loses column τ (the reduction lemma;
+    Kaczynski, Mischaikow and Mrozek, Computational Homology, 2004).  So
+    the homology over every ring, ranks and torsion, is that of the input.
+    Degrees are reduced in ascending order, and the basis elements left
+    keep their order.
+    """
+    gone = {n: set() for n in dims}
+    left = {}
+    for k in sorted(differentials):
+        dropped = gone.setdefault(k - 1, set())  # cancelled by d_{k-1}'s pivots
+        live = {}
+        for c, col in enumerate(differentials[k]):
+            entries = {r: v for r, v in col if v and r not in dropped}
+            if entries:
+                live[c] = entries
+        for c, r in _eliminate_units(live):
+            gone[k].add(c)
+            dropped.add(r)
+        left[k] = live
+    kept = {n: [i for i in range(dim) if i not in gone[n]] for n, dim in dims.items()}
+    renumber = {n: {i: j for j, i in enumerate(ids)} for n, ids in kept.items()}
+    reduced = {}
+    for k, live in left.items():
+        rows = renumber.get(k - 1)
+        reduced[k] = [[(rows[r], v) for r, v in live[c].items()] if c in live else []
+                      for c in kept[k]]
+    return {n: len(ids) for n, ids in kept.items()}, reduced
 
 
 def _profile_restricted(geo, Jmask, coeff):

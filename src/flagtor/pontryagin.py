@@ -28,7 +28,7 @@ vectors are halved, as in the multidegree 2*beta.
 from __future__ import annotations
 
 from . import hochster, homology
-from .complexes import NotFlagError, adjacency, is_flag
+from .complexes import NotFlagError, adjacency, is_flag, tables
 
 DEFAULT_DEGREE_BOUND = 8
 MAX_DEGREE_BOUND = 31  # as MultiSeries; cobar words recurse once per letter
@@ -345,7 +345,9 @@ def cobar_ext(K, coeff, beta, bound=DEFAULT_DEGREE_BOUND):
     """dim Ext^s of the Stanley-Reisner ring at multidegree 2*beta.
 
     Field coefficients only.  For flag K this is nonzero only on the
-    diagonal s = |beta| where it equals the normal-word count.
+    diagonal s = |beta| where it equals the normal-word count.  The slice
+    is built once per complex into K's memo, table "cobar slices", and
+    eliminated on every call.
     """
     if not coeff.is_field:
         raise ValueError("cobar Ext needs field coefficients")
@@ -353,11 +355,14 @@ def cobar_ext(K, coeff, beta, bound=DEFAULT_DEGREE_BOUND):
     bound = min(bound, MAX_DEGREE_BOUND)
     if sum(beta) > bound:
         raise BoundExceededError(f"|beta| = {sum(beta)} exceeds bound {bound}")
-    words, matrices = cobar_slice(K, beta)
-    # d raises s, so C_s sits in chain degree -s
-    prof = homology.chain_homology(
-        {-s: len(ws) for s, ws in words.items()},
-        {-s: cols for s, cols in matrices.items()}, coeff)
+    slices = tables(K).setdefault("cobar slices", {})
+    held = slices.get(beta)
+    if held is None:
+        words, matrices = cobar_slice(K, beta)
+        # d raises s, so C_s sits in chain degree -s
+        held = slices[beta] = ({-s: len(ws) for s, ws in words.items()},
+                               {-s: cols for s, cols in matrices.items()})
+    prof = homology.chain_homology(*held, coeff)
     return {-n: d for n, d in prof.ranks.items()}
 
 

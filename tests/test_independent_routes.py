@@ -4,8 +4,10 @@
 (route one) with the homology of the Koszul slices (route two).  The
 comparison checks something only while route two is computed without
 the sweep, so the slice functions of ``pontryagin``, the slice builder
-of ``checks`` (which reads K's memo), and the functions of their own module that
-they call, may name neither ``hochster`` nor its per-subset profiles.
+of ``checks`` (which reads K's memo), the reduction over Z of
+``homology`` that the builder applies from a slice's second read on, and
+the functions of their own module that they call, may name neither
+``hochster`` nor its per-subset profiles.
 """
 
 import ast
@@ -15,6 +17,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "flagtor"
 ROUTE_TWO = {
     "pontryagin.py": ("koszul_slice", "tor_via_koszul_complex"),
     "checks.py": ("_koszul_slice", "_tor_vanishes_off_squarefree"),
+    "homology.py": ("reduce_over_z",),
 }
 BANNED = {"hochster", "subcomplex_profiles", "profile_for_subset"}
 
@@ -59,4 +62,11 @@ def test_koszul_route_names_nothing_of_the_sweep():
 def test_slice_table_names_nothing_of_the_sweep():
     named, offences = _scan("checks.py", ROUTE_TWO["checks.py"])
     assert "koszul_slice" in named  # the table builds through pontryagin
+    assert "reduce_over_z" in named  # and reduces through homology
+    assert not offences, offences
+
+
+def test_the_slice_reduction_names_nothing_of_the_sweep():
+    named, offences = _scan("homology.py", ROUTE_TWO["homology.py"])
+    assert "_eliminate_units" in named  # the Smith form's unit-pivot kernel
     assert not offences, offences

@@ -76,7 +76,7 @@ def _count_builds(monkeypatch):
     for owner, name in ((C, "_is_flag"), (C, "_chi_subcomplexes"),
                         (S, "_euler_denominator_t"), (S.MultiSeries, "inverse"),
                         (S, "_homotopy_ranks"), (P, "koszul_slice"),
-                        (Ho._Sweep, "run")):
+                        (P, "cobar_slice"), (Ho._Sweep, "run")):
         fn = getattr(owner, name)
         builds[name] = 0
 
@@ -90,13 +90,14 @@ def _count_builds(monkeypatch):
 
 def _use_every_table(K):
     """Read the flag bit, chi~, the denominator, F, the ranks, one Koszul
-    slice and the rational store of K."""
+    slice, one cobar slice and the rational store of K."""
     assert C.is_flag(K)
     S.euler_denominator_t(K)
     S.poincare_ozk(K, 6)
     S.homotopy_ranks(K, 6)
     assert checks._tor_matches_koszul_slices(K, {H.RATIONALS: [K.full_mask]}) \
         [H.RATIONALS][0]
+    assert P.cobar_ext(K, H.RATIONALS, (1, 1) + (0,) * (K.m - 2))
 
 
 def test_clear_cache_forces_every_table_to_be_rebuilt(monkeypatch):

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from flagtor import complexes as C
+from flagtor import hochster as Ho
 from flagtor import homology as H
 from flagtor import pontryagin as P
 from flagtor.complexes import NotFlagError, mask_of
@@ -312,6 +313,25 @@ def test_cobar_examples():
         dims = P.cobar_ext(bd, coeff, (1, 1, 1))
         assert dims[2] == 1
         assert dims == {2: 1, 3: 1}
+
+
+def test_a_cobar_slice_is_built_once_and_eliminated_on_every_call(monkeypatch):
+    K = C.cycle_complex(5)
+    Ho.clear_cache()
+    built, eliminated = [], []
+    cobar_slice, chain_homology = P.cobar_slice, H.chain_homology
+    monkeypatch.setattr(P, "cobar_slice",
+                        lambda K, beta: built.append(beta) or cobar_slice(K, beta))
+    monkeypatch.setattr(H, "chain_homology",
+                        lambda *args: eliminated.append(args[-1]) or chain_homology(*args))
+    beta = (1, 1, 1, 0, 0)
+    for coeff in (H.RATIONALS, H.GF(2), H.RATIONALS):
+        assert P.cobar_ext(K, coeff, beta) == {3: 2}
+    assert built == [beta] and beta in C.tables(K)["cobar slices"]
+    assert eliminated == [H.RATIONALS, H.GF(2), H.RATIONALS]
+    # a wrong elimination on the warm table must still be seen
+    monkeypatch.setattr(H, "chain_homology", lambda *args: H.HomologyProfile({-2: 1}, {}))
+    assert P.cobar_ext(K, H.RATIONALS, beta) == {2: 1}
 
 
 def test_cobar_differential_squares_to_zero():
