@@ -18,6 +18,10 @@ dimension.  ``rank_columns`` is the one place where a field picks its
 kernel, and ``homology.chain_homology`` the one place that chooses
 between a field and Z.  Pivot choices follow the row order, and results
 do not depend on it.
+
+``factorization`` is the package's one trial division: ``is_prime``,
+``prime_power_factors``, ``series.moebius`` and
+``hochster.torsion_primes`` read it, each only as far as it needs.
 """
 
 from __future__ import annotations
@@ -30,32 +34,34 @@ class NonPrimeModulusError(ValueError):
     """The modulus passed for an F_p computation is not prime."""
 
 
-def is_prime(p):
-    if p < 2:
-        return False
+def factorization(n):
+    """The prime factorization of n >= 1 by trial division, lazily.
+
+    Yields (p, e) with p^e exactly dividing n, in ascending p; n = 1
+    yields nothing.  Each pair is yielded before any larger candidate is
+    tried, so a caller that stops at the smallest prime factor pays only
+    for that one, however large the rest of n is.
+    """
     d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
+    while d * d <= n:
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            yield d, e
         d += 1
-    return True
+    if n > 1:
+        yield n, 1
+
+
+def is_prime(p):
+    return next(factorization(p), None) == (p, 1)
 
 
 def prime_power_factors(n):
     """Split n > 1 into its prime-power components, e.g. 12 -> (3, 4)."""
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            q = 1
-            while n % d == 0:
-                n //= d
-                q *= d
-            out.append(q)
-        d += 1
-    if n > 1:
-        out.append(n)
-    return tuple(sorted(out))
+    return tuple(sorted(p ** e for p, e in factorization(n)))
 
 
 @dataclass(frozen=True)

@@ -31,10 +31,12 @@ complexes is left with the empty J alone.  A single subset
 (``profile_for_subset``) is read off a finished sweep, or else is plain
 elimination.
 
-Totals are folded from a histogram of (profile id, |J|) pairs, and
-``HochsterTable.entries`` is a read-only mapping over the id array that
-builds nothing per J until it is read.  For flag K the ``rk_homology``
-table, keyed (J, n), is also route one of ``pontryagin``'s Tor table.
+A table groups the J by (profile id, |J|), read off a histogram of the
+id array: each group's degrees p and summands are built once, the totals
+are folded from them, and ``HochsterTable.entries`` is a read-only
+mapping over the id array and the groups that stores nothing per J.
+For flag K the ``rk_homology`` table, keyed (J, n), is also route one of
+``pontryagin``'s Tor table.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from itertools import chain, count, repeat
 
 from . import homology
 from .complexes import ComplexTooLargeError, check_sweep_cap, tables
+from .exact_linalg import factorization
 
 # sub-blocks of fewer J than this are settled J by J
 _SHORT = 16
@@ -65,8 +68,8 @@ class HochsterTable:
     """Per-(J, p) summands of H_*(Z_K) or H_*(R_K), plus totals."""
 
     # (Jmask, p) -> (rank, torsion): a read-only mapping over the store's
-    # id array, in ascending J and then p; nothing per J is built until
-    # it is read
+    # id array and the groups built with the totals, in ascending J and
+    # then p; nothing is stored per J
     entries: Mapping
     totals_rank: dict = field(default_factory=dict)
     totals_torsion: dict = field(default_factory=dict)
@@ -402,62 +405,43 @@ class _Entries(_FastMapping):
     """(J, p) -> (rank, torsion) of a Hochster table, read off the ids.
 
     Yields the items of a dict filled in ascending J and, within a J, in
-    ascending p.  The rows of each group, one profile at one |J| (or one
-    profile, unshifted), are built once, on first read; nothing is stored
-    per J.
+    ascending p.  ``groups`` maps the group of a J (its histogram key, or
+    its id when p is not shifted by |J|) to the (number of J, p list,
+    summand list) that ``_assemble`` built with the totals; nothing is
+    stored per J.
     """
 
-    def __init__(self, store, objs, shift_by_J):
-        self._store, self._objs, self._shift = store, objs, shift_by_J
-        self._groups = None
+    def __init__(self, store, shift_by_J, groups):
+        self._store, self._shift, self._groups = store, shift_by_J, groups
 
     def _keys(self):
-        """The group of every J, ascending: its histogram key, or its id."""
+        """The group of every J, ascending."""
         return _size_keys(self._store.ids) if self._shift else self._store.ids
 
-    def _rows(self):
-        """group -> number of rows, group -> their p, group -> their values."""
-        if self._groups is None:
-            counts, ps, summands = {}, {}, {}
-            bits = 8 * self._store.ids.itemsize
-            for key in self._store.histogram:
-                i, size = key >> bits, key & ((1 << bits) - 1)
-                if not self._shift:
-                    key, size = i, 0
-                rows = list(self._objs[i].rows())
-                counts[key] = len(rows)
-                ps[key] = [n + size + 1 for n, _, _ in rows]
-                summands[key] = [(r, t) for _, r, t in rows]
-            self._groups = counts, ps, summands
-        return self._groups
-
     def __len__(self):
-        counts = self._rows()[0]
-        bits = 0 if self._shift else 8 * self._store.ids.itemsize
-        return sum(counts[key >> bits] * c for key, c in self._store.histogram.items())
+        return sum(c * len(ps) for c, ps, _ in self._groups.values())
 
     def __getitem__(self, key):
         try:
             J, p = key
             if J < 0:
                 raise IndexError
-            prof = self._objs[self._store.ids[J]]
-            n = p - 1 - (J.bit_count() if self._shift else 0)
+            group = self._store.ids[J]
+            if self._shift:
+                group = group << 8 * self._store.ids.itemsize | J.bit_count()
+            _, ps, summands = self._groups[group]
+            return summands[ps.index(p)]
         except (TypeError, ValueError, IndexError):
             raise KeyError(key) from None
-        r, t = prof.rank(n), prof.torsion_at(n)
-        if not r and not t:
-            raise KeyError(key)
-        return r, t
 
     def __iter__(self):
-        counts, ps, _ = self._rows()
+        ps = {group: g[1] for group, g in self._groups.items()}
         keys = self._keys()
-        Js = chain.from_iterable(map(repeat, count(), map(counts.__getitem__, keys)))
+        Js = chain.from_iterable(map(repeat, count(), map(len, map(ps.__getitem__, keys))))
         return zip(Js, chain.from_iterable(map(ps.__getitem__, keys)))
 
     def _values(self):
-        summands = self._rows()[2]
+        summands = {group: g[2] for group, g in self._groups.items()}
         return chain.from_iterable(map(summands.__getitem__, self._keys()))
 
 
@@ -476,23 +460,30 @@ def _histogram(store):
 def _assemble(store, objs, shift_by_J):
     """The table of a swept store whose ids index objs.
 
-    Totals are folded from the (profile id, |J|) histogram, group by group
-    in order of first appearance in ascending J; the entries stay lazy.
+    Each group of J, one profile at one |J| (or one profile, when p is not
+    shifted by |J|), gets its number of J, its p = n + |J| + 1 (or n + 1)
+    for each row n of the profile, and its summands, once, from the
+    (profile id, |J|) histogram in order of first appearance in ascending
+    J.  The totals are folded from the groups, and the entries read them.
     """
     bits = 8 * store.ids.itemsize
     groups = {}
     for key, c in _histogram(store).items():
-        group = key >> bits, key & ((1 << bits) - 1) if shift_by_J else 0
-        groups[group] = groups.get(group, 0) + c
+        i, size = key >> bits, key & ((1 << bits) - 1)
+        if not shift_by_J:
+            key, size = i, 0
+        if key not in groups:
+            rows = list(objs[i].rows())
+            groups[key] = [0, [n + size + 1 for n, _, _ in rows], [(r, t) for _, r, t in rows]]
+        groups[key][0] += c
     rank, torsion = {}, {}
-    for (i, size), c in groups.items():
-        for n, r, t in objs[i].rows():
-            p = n + size + 1
+    for c, ps, summands in groups.values():
+        for p, (r, t) in zip(ps, summands):
             if r:
                 rank[p] = rank.get(p, 0) + r * c
             if t:
                 torsion.setdefault(p, []).extend(t * c)
-    return HochsterTable(_Entries(store, objs, shift_by_J), rank,
+    return HochsterTable(_Entries(store, shift_by_J, groups), rank,
                          {p: tuple(sorted(t)) for p, t in torsion.items()})
 
 
@@ -531,10 +522,5 @@ def torsion_primes(K):
     for prof in distinct_profiles(K, homology.INTEGERS):
         for t in prof.torsion.values():
             for q in t:
-                p = 2
-                while p * p <= q:
-                    if q % p == 0:
-                        break
-                    p += 1
-                primes.add(p if q % p == 0 else q)
+                primes.add(next(factorization(q))[0])
     return sorted(primes)

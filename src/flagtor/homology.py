@@ -490,10 +490,3 @@ def reduced_cohomology(K, coeff):
 def cdim_Z(K):
     """Top degree with nonvanishing reduced integral cohomology (>= -1)."""
     return reduced_homology(K, INTEGERS).cdim()
-
-
-def hdim_F(K, coeff):
-    """Top degree with nonvanishing reduced homology over a field."""
-    if not coeff.is_field:
-        raise ValueError("hdim is defined over a field")
-    return reduced_homology(K, coeff).hdim()

@@ -177,6 +177,21 @@ def _is_coboundary(K, faces, values, p=None):
     return rank_columns(cols + [target], p) == rank_columns(cols, p)
 
 
+def _supports(m, least):
+    """Every set of at least ``least`` of m vertices, as a mask: by
+    descending size and then ascending mask, one next-combination step
+    (Gosper's) at a time, without building the list."""
+    for k in range(m, max(least, 0) - 1, -1):
+        S = (1 << k) - 1
+        while not S >> m:
+            yield S
+            if not S:
+                break
+            low = S & -S
+            high = S + low
+            S = high | (S ^ high) // low >> 2
+
+
 def cup_witness_search(K):
     """Look for disjoint A_1..A_{d+1} certifying cup-length = cat(Z_K).
 
@@ -193,10 +208,7 @@ def cup_witness_search(K):
         return None
     nparts = d + 1
     adj = homology.geometry(K).adjacency
-    supports = sorted(range(1 << K.m), key=lambda S: (-S.bit_count(), S))
-    for Smask in supports:
-        if Smask.bit_count() < 2 * nparts:
-            continue
+    for Smask in _supports(K.m, 2 * nparts):
         verts = [v for v in range(K.m) if (Smask >> v) & 1]
         for blocks in _partitions(verts, nparts):
             parts = []

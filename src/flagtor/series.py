@@ -31,13 +31,15 @@ ranks as a ``MappingProxyType``.
 
 The inverse and the logarithm are one division: ``_divide`` solves
 q f = h degree by degree for f with constant term 1, one bucket
-convolution.  ``MultiSeries.inverse`` divides 1 by f.  Logarithms come
-from the Euler operator E (degree d times d): D = E(-log f) satisfies
-D f = -E f, so ``_log_derivative`` divides -E f by f, and D stays in the
-integers when f is integral.  Homotopy ranks are read off D by Moebius
-inversion with one exact division each, and the PBW round trip
-multiplies each generator's factor into one accumulator in place, those
-of degree above trunc/2 all at once.
+convolution.  ``MultiSeries.inverse`` divides 1 by f, and so does
+``poly_inverse`` for the Z-graded series, whose coefficient lists it
+reads as buckets of one key each (the key 0, so every sum of keys is 0).
+Logarithms come from the Euler operator E (degree d times d):
+D = E(-log f) satisfies D f = -E f, so ``_log_derivative`` divides -E f
+by f, and D stays in the integers when f is integral.  Homotopy ranks
+are read off D by Moebius inversion with one exact division each, and
+the PBW round trip multiplies each generator's factor into one
+accumulator in place, those of degree above trunc/2 all at once.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ from types import MappingProxyType
 
 from . import complexes
 from .complexes import NotFlagError, f_vector, is_flag
+from .exact_linalg import factorization
 
 _MAXTRUNC = 31
 
@@ -197,21 +200,6 @@ class MultiSeries:
         return (f"MultiSeries(n={self.nvars}, N={self.trunc}, "
                 f"{' + '.join(parts)}{more})")
 
-    def add(self, other):
-        trunc = min(self.trunc, other.trunc)
-        out = {d: dict(b) for d, b in self._buckets.items() if d <= trunc}
-        for d, b in other._buckets.items():
-            if d > trunc:
-                continue
-            tgt = out.setdefault(d, {})
-            for k, v in b.items():
-                nv = tgt.get(k, 0) + v
-                if nv:
-                    tgt[k] = nv
-                else:
-                    del tgt[k]
-        return MultiSeries(self.nvars, trunc, _buckets=out)
-
     def mul(self, other):
         trunc = min(self.trunc, other.trunc)
         out = {}
@@ -265,17 +253,11 @@ def poly_mul(a, b, trunc=None):
 
 
 def poly_inverse(a, trunc):
+    """1 / a to degree trunc, by ``_divide`` on buckets of one key each."""
     if not a or a[0] != 1:
         raise NonUnitConstantTermError("constant term must be 1")
-    out = [0] * (trunc + 1)
-    out[0] = 1
-    for d in range(1, trunc + 1):
-        s = 0
-        for k in range(1, min(d, len(a) - 1) + 1):
-            if a[k]:
-                s += a[k] * out[d - k]
-        out[d] = -s
-    return out
+    q = _divide({0: {0: 1}}, {d: {0: c} for d, c in enumerate(a) if c}, trunc)
+    return [q.get(d, {}).get(0, 0) for d in range(trunc + 1)]
 
 
 def _trim(a):
@@ -359,13 +341,6 @@ def poincare_odj(K, trunc):
     return F
 
 
-def poincare_odj_t(K, trunc):
-    F = poincare_ozk_t(K, trunc)
-    for _ in range(K.m):
-        F = poly_mul(F, [1, 1], trunc)
-    return F
-
-
 def panov_ray_check(K):
     """(1+t)^{m-n} sum h_i (-t)^i == -sum_J chi~(K_J) t^{|J|}, exactly.
 
@@ -387,18 +362,10 @@ def panov_ray_check(K):
 # ---------------------------------------------------------------------------
 
 def moebius(n):
-    if n == 1:
-        return 1
     mu = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            mu = -mu
-        d += 1
-    if n > 1:
+    for _, e in factorization(n):
+        if e > 1:
+            return 0
         mu = -mu
     return mu
 

@@ -1,6 +1,7 @@
 """Rank and Smith normal form against hand values and a sympy oracle."""
 
 import random
+import signal
 
 import pytest
 import sympy
@@ -8,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from flagtor.exact_linalg import (ExactMatrix, NonPrimeModulusError, rank,
+from flagtor.exact_linalg import (ExactMatrix, NonPrimeModulusError, factorization,
+                                  is_prime, prime_power_factors, rank,
                                   rank_gf2_columns, rank_mod_p_columns,
                                   rank_rational_columns, smith_normal_form)
 
@@ -194,3 +196,49 @@ def test_rank_kernels_property_match_smith_form(matrix, data):
         if v % 2:
             bits[c] |= 1 << r
     assert rank_gf2_columns(bits) == snf.rank_mod(2)
+
+
+# ---------------------------------------------------------------------------
+# the one trial division, and is_prime, prime_power_factors and
+# series.moebius, which read it
+# ---------------------------------------------------------------------------
+
+def test_factorization_and_its_readers_match_brute_force():
+    from flagtor.series import moebius
+    top = 3000
+    primes = [p for p in range(2, top + 1) if all(p % d for d in range(2, p))]
+    for n in range(1, top + 1):
+        pairs = []
+        for p in primes:
+            e, q = 0, n
+            while q % p == 0:
+                q //= p
+                e += 1
+            if e:
+                pairs.append((p, e))
+        assert list(factorization(n)) == pairs, n
+        assert is_prime(n) == (pairs == [(n, 1)])
+        if n > 1:
+            assert prime_power_factors(n) == tuple(sorted(p ** e for p, e in pairs))
+        squarefree = all(e == 1 for _, e in pairs)
+        assert moebius(n) == ((-1) ** len(pairs) if squarefree else 0), n
+    assert [n for n in range(-5, top + 1) if is_prime(n)] == primes
+
+
+def test_factorization_stops_where_its_reader_stops():
+    # past the small factor, trial division would try about 2^30 divisors
+    # of 2^61 - 1; the alarm turns that into a failure within a second
+    from flagtor.homology import Coefficients
+
+    def too_slow(signum, frame):
+        raise TimeoutError("the trial division ran past the smallest factor")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        assert next(factorization(3 ** 40 * (2 ** 61 - 1))) == (3, 40)
+        with pytest.raises(NonPrimeModulusError):
+            Coefficients("fp", 2 * (2 ** 61 - 1))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

@@ -1,6 +1,7 @@
 """Moment-angle homology via the subset decomposition, against known spaces."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 from _fixtures import rp2_flag12
@@ -353,6 +354,7 @@ def test_tables_read_off_the_ids_match_a_loop_over_every_J():
                 assert list(table.entries) == list(entries)
                 assert list(table.entries.values()) == list(entries.values())
                 assert len(table.entries) == len(entries)
+                assert all(table.entries[key] == v for key, v in entries.items())
                 assert table.entries == entries
                 # insertion order too: first appearance in ascending J
                 assert list(table.totals_rank.items()) == list(rank.items())
@@ -397,4 +399,25 @@ def test_torsion_primes_harvest():
     K = C.disjoint_union(C.real_projective_plane(), C.points(1))
     assert Ho.torsion_primes(K) == [2]
     assert Ho.torsion_primes(C.cycle_complex(4)) == []
+
+
+def _smallest_prime_factors(K):
+    return sorted({min(d for d in range(2, q + 1) if q % d == 0)
+                   for prof in Ho.distinct_profiles(K, H.INTEGERS)
+                   for t in prof.torsion.values() for q in t})
+
+
+def test_torsion_primes_on_the_torsion_corpus(monkeypatch):
+    rp2 = C.real_projective_plane()
+    corpus = [rp2, C.disjoint_union(rp2, C.random_flag(6, 0.5, 1)),
+              C.join(rp2, C.random_flag(4, 0.5, 2)), C.join(rp2, C.random_flag(5, 0.5, 3)),
+              rp2_flag12()]
+    for K in corpus:
+        Ho.clear_cache()
+        assert Ho.torsion_primes(K) == _smallest_prime_factors(K) == [2]
+    # odd prime powers, as the Smith form splits them
+    fake = [SimpleNamespace(torsion={1: (9, 4), 2: (25, 2)}),
+            SimpleNamespace(torsion={0: (7, 3 ** 5, 2 ** 13 - 1)})]
+    monkeypatch.setattr(Ho, "distinct_profiles", lambda K, coeff: fake)
+    assert Ho.torsion_primes(None) == [2, 3, 5, 7, 2 ** 13 - 1]
 

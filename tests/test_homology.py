@@ -58,10 +58,12 @@ def test_cdim_and_hdim():
     assert H.cdim_Z(C.cycle_complex(4)) == 1
     rp2 = C.real_projective_plane()
     assert H.cdim_Z(rp2) == 2
-    assert H.hdim_F(rp2, H.RATIONALS) == -1  # rationally acyclic
-    assert H.hdim_F(rp2, H.GF(2)) == 2
+    hdim_q = H.reduced_homology(rp2, H.RATIONALS).hdim()
+    hdim_2 = H.reduced_homology(rp2, H.GF(2)).hdim()
+    assert hdim_q == -1  # rationally acyclic
+    assert hdim_2 == 2
     # cdim equals the max of hdim over Q and the torsion prime fields
-    assert max(H.hdim_F(rp2, H.RATIONALS), H.hdim_F(rp2, H.GF(2))) == 2
+    assert max(hdim_q, hdim_2) == 2
 
 
 def _random_complex(rng, m=None):
@@ -109,7 +111,7 @@ def test_lemma_cdim_is_max_hdim_over_fields():
                     p += 1
                 primes.add(p)
         fields = [H.RATIONALS] + [H.GF(p) for p in sorted(primes)]
-        assert z.cdim() == max(H.hdim_F(K, c) for c in fields)
+        assert z.cdim() == max(H.reduced_homology(K, c).hdim() for c in fields)
 
 
 def test_betti_numbers_match_sympy_rank_oracle():

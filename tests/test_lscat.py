@@ -80,6 +80,14 @@ def test_lower_bound_is_flagified_category_minus_nu():
         assert L.cat_lower_bound(K) <= L.cat_zk(Kf)
 
 
+def test_supports_walk_the_sorted_and_filtered_subsets():
+    for m in range(13):
+        ordered = sorted(range(1 << m), key=lambda S: (-S.bit_count(), S))
+        for least in range(-1, m + 2):
+            assert list(L._supports(m, least)) == \
+                [S for S in ordered if S.bit_count() >= least], (m, least)
+
+
 def test_cup_witness_on_four_cycle():
     w = L.cup_witness_search(C.cycle_complex(4))
     assert w is not None
