@@ -5,7 +5,10 @@ paper, and compares exactly: the collapse of the Milnor-Moore spectral
 sequence at E2, the Panov-Ray h-vector identity, cat(Z_K) against the
 maximum of the Toomer invariants, squarefree Tor against the Koszul
 slices, and more.  ``check_all`` is the library entry point; the
-``check-all`` subcommand only renders its result.
+``check-all`` subcommand only renders its result.  The checks build no
+slice and no matrix themselves: Koszul slices are read through
+``pontryagin.tor_via_koszul_complex`` and the Smith form is tested by
+``exact_linalg.snf_spot_checks``.
 """
 
 from __future__ import annotations
@@ -153,7 +156,7 @@ def check_all(K, coeff, trunc):
                     ok = False
             record("missing-face-ext2-classes", ok)
 
-    record("snf-spot-checks", _snf_spot_checks(rng))
+    record("snf-spot-checks", exact_linalg.snf_spot_checks(rng))
     return checks
 
 
@@ -174,94 +177,36 @@ def _tor_matches_koszul_slices(K, masks_by_ring):
 
     Tor_n at J is reduced H_{n-1}(K_J), read off the sweep's profiles.
     ``masks_by_ring`` maps each field to the J it checks (every J for
-    m <= 10, else 128 sampled ones).  The slices are read through
-    ``_koszul_slice``, once per J for all the fields that ask for it, so
-    each is built once per complex and reduced over Z from its second
-    read on.  Every field that asks for J eliminates J's slice, as built
-    or reduced, on every call.  Returns
-    {field: (ok, total)} with ok true when every J matched, and total the
-    sum of the slice ranks over the field's J.
+    m <= 10, else 128 sampled ones).  Each field that asks for J
+    eliminates J's slice through ``pontryagin.tor_via_koszul_complex``,
+    which builds the slice once per complex and reduces it over Z from
+    its second read on.  Returns {field: (ok, total)} with ok true when
+    every J matched, and total the sum of the slice ranks over the
+    field's J.
     """
-    profiles = {ring: hochster.subcomplex_profiles(K, ring) for ring in masks_by_ring}
-    rings_at = {}
+    out = {}
     for ring, masks in masks_by_ring.items():
+        profiles = hochster.subcomplex_profiles(K, ring)
+        ok, total = True, 0
         for J in masks:
-            rings_at.setdefault(J, []).append(ring)
-    ok = dict.fromkeys(masks_by_ring, True)
-    total = dict.fromkeys(masks_by_ring, 0)
-    slices = complexes.tables(K).setdefault("koszul slices", {})
-    for J in sorted(rings_at):
-        beta = tuple((J >> i) & 1 for i in range(K.m))
-        sizes, matrices = _koszul_slice(K, beta, slices)
-        for ring in rings_at[J]:
-            slice_h = {n: r for n, r, _ in
-                       homology.chain_homology(sizes, matrices, ring).rows()}
-            total[ring] += sum(slice_h.values())
-            if slice_h != {d + 1: r for d, r, _ in profiles[ring][J].rows()}:
-                ok[ring] = False
-    return {ring: (ok[ring], total[ring]) for ring in masks_by_ring}
-
-
-def _koszul_slice(K, beta, slices):
-    """The Koszul slice at 2*beta as (sizes, matrices), from K's slice
-    table ``slices``.
-
-    The first read builds the slice and stores it as built.  A later read
-    (another ring, another run on K, or the other oracle) replaces it by
-    its reduction over Z, ``homology.reduce_over_z``, and every read from
-    then on returns that: a chain-homotopy equivalent complex, so each
-    ring finds the slice's homology in a smaller elimination.  A slice
-    read once costs one build and no reduction.  No homology is kept.
-    """
-    held = slices.get(beta)
-    if held is None:
-        bases, matrices = pontryagin.koszul_slice(K, beta)
-        held = slices[beta] = {t: len(bs) for t, bs in bases.items()}, matrices, False
-    elif not held[2]:
-        held = slices[beta] = *homology.reduce_over_z(*held[:2]), True
-    return held[:2]
+            beta = tuple((J >> i) & 1 for i in range(K.m))
+            slice_h = {n: r for n, (r, _) in
+                       pontryagin.tor_via_koszul_complex(K, ring, beta).items()}
+            total += sum(slice_h.values())
+            if slice_h != {d + 1: r for d, r, _ in profiles[J].rows()}:
+                ok = False
+        out[ring] = ok, total
+    return out
 
 
 def _tor_vanishes_off_squarefree(K, coeff, trunc, rng):
     """The Koszul slices at 50 sampled non-squarefree beta have no homology."""
-    slices = complexes.tables(K).setdefault("koszul slices", {})
     for _ in range(50):
         beta = [0] * K.m
         for _ in range(rng.randint(2, max(2, min(6, trunc)))):
             beta[rng.randrange(K.m)] += 1
         if max(beta) < 2:
             beta[rng.randrange(K.m)] += 2
-        sizes, matrices = _koszul_slice(K, tuple(beta), slices)
-        if homology.chain_homology(sizes, matrices, coeff).ranks:
+        if any(r for r, _ in pontryagin.tor_via_koszul_complex(K, coeff, beta).values()):
             return False
     return True
-
-
-def _snf_spot_checks(rng):
-    """Smith forms of 20 random small matrices: divisibility, invariance
-    under row and column permutations, and rank against elimination."""
-    ok = True
-    for _ in range(20):
-        rows = rng.randint(1, 5)
-        cols = rng.randint(1, 5)
-        triples = [(r, c, rng.randint(-4, 4)) for r in range(rows)
-                   for c in range(cols) if rng.random() < 0.6]
-        entries = {(r, c): v for r, c, v in triples}
-        M = exact_linalg.ExactMatrix.from_triples(
-            rows, cols, [(r, c, v) for (r, c), v in entries.items()])
-        snf = exact_linalg.smith_normal_form(M)
-        diag = snf.diagonal
-        if any(diag[i + 1] % diag[i] for i in range(len(diag) - 1)):
-            ok = False
-        perm_r = list(range(rows))
-        perm_c = list(range(cols))
-        rng.shuffle(perm_r)
-        rng.shuffle(perm_c)
-        M2 = exact_linalg.ExactMatrix.from_triples(
-            rows, cols, [(perm_r[r], perm_c[c], v)
-                         for (r, c), v in entries.items()])
-        if exact_linalg.smith_normal_form(M2).diagonal != diag:
-            ok = False
-        if exact_linalg.rank(M) != snf.rank:
-            ok = False
-    return ok

@@ -290,7 +290,7 @@ def _cmd_homology(cfg, args):
     return {"coefficients": str(cfg.coeff),
             "homology": _profile_json(prof),
             "cohomology": _profile_json(coh),
-            "cdim_Z": homology.cdim_Z(cfg.K)}
+            "cdim_Z": homology.reduced_homology(cfg.K, homology.INTEGERS).cdim()}
 
 
 def _table_json(table, detail):
@@ -300,7 +300,7 @@ def _table_json(table, detail):
     if detail:
         out["summands"] = [
             {"J": _subset_json(J), "p": p, "rank": r, "torsion": list(t)}
-            for (J, p), (r, t) in sorted(table.entries.items())]
+            for (J, p), (r, t) in table.entries.items()]
     return out
 
 

@@ -11,13 +11,15 @@ minimal-absolute-value pivoting only on the core that is left.  The same
 unit-pivot kernel reduces a chain complex over Z for
 ``homology.reduce_over_z``.  No floating point is used anywhere.
 
-``rank_columns`` and ``snf_columns`` take columns as [(row, value), ...]
-lists whose rows are indices 0, 1, ... of the target basis; homology
-keys them by ``position``, a face's index among the faces of its
-dimension.  ``rank_columns`` is the one place where a field picks its
-kernel, and ``homology.chain_homology`` the one place that chooses
-between a field and Z.  Pivot choices follow the row order, and results
-do not depend on it.
+The one matrix format is columns: ``rank_columns`` and ``snf_columns``
+take [(row, value), ...] lists whose rows are indices 0, 1, ... of the
+target basis; homology keys them by ``position``, a face's index among
+the faces of its dimension.  ``rank_columns`` is the one place where a
+field picks its kernel, and ``homology.chain_homology`` the one place
+that chooses between a field and Z.  Pivot choices follow the row order,
+and results do not depend on it.  ``snf_spot_checks`` tests the Smith
+form on random matrices for ``checks.check_all``; ``SNFResult.rank_mod``
+is the reference rank over F_p that tests hold the F_p kernels to.
 
 ``factorization`` is the package's one trial division: ``is_prime``,
 ``prime_power_factors``, ``series.moebius`` and
@@ -84,29 +86,6 @@ class SNFResult:
 
     def rank_mod(self, p):
         return sum(1 for d in self.diagonal if d % p)
-
-
-@dataclass(frozen=True)
-class ExactMatrix:
-    """A sparse integer matrix given by its nonzero entries."""
-
-    rows: int
-    cols: int
-    entries: tuple  # ((r, c, v), ...) with v != 0, positions unique
-
-    @classmethod
-    def from_triples(cls, rows, cols, triples):
-        seen = set()
-        ent = []
-        for r, c, v in triples:
-            if not (0 <= r < rows and 0 <= c < cols):
-                raise ValueError(f"entry ({r},{c}) out of range")
-            if (r, c) in seen:
-                raise ValueError(f"duplicate entry at ({r},{c})")
-            seen.add((r, c))
-            if v:
-                ent.append((r, c, int(v)))
-        return cls(rows, cols, tuple(sorted(ent)))
 
 
 # ---------------------------------------------------------------------------
@@ -222,16 +201,6 @@ def rank_columns(columns, p=None):
             bits.append(b)
         return rank_gf2_columns(bits)
     return rank_mod_p_columns([dict(col) for col in columns], p)
-
-
-def rank(matrix, p=None):
-    """Rank of an ExactMatrix over Q (p=None) or over F_p."""
-    if p is not None and not is_prime(p):
-        raise NonPrimeModulusError(f"{p} is not prime")
-    columns = [[] for _ in range(matrix.cols)]
-    for r, c, v in matrix.entries:
-        columns[c].append((r, v))
-    return rank_columns(columns, p)
 
 
 # ---------------------------------------------------------------------------
@@ -374,13 +343,6 @@ def _divisibility_chain(diag):
     return (1,) * (len(diag) - len(big)) + tuple(sorted(big))
 
 
-def smith_normal_form(matrix):
-    rows = {}
-    for r, c, v in matrix.entries:
-        rows.setdefault(r, {})[c] = v
-    return SNFResult(_divisibility_chain(_snf_diagonal(rows)))
-
-
 def snf_columns(columns):
     """Smith normal form from columns given as [(row, value), ...] lists.
 
@@ -389,3 +351,27 @@ def snf_columns(columns):
     """
     rows = {c: {r: v for r, v in col if v} for c, col in enumerate(columns)}
     return SNFResult(_divisibility_chain(_snf_diagonal(rows)))
+
+
+def snf_spot_checks(rng):
+    """Smith forms of 20 random small matrices, drawn from rng: each
+    diagonal must be a divisibility chain, be invariant under row and
+    column permutations, and be as long as the rank over Q."""
+    for _ in range(20):
+        n_rows, n_cols = rng.randint(1, 5), rng.randint(1, 5)
+        cells = [(r, c, rng.randint(-4, 4)) for r in range(n_rows)
+                 for c in range(n_cols) if rng.random() < 0.6]
+        perm_r, perm_c = list(range(n_rows)), list(range(n_cols))
+        rng.shuffle(perm_r)
+        rng.shuffle(perm_c)
+        columns = [[] for _ in range(n_cols)]
+        shuffled = [[] for _ in range(n_cols)]
+        for r, c, v in cells:
+            columns[c].append((r, v))
+            shuffled[perm_c[c]].append((perm_r[r], v))
+        diag = snf_columns(columns).diagonal
+        if any(b % a for a, b in zip(diag, diag[1:])) \
+                or snf_columns(shuffled).diagonal != diag \
+                or rank_columns(columns) != len(diag):
+            return False
+    return True

@@ -219,9 +219,8 @@ class _Store(_FastMapping):
 
 
 def clear_cache():
-    """Empty every per-complex table: K's memo and the geometries."""
+    """Empty K's memo, which holds every per-complex table."""
     tables.cache_clear()
-    homology.geometry.cache_clear()
 
 
 def _cache_for(K, coeff):

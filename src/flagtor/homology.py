@@ -18,9 +18,9 @@ of a disconnected K_J, which ``direct_sum`` puts together.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
-from .complexes import adjacency, is_flag, missing_faces
+from .complexes import adjacency, is_flag, memo, missing_faces
 from .exact_linalg import (NonPrimeModulusError, _eliminate_units, is_prime,
                            rank_columns, snf_columns)
 
@@ -113,10 +113,10 @@ class HomologyProfile:
         return top
 
     def cohomology(self):
-        """The cohomology profile of an integral homology profile.
+        """The cohomology profile of a homology profile, over any ring.
 
         Ranks agree, and the torsion of H_n is that of H^{n+1} (universal
-        coefficients).
+        coefficients); over a field there is no torsion to move.
         """
         return HomologyProfile(dict(self.ranks),
                                {n + 1: t for n, t in self.torsion.items()})
@@ -237,12 +237,9 @@ class ComplexGeometry:
             assert all(v == 0 for v in acc.values()), "boundary square nonzero"
 
 
-# The one per-complex memo besides ``complexes.tables``, which keeps one
-# complex: ``lscat.cat_via_links`` builds a geometry for the link of every
-# face, and the four ``check-all`` runs on one K reuse them.
-@lru_cache(maxsize=64)
 def geometry(K):
-    return ComplexGeometry(K)
+    """K's geometry, kept in K's memo for sweeps and single subsets."""
+    return memo(K, "geometry", ComplexGeometry)
 
 
 def _restricted_columns(geo, Jmask):
@@ -458,8 +455,12 @@ def direct_sum(parts):
 
 
 def reduced_homology(K, coeff):
-    """Reduced homology of K; over Z torsion comes from Smith forms."""
-    return _profile_restricted(geometry(K), K.full_mask, coeff)
+    """Reduced homology of K; over Z torsion comes from Smith forms.
+
+    K is often not the complex in the memo (a link, say), so its geometry
+    is built for this call and kept nowhere: no call evicts the memo.
+    """
+    return _profile_restricted(ComplexGeometry(K), K.full_mask, coeff)
 
 
 def subcomplex_homology(K, Jmask, coeff):
@@ -468,25 +469,5 @@ def subcomplex_homology(K, Jmask, coeff):
 
 
 def reduced_cohomology(K, coeff):
-    """Reduced cohomology.
-
-    Over a field the transposed boundary matrices are eliminated
-    directly; over Z ranks agree with homology and torsion shifts up one
-    degree (universal coefficients).
-    """
-    if not coeff.is_field:
-        return reduced_homology(K, coeff).cohomology()
-    counts, matrices = _restricted_columns(geometry(K), K.full_mask)
-    tr = {}
-    for k, cols in matrices.items():
-        rows = [[] for _ in range(counts[k - 1])]
-        for i, col in enumerate(cols):
-            for r, sign in col:
-                rows[r].append((i, sign))
-        tr[k] = rows
-    return chain_homology(counts, tr, coeff)
-
-
-def cdim_Z(K):
-    """Top degree with nonvanishing reduced integral cohomology (>= -1)."""
-    return reduced_homology(K, INTEGERS).cdim()
+    """Reduced cohomology, from the homology by universal coefficients."""
+    return reduced_homology(K, coeff).cohomology()

@@ -7,24 +7,27 @@ a link; the Toomer invariant over a field replaces cdim by hdim and the
 maximum of the Toomer invariants over Q and the torsion prime fields
 recovers the category.  For non-flag K, flagifying and discounting by
 nu(K) gives a lower bound.  A small exhaustive search for witnesses that
-the cup-length attains the category is included; coming up empty is a
-legitimate (and recorded) outcome.  ``cat_report`` gathers the values
-into one plain dict, the one the ``cat`` subcommand prints.
+the cup-length attains the category is included, capped at
+MAX_PARTITIONS set partitions; coming up empty is a legitimate (and
+recorded) outcome.  ``cat_report`` gathers the values into one plain
+dict, the one the ``cat`` subcommand prints.
 """
 
 from __future__ import annotations
 
 from . import hochster, homology
-from .complexes import NotFlagError, flagification, is_flag, link, nu_direct
+from .complexes import NotFlagError, flagification, is_flag, link, memo, nu_direct
 from .exact_linalg import rank_columns
+
+MAX_PARTITIONS = 1_000_000  # set partitions one cup-witness search may try
+
+
+class SearchBudgetExceededError(ValueError):
+    """The cup-witness search tried MAX_PARTITIONS set partitions in vain."""
 
 
 def max_subcomplex_cdim(K):
     return max(prof.cdim() for prof in hochster.distinct_profiles(K, homology.INTEGERS))
-
-
-def max_subcomplex_hdim(K, coeff):
-    return max(prof.hdim() for prof in hochster.distinct_profiles(K, coeff))
 
 
 def cat_zk(K):
@@ -40,12 +43,14 @@ def cat_zk(K):
 
 
 def cat_via_links(K):
-    """1 + max over faces I (the empty one included) of cdim_Z lk_K I."""
-    best = -1
-    for I in sorted(K.faces):
-        lk = link(K, I)
-        best = max(best, homology.reduced_homology(lk, homology.INTEGERS).cdim())
-    return 1 + best
+    """1 + max over faces I (the empty one included) of cdim_Z lk_K I,
+    walked once per complex and kept in K's memo."""
+    return memo(K, "cat via links", _cat_via_links)
+
+
+def _cat_via_links(K):
+    return 1 + max(homology.reduced_homology(link(K, I), homology.INTEGERS).cdim()
+                   for I in K.faces)
 
 
 def toomer(K, coeff):
@@ -54,7 +59,7 @@ def toomer(K, coeff):
         raise NotFlagError("the Toomer formula needs a flag complex")
     if not coeff.is_field:
         raise ValueError("Toomer invariant needs field coefficients")
-    return 1 + max_subcomplex_hdim(K, coeff)
+    return 1 + max(prof.hdim() for prof in hochster.distinct_profiles(K, coeff))
 
 
 def toomer_report(K):
@@ -199,7 +204,8 @@ def cup_witness_search(K):
     each inducing a disconnected subcomplex; the candidate classes are
     products of component-indicator 0-cocycles (which span, so checking
     all component choices decides each partition).  Returns the first
-    witness found, or None: not finding one proves nothing.
+    witness found, or None: not finding one proves nothing.  Past
+    MAX_PARTITIONS partitions tried it raises SearchBudgetExceededError.
     """
     if not is_flag(K):
         raise NotFlagError("the witness search targets flag complexes")
@@ -208,9 +214,15 @@ def cup_witness_search(K):
         return None
     nparts = d + 1
     adj = homology.geometry(K).adjacency
+    tried = 0
     for Smask in _supports(K.m, 2 * nparts):
         verts = [v for v in range(K.m) if (Smask >> v) & 1]
         for blocks in _partitions(verts, nparts):
+            tried += 1
+            if tried > MAX_PARTITIONS:
+                raise SearchBudgetExceededError(
+                    f"the cup-witness search tried {MAX_PARTITIONS} set "
+                    f"partitions without finding a witness")
             parts = []
             comps_by_part = []
             ok = True

@@ -166,11 +166,25 @@ def tor_via_koszul_complex(K, coeff, beta):
     For squarefree beta = J this must match tor_via_subcomplexes; for
     non-squarefree beta it must vanish entirely.  Returns a dict
     t -> (rank, torsion).
+
+    The slice is read from K's memo, table "koszul slices".  The first
+    read builds it and stores it as built; the second replaces it by its
+    reduction over Z, ``homology.reduce_over_z``, which every later read
+    returns: a chain-homotopy equivalent complex, so each ring finds the
+    same homology in a smaller elimination.  A slice read once costs one
+    build and no reduction.  No homology is kept, so every call
+    eliminates.
     """
     _require_flag(K)
-    bases, matrices = koszul_slice(K, beta)
-    prof = homology.chain_homology(
-        {t: len(bs) for t, bs in bases.items()}, matrices, coeff)
+    beta = tuple(beta)
+    slices = tables(K).setdefault("koszul slices", {})
+    held = slices.get(beta)
+    if held is None:
+        bases, matrices = koszul_slice(K, beta)
+        held = slices[beta] = {t: len(bs) for t, bs in bases.items()}, matrices, False
+    elif not held[2]:
+        held = slices[beta] = *homology.reduce_over_z(*held[:2]), True
+    prof = homology.chain_homology(*held[:2], coeff)
     return {t: (r, tors) for t, r, tors in prof.rows()}
 
 

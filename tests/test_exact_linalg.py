@@ -1,4 +1,9 @@
-"""Rank and Smith normal form against hand values and a sympy oracle."""
+"""Rank and Smith normal form against hand values and a sympy oracle.
+
+Matrices are given as the kernels take them, as columns of
+[(row, value), ...] lists; ``SNFResult.rank_mod`` is the reference rank
+over F_p.
+"""
 
 import random
 import signal
@@ -9,17 +14,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
-from flagtor.exact_linalg import (ExactMatrix, NonPrimeModulusError, factorization,
-                                  is_prime, prime_power_factors, rank,
-                                  rank_gf2_columns, rank_mod_p_columns,
-                                  rank_rational_columns, smith_normal_form)
+from flagtor.exact_linalg import (NonPrimeModulusError, factorization, is_prime,
+                                  prime_power_factors, rank_columns, rank_gf2_columns,
+                                  rank_mod_p_columns, rank_rational_columns,
+                                  snf_columns)
+from flagtor.homology import Coefficients, parse_coefficients
 
 
 def dense(rows):
-    triples = [(r, c, v) for r, row in enumerate(rows)
-               for c, v in enumerate(row) if v]
+    """The columns of a matrix given by its rows."""
     ncols = len(rows[0]) if rows else 0
-    return ExactMatrix.from_triples(len(rows), ncols, triples)
+    return [[(r, row[c]) for r, row in enumerate(rows) if row[c]]
+            for c in range(ncols)]
+
+
+def sparse(ncols, cells):
+    """The columns of a matrix given by its nonzero cells {(r, c): v}."""
+    columns = [[] for _ in range(ncols)]
+    for (r, c), v in cells.items():
+        columns[c].append((r, v))
+    return columns
 
 
 def sympy_invariant_factors(rows):
@@ -30,38 +44,40 @@ def sympy_invariant_factors(rows):
 
 
 def test_rank_zero_matrix():
-    M = ExactMatrix.from_triples(3, 3, [])
-    assert rank(M) == 0
-    assert rank(M, 2) == 0
+    M = [[], [], []]
+    assert rank_columns(M) == 0
+    assert rank_columns(M, 2) == 0
 
 
 def test_rank_identity():
     M = dense([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    assert rank(M) == 3
-    assert rank(M, 5) == 3
+    assert rank_columns(M) == 3
+    assert rank_columns(M, 5) == 3
 
 
 def test_rank_2468():
     M = dense([[2, 4], [6, 8]])
-    assert rank(M) == 2  # det = -8
-    assert rank(M, 2) == 0  # all entries even
-    assert rank(M, 3) == 2
+    assert rank_columns(M) == 2  # det = -8
+    assert rank_columns(M, 2) == 0  # all entries even
+    assert rank_columns(M, 3) == 2
 
 
 def test_rank_requires_prime_modulus():
-    M = dense([[1]])
+    # a modulus reaches the kernels only through Coefficients
     with pytest.raises(NonPrimeModulusError):
-        rank(M, 6)
+        Coefficients("fp", 6)
+    with pytest.raises(NonPrimeModulusError):
+        parse_coefficients("fp:6")
 
 
 def test_snf_identity():
     M = dense([[1, 0], [0, 1]])
-    assert smith_normal_form(M).diagonal == (1, 1)
+    assert snf_columns(M).diagonal == (1, 1)
 
 
 def test_snf_2468():
     # gcd of entries 2, |det| = 8, so invariant factors 2 | 4
-    snf = smith_normal_form(dense([[2, 4], [6, 8]]))
+    snf = snf_columns(dense([[2, 4], [6, 8]]))
     assert snf.diagonal == (2, 4)
     assert snf.torsion() == (2, 4)
     assert snf.rank_mod(2) == 0
@@ -80,7 +96,7 @@ def test_snf_rp2_boundary_has_order_two_torsion():
     for c, col in enumerate(cols):
         for r, sign in col:
             dense_rows[r][c] = sign
-    snf = smith_normal_form(dense(dense_rows))
+    snf = snf_columns(cols)
     assert snf.diagonal[-1] == 2
     assert snf.diagonal == sympy_invariant_factors(dense_rows)
 
@@ -92,7 +108,7 @@ def test_snf_matches_sympy_on_random_matrices():
         nc = rng.randint(1, 5)
         rows = [[rng.randint(-6, 6) if rng.random() < 0.7 else 0
                  for _ in range(nc)] for _ in range(nr)]
-        ours = smith_normal_form(dense(rows)).diagonal
+        ours = snf_columns(dense(rows)).diagonal
         assert ours == sympy_invariant_factors(rows)
 
 
@@ -105,8 +121,8 @@ def test_snf_permutation_invariance_and_rank_consistency():
                    for r in range(nr) for c in range(nc)
                    if rng.random() < 0.5}
         entries = {k: v for k, v in entries.items() if v}
-        M = ExactMatrix.from_triples(nr, nc, [(r, c, v) for (r, c), v in entries.items()])
-        snf = smith_normal_form(M)
+        M = sparse(nc, entries)
+        snf = snf_columns(M)
         # divisibility chain
         for a, b in zip(snf.diagonal, snf.diagonal[1:]):
             assert b % a == 0
@@ -115,13 +131,22 @@ def test_snf_permutation_invariance_and_rank_consistency():
         pc = list(range(nc))
         rng.shuffle(pr)
         rng.shuffle(pc)
-        M2 = ExactMatrix.from_triples(
-            nr, nc, [(pr[r], pc[c], v) for (r, c), v in entries.items()])
-        assert smith_normal_form(M2).diagonal == snf.diagonal
+        M2 = sparse(nc, {(pr[r], pc[c]): v for (r, c), v in entries.items()})
+        assert snf_columns(M2).diagonal == snf.diagonal
         # rank over Q equals SNF rank; rank over F_p counts units
-        assert rank(M) == snf.rank
+        assert rank_columns(M) == snf.rank
         for p in (2, 3, 5):
-            assert rank(M, p) == snf.rank_mod(p)
+            assert rank_columns(M, p) == snf.rank_mod(p)
+
+
+def test_snf_spot_checks_see_a_wrong_smith_form(monkeypatch):
+    from flagtor import exact_linalg as E
+
+    assert E.snf_spot_checks(random.Random(3))
+    snf_columns = E.snf_columns
+    monkeypatch.setattr(E, "snf_columns",
+                        lambda cols: E.SNFResult(snf_columns(cols).diagonal[1:]))
+    assert not E.snf_spot_checks(random.Random(3))
 
 
 # Property tests.  Matrices with +-1 entries send most pivots through the
@@ -145,11 +170,11 @@ MATRICES = st.one_of(dense_rows(WITH_UNITS), dense_rows(WITHOUT_UNITS))
 @settings(max_examples=300, deadline=None)
 @given(MATRICES)
 def test_snf_property_matches_sympy_invariant_factors(rows):
-    snf = smith_normal_form(dense(rows))
+    snf = snf_columns(dense(rows))
     assert snf.diagonal == sympy_invariant_factors(rows)
-    assert rank(dense(rows)) == snf.rank
+    assert rank_columns(dense(rows)) == snf.rank
     for p in (2, 3):
-        assert rank(dense(rows), p) == snf.rank_mod(p)
+        assert rank_columns(dense(rows), p) == snf.rank_mod(p)
 
 
 @settings(max_examples=300, deadline=None)
@@ -159,8 +184,8 @@ def test_snf_property_invariant_under_row_and_column_permutations(data):
     pr = data.draw(st.permutations(range(len(rows))))
     pc = data.draw(st.permutations(range(len(rows[0]))))
     shuffled = [[rows[r][c] for c in pc] for r in pr]
-    assert smith_normal_form(dense(shuffled)).diagonal == \
-        smith_normal_form(dense(rows)).diagonal
+    assert snf_columns(dense(shuffled)).diagonal == \
+        snf_columns(dense(rows)).diagonal
 
 
 @st.composite
@@ -181,8 +206,7 @@ def test_rank_kernels_property_match_smith_form(matrix, data):
     # each kernel on its own, with row keys spread out the way face
     # bitmasks are (F_2 columns are bitmasks over row positions)
     nr, nc, cells = matrix
-    snf = smith_normal_form(ExactMatrix.from_triples(
-        nr, nc, [(r, c, v) for (r, c), v in cells.items()]))
+    snf = snf_columns(sparse(nc, cells))
     keys = data.draw(st.lists(st.integers(0, 1 << 20), min_size=nr,
                               max_size=nr, unique=True))
     cols = [{} for _ in range(nc)]

@@ -53,11 +53,14 @@ def test_spheres():
 
 
 def test_cdim_and_hdim():
-    assert H.cdim_Z(C.points(1)) == -1
-    assert H.cdim_Z(C.EMPTY_COMPLEX) == -1
-    assert H.cdim_Z(C.cycle_complex(4)) == 1
+    def cdim_Z(K):
+        return H.reduced_homology(K, H.INTEGERS).cdim()
+
+    assert cdim_Z(C.points(1)) == -1
+    assert cdim_Z(C.EMPTY_COMPLEX) == -1
+    assert cdim_Z(C.cycle_complex(4)) == 1
     rp2 = C.real_projective_plane()
-    assert H.cdim_Z(rp2) == 2
+    assert cdim_Z(rp2) == 2
     hdim_q = H.reduced_homology(rp2, H.RATIONALS).hdim()
     hdim_2 = H.reduced_homology(rp2, H.GF(2)).hdim()
     assert hdim_q == -1  # rationally acyclic
@@ -138,13 +141,24 @@ def test_betti_numbers_match_sympy_rank_oracle():
 
 
 def test_field_cohomology_ranks_match_homology():
+    # reduced_cohomology reads the homology; the transposed boundaries,
+    # eliminated here, are the independent route
     rng = random.Random(31)
     for _ in range(20):
         K = _random_complex(rng)
+        counts, matrices = H._restricted_columns(H.ComplexGeometry(K), K.full_mask)
+        transposed = {}
+        for k, cols in matrices.items():
+            rows = [[] for _ in range(counts[k - 1])]
+            for i, col in enumerate(cols):
+                for r, sign in col:
+                    rows[r].append((i, sign))
+            transposed[k] = rows
         for coeff in (H.RATIONALS, H.GF(2), H.GF(3)):
             hom = H.reduced_homology(K, coeff)
             coh = H.reduced_cohomology(K, coeff)
             assert hom.ranks == coh.ranks
+            assert H.chain_homology(counts, transposed, coeff).ranks == coh.ranks
 
 
 def _oracle_profiles(K, Jmask):

@@ -3,11 +3,11 @@
 ``check-all`` compares the squarefree Tor read off the Hochster sweep
 (route one) with the homology of the Koszul slices (route two).  The
 comparison checks something only while route two is computed without
-the sweep, so the slice functions of ``pontryagin``, the slice builder
-of ``checks`` (which reads K's memo), the reduction over Z of
-``homology`` that the builder applies from a slice's second read on, and
-the functions of their own module that they call, may name neither
-``hochster`` nor its per-subset profiles.
+the sweep, so the slice functions of ``pontryagin`` (whose reader keeps
+the slices in K's memo), the non-squarefree check of ``checks``, the
+reduction over Z of ``homology`` that the reader applies from a slice's
+second read on, and the functions of their own module that they call,
+may name neither ``hochster`` nor its per-subset profiles.
 """
 
 import ast
@@ -16,7 +16,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "flagtor"
 ROUTE_TWO = {
     "pontryagin.py": ("koszul_slice", "tor_via_koszul_complex"),
-    "checks.py": ("_koszul_slice", "_tor_vanishes_off_squarefree"),
+    "checks.py": ("_tor_vanishes_off_squarefree",),
     "homology.py": ("reduce_over_z",),
 }
 BANNED = {"hochster", "subcomplex_profiles", "profile_for_subset"}
@@ -56,13 +56,14 @@ def _scan(module, roots):
 def test_koszul_route_names_nothing_of_the_sweep():
     named, offences = _scan("pontryagin.py", ROUTE_TWO["pontryagin.py"])
     assert "chain_homology" in named
+    assert {"tables", "koszul_slice", "reduce_over_z"} <= named  # the reader
     assert not offences, offences
 
 
 def test_slice_table_names_nothing_of_the_sweep():
     named, offences = _scan("checks.py", ROUTE_TWO["checks.py"])
-    assert "koszul_slice" in named  # the table builds through pontryagin
-    assert "reduce_over_z" in named  # and reduces through homology
+    assert "tor_via_koszul_complex" in named  # the one slice reader
+    assert not {"koszul_slice", "reduce_over_z", "tables"} & named  # builds nothing
     assert not offences, offences
 
 

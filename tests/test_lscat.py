@@ -3,6 +3,7 @@
 import pytest
 from _fixtures import rp2_flag12
 
+from flagtor import cli
 from flagtor import complexes as C
 from flagtor import hochster as Ho
 from flagtor import homology as H
@@ -121,6 +122,20 @@ def test_cup_witness_does_not_depend_on_vertex_labels():
         if sub.m >= 4:
             plain = C.SimplicialComplex(sub.m, sub.faces)
             assert L.cup_witness_search(sub) == L.cup_witness_search(plain), J
+
+
+def test_cup_witness_search_stops_past_its_budget(monkeypatch, capsys):
+    K = C.join(C.cycle_complex(4), C.cycle_complex(5))
+    monkeypatch.setattr(L, "MAX_PARTITIONS", 2203)  # the witness is the 2,203rd
+    assert L.cup_witness_search(K) is not None
+    monkeypatch.setattr(L, "MAX_PARTITIONS", 2202)
+    with pytest.raises(L.SearchBudgetExceededError):
+        L.cup_witness_search(K)
+    assert cli.run(["cup-search", "--named", "cycle:4*cycle:5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines() == [
+        "error: the cup-witness search tried 2202 set partitions without "
+        "finding a witness"]
 
 
 def test_cup_witness_skipped_for_simplex():

@@ -1,11 +1,12 @@
 """Every table computed from K's full subcomplexes has one owner.
 
 ``complexes.tables(K)`` holds them all, for the last complex asked for,
-and ``hochster.clear_cache`` empties it.  ``homology.geometry`` is the
-one other per-complex memo, since links reuse it; ``cli._level`` and
-``cli.build_parser`` hold no complex.  Anywhere else in ``src/flagtor``
-an ``lru_cache`` or ``cache`` decorator, or an empty dict at module
-level, would be a second lifetime that the one clear does not reach.
+and ``hochster.clear_cache`` empties it: the geometry and the category
+by links live there too, and work on another complex (a link, say)
+keeps nothing.  ``cli._level`` and ``cli.build_parser`` hold no complex.
+Anywhere else in ``src/flagtor`` an ``lru_cache`` or ``cache`` decorator,
+or an empty dict at module level, would be a second lifetime that the
+one clear does not reach.
 """
 
 import ast
@@ -17,12 +18,12 @@ from flagtor import checks
 from flagtor import complexes as C
 from flagtor import hochster as Ho
 from flagtor import homology as H
+from flagtor import lscat as L
 from flagtor import pontryagin as P
 from flagtor import series as S
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "flagtor"
-ALLOWED = {("complexes", "tables"), ("homology", "geometry"),
-           ("cli", "_level"), ("cli", "build_parser")}
+ALLOWED = {("complexes", "tables"), ("cli", "_level"), ("cli", "build_parser")}
 MEMO_DECORATORS = {"lru_cache", "cache"}
 DICT_FACTORIES = {"dict", "defaultdict", "OrderedDict"}
 
@@ -76,7 +77,8 @@ def _count_builds(monkeypatch):
     for owner, name in ((C, "_is_flag"), (C, "_chi_subcomplexes"),
                         (S, "_euler_denominator_t"), (S.MultiSeries, "inverse"),
                         (S, "_homotopy_ranks"), (P, "koszul_slice"),
-                        (P, "cobar_slice"), (Ho._Sweep, "run")):
+                        (P, "cobar_slice"), (Ho._Sweep, "run"),
+                        (L, "_cat_via_links")):
         fn = getattr(owner, name)
         builds[name] = 0
 
@@ -90,7 +92,8 @@ def _count_builds(monkeypatch):
 
 def _use_every_table(K):
     """Read the flag bit, chi~, the denominator, F, the ranks, one Koszul
-    slice, one cobar slice and the rational store of K."""
+    slice, one cobar slice, the rational store, the geometry and the
+    category by links of K."""
     assert C.is_flag(K)
     S.euler_denominator_t(K)
     S.poincare_ozk(K, 6)
@@ -98,6 +101,8 @@ def _use_every_table(K):
     assert checks._tor_matches_koszul_slices(K, {H.RATIONALS: [K.full_mask]}) \
         [H.RATIONALS][0]
     assert P.cobar_ext(K, H.RATIONALS, (1, 1) + (0,) * (K.m - 2))
+    assert L.cat_via_links(K) >= 1
+    assert H.geometry(K) is C.tables(K)["geometry"]
 
 
 def test_clear_cache_forces_every_table_to_be_rebuilt(monkeypatch):
@@ -133,3 +138,28 @@ def test_sweeping_another_complex_frees_the_stores():
     gc.collect()  # a finished sweep and its table of pairs form a cycle
     assert all(ref() is None for ref in stores)
     assert not Ho._cache_for(K1, H.INTEGERS)  # K1 sweeps anew
+
+
+def test_the_category_by_links_keeps_the_tables_of_K():
+    K = C.random_flag(8, 0.5, 2)
+    Ho.clear_cache()
+    held = C.tables(K)
+    store = Ho.subcomplex_profiles(K, H.INTEGERS)
+    assert L.cat_via_links(K) == 1 + L.max_subcomplex_cdim(K)
+    # the links are eliminated without a memo of their own
+    assert C.tables(K) is held
+    assert held[("store", H.INTEGERS.key())] is store
+    assert "cat via links" in held
+
+
+def test_a_second_check_all_walks_no_link(monkeypatch):
+    K = C.random_flag(8, 0.5, 2)
+    Ho.clear_cache()
+    walked = []
+    link = L.link
+    monkeypatch.setattr(L, "link", lambda *args: walked.append(args) or link(*args))
+    assert all(ok for _, ok, _ in checks.check_all(K, H.RATIONALS, 8))
+    assert walked
+    walked.clear()
+    assert all(ok for _, ok, _ in checks.check_all(K, H.GF(2), 8))
+    assert walked == []
