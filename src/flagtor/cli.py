@@ -286,11 +286,12 @@ def _profile_json(prof):
 
 def _cmd_homology(cfg, args):
     prof = homology.reduced_homology(cfg.K, cfg.coeff)
-    coh = homology.reduced_cohomology(cfg.K, cfg.coeff)
+    integral = (homology.reduced_homology(cfg.K, homology.INTEGERS)
+                if cfg.coeff.is_field else prof)
     return {"coefficients": str(cfg.coeff),
             "homology": _profile_json(prof),
-            "cohomology": _profile_json(coh),
-            "cdim_Z": homology.reduced_homology(cfg.K, homology.INTEGERS).cdim()}
+            "cohomology": _profile_json(prof.cohomology()),
+            "cdim_Z": integral.cdim()}
 
 
 def _table_json(table, detail):
@@ -369,10 +370,10 @@ def _cmd_gens_rels(cfg, args):
         "exact": totals["exact"],
         "generators": {"total": totals["generators"],
                        "by_subset": [{"J": _subset_json(J), "count": c}
-                                     for J, c in sorted(gens.items())]},
+                                     for J, c in gens.items()]},
         "relations": {"total": totals["relations"],
                       "by_subset": [{"J": _subset_json(J), "count": c}
-                                    for J, c in sorted(rels.items())]},
+                                    for J, c in rels.items()]},
     }
 
 

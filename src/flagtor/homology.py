@@ -87,9 +87,6 @@ class HomologyProfile:
     def torsion_at(self, n):
         return self.torsion.get(n, ())
 
-    def min_generators(self, n):
-        return self.rank(n) + len(self.torsion_at(n))
-
     def degrees(self):
         return sorted(set(self.ranks) | set(self.torsion))
 
@@ -466,8 +463,3 @@ def reduced_homology(K, coeff):
 def subcomplex_homology(K, Jmask, coeff):
     """Reduced homology of the full subcomplex K_J (J as a bitmask)."""
     return _profile_restricted(geometry(K), Jmask, coeff)
-
-
-def reduced_cohomology(K, coeff):
-    """Reduced cohomology, from the homology by universal coefficients."""
-    return reduced_homology(K, coeff).cohomology()

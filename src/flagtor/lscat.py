@@ -9,11 +9,17 @@ recovers the category.  For non-flag K, flagifying and discounting by
 nu(K) gives a lower bound.  A small exhaustive search for witnesses that
 the cup-length attains the category is included, capped at
 MAX_PARTITIONS set partitions; coming up empty is a legitimate (and
-recorded) outcome.  ``cat_report`` gathers the values into one plain
-dict, the one the ``cat`` subcommand prints.
+recorded) outcome.  Its cochain test is built once per support S: the
+d-faces of K_S, the coboundary columns into the d-cochains with their
+ranks over Q and F2, and the (d+1)-faces for the cocycle guard.  Each
+choice of components then costs its product cochain, the guard and one
+rank with the cochain added.  ``cat_report`` gathers the values into one
+plain dict, the one the ``cat`` subcommand prints.
 """
 
 from __future__ import annotations
+
+from itertools import product, takewhile
 
 from . import hochster, homology
 from .complexes import NotFlagError, flagification, is_flag, link, memo, nu_direct
@@ -117,69 +123,60 @@ def _partitions(vertices, parts):
     yield from rec(0, [])
 
 
-def _cocycle_values(K, Smask, parts, comps_choice):
-    """The product cochain on top faces of K_S, with join-product signs.
+def _cochain_values(faces, chosen):
+    """The product of the chosen components' indicator 0-cocycles on the
+    d-faces of K_S, with join-product signs.
 
-    parts: list of vertex masks A_1..A_{d+1}; comps_choice: the chosen
-    component mask within each part.  Returns (d_faces, values) where
-    values[i] is the coefficient on the i-th d-face of K_S.
+    A face meets each chosen component in one vertex or gets 0; the sign
+    is that of the order of those vertices, read part by part.
     """
-    d = len(parts) - 1
-    faces = sorted(f for f in K.faces if not f & ~Smask
-                   and f.bit_count() == d + 1)
     values = []
     for f in faces:
-        val = 1
-        reps = []
-        for part, comp in zip(parts, comps_choice):
-            inter = f & part
-            if inter.bit_count() != 1:
-                val = 0
-                break
-            reps.append(inter)
-            if not inter & comp:
-                val = 0
-        if val:
-            inv = sum(1 for a in range(d + 1) for b in range(a + 1, d + 1)
-                      if reps[a] > reps[b])
-            val = -1 if inv & 1 else 1
-        values.append(val)
-    return faces, values
+        reps = [f & c for c in chosen]
+        if any(r.bit_count() != 1 for r in reps):
+            values.append(0)
+        else:
+            inv = sum(a > b for i, a in enumerate(reps) for b in reps[i + 1:])
+            values.append(-1 if inv & 1 else 1)
+    return values
 
 
-def _is_cocycle(K, Smask, faces, values):
-    """Sanity guard: the product cochain must vanish under the coboundary."""
-    d = faces[0].bit_count() - 1 if faces else 0
+def _is_cocycle(tops, values):
+    """Sanity guard: the product cochain must vanish on the boundary of
+    every (d+1)-face of K_S, given as (index, sign) pairs."""
+    return not any(sum(sign * values[i] for i, sign in top) for top in tops)
+
+
+def _support_test(K, Smask, d):
+    """The cochain test of the support S, built once per S: a function from
+    one chosen component per part to the field ("Q", else "F2") over which
+    their product cochain is not a coboundary in K_S, or None."""
     geo = homology.geometry(K)
+    faces = [f for f in geo.by_dim[d] if not f & ~Smask]  # sorted, as by_dim is
     index = {geo.position[f]: i for i, f in enumerate(faces)}
-    for tau in K.faces:
-        if tau & ~Smask or tau.bit_count() != d + 2:
-            continue
-        total = 0
-        for sub, sign in geo.boundary[tau]:
-            i = index.get(sub)
-            if i is not None:
-                total += sign * values[i]
-        if total:
-            return False
-    return True
-
-
-def _is_coboundary(K, faces, values, p=None):
-    """Is the cochain a coboundary in the reduced complex of K_S?
-
-    faces are the d-faces of K_S.  The coboundary has one column per
-    (d-1)-face of a d-face, with rows indexed like faces; the other
-    (d-1)-faces give zero columns, which leave the ranks alone.
-    """
-    geo = homology.geometry(K)
-    by_lower = {}
+    # the boundary of each (d+1)-face of K_S, on the d-faces, for the guard
+    tops = [[(index[r], sign) for r, sign in geo.boundary[t]]
+            for t in geo.by_dim.get(d + 1, ()) if not t & ~Smask]
+    # the coboundary into the d-cochains: one column per (d-1)-face
+    lower = {}
     for i, f in enumerate(faces):
         for r, sign in geo.boundary[f]:
-            by_lower.setdefault(r, []).append((i, sign))
-    cols = list(by_lower.values())
-    target = [(i, v) for i, v in enumerate(values) if v]
-    return rank_columns(cols + [target], p) == rank_columns(cols, p)
+            lower.setdefault(r, []).append((i, sign))
+    cols = list(lower.values())
+    ranks = [(p, rank_columns(cols, p)) for p in (None, 2)]
+
+    def test(chosen):
+        values = _cochain_values(faces, chosen)
+        if not any(values):
+            return None
+        assert _is_cocycle(tops, values), "product cochain failed the cocycle check"
+        target = [(i, v) for i, v in enumerate(values) if v]
+        for p, rank in ranks:
+            if rank_columns(cols + [target], p) > rank:
+                return "Q" if p is None else "F2"
+        return None
+
+    return test
 
 
 def _supports(m, least):
@@ -212,62 +209,28 @@ def cup_witness_search(K):
     d = max_subcomplex_cdim(K)
     if d < 0:
         return None
-    nparts = d + 1
     adj = homology.geometry(K).adjacency
     tried = 0
-    for Smask in _supports(K.m, 2 * nparts):
+    for Smask in _supports(K.m, 2 * (d + 1)):
+        test = None
         verts = [v for v in range(K.m) if (Smask >> v) & 1]
-        for blocks in _partitions(verts, nparts):
+        for blocks in _partitions(verts, d + 1):
             tried += 1
             if tried > MAX_PARTITIONS:
                 raise SearchBudgetExceededError(
                     f"the cup-witness search tried {MAX_PARTITIONS} set "
                     f"partitions without finding a witness")
-            parts = []
-            comps_by_part = []
-            ok = True
-            for b in blocks:
-                pmask = 0
-                for v in b:
-                    pmask |= 1 << v
-                comps = homology._components(adj, pmask)
-                if len(comps) < 2:
-                    ok = False
-                    break
-                parts.append(pmask)
-                comps_by_part.append(comps)
-            if not ok:
+            parts = [sum(1 << v for v in b) for b in blocks]
+            comps = list(takewhile(lambda c: len(c) > 1,
+                                   (homology._components(adj, p) for p in parts)))
+            if len(comps) <= d:
                 continue
-            choice = [0] * nparts
-
-            def try_choices(i):
-                if i == nparts:
-                    chosen = [comps_by_part[j][choice[j]] for j in range(nparts)]
-                    faces, values = _cocycle_values(K, Smask, parts, chosen)
-                    if not any(values):
-                        return None
-                    assert _is_cocycle(K, Smask, faces, values), \
-                        "product cochain failed the cocycle check"
-                    for p in (None, 2):
-                        if not _is_coboundary(K, faces, values, p):
-                            return {
-                                "support": Smask,
-                                "parts": parts,
-                                "components": chosen,
-                                "field": "Q" if p is None else "F2",
-                            }
-                    return None
-                for c in range(len(comps_by_part[i])):
-                    choice[i] = c
-                    found = try_choices(i + 1)
-                    if found:
-                        return found
-                return None
-
-            witness = try_choices(0)
-            if witness:
-                witness["dimension"] = d
-                return witness
+            test = test or _support_test(K, Smask, d)
+            for chosen in product(*comps):
+                field = test(chosen)
+                if field:
+                    return {"support": Smask, "parts": parts, "components": list(chosen),
+                            "field": field, "dimension": d}
     return None
 
 

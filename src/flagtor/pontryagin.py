@@ -68,31 +68,30 @@ def tor_for_subset(K, Jmask, coeff):
 def generator_relation_counts(K, coeff):
     """Minimal generator/relation counts of the loop homology algebra.
 
-    Over a field the counts are exact; over Z they are lower bounds (the
-    minimal number of generators of the corresponding Tor modules).
-    Returns (generators_by_J, relations_by_J, totals dict).
+    They are read off Tor_1 and Tor_2 of the Tor table, whose entries come
+    in ascending J and hold only nonzero rows.  Over a field the counts
+    are exact; over Z they are lower bounds (the minimal number of
+    generators of the corresponding Tor modules).  Returns
+    (generators_by_J, relations_by_J, totals dict), by ascending J.
     """
-    _require_flag(K)
-    profiles = hochster.subcomplex_profiles(K, coeff)
     gens, rels = {}, {}
-    for J, prof in profiles.items():
-        g = prof.min_generators(0)
-        r = prof.min_generators(1)
-        if g:
-            gens[J] = g
-        if r:
-            rels[J] = r
+    for (J, n), (r, t) in tor_via_subcomplexes(K, coeff).entries.items():
+        if n == 1:
+            gens[J] = r + len(t)
+        elif n == 2:
+            rels[J] = r + len(t)
     totals = {"generators": sum(gens.values()), "relations": sum(rels.values()),
               "exact": coeff.is_field}
     return gens, rels, totals
 
 
 def gens_rels_for_subset(K, Jmask, coeff):
-    """Generator and relation counts at the single subset J (flag K)."""
+    """Generator and relation counts at the single subset J (flag K):
+    Tor_1 and Tor_2 of ``tor_for_subset``."""
     if not is_flag(K):
         raise NotFlagError("generator/relation counts need a flag complex")
-    prof = hochster.profile_for_subset(K, Jmask, coeff)
-    return prof.min_generators(0), prof.min_generators(1)
+    tor = tor_for_subset(K, Jmask, coeff)
+    return tuple(r + len(t) for r, t in (tor.get(n, (0, ())) for n in (1, 2)))
 
 
 # ---------------------------------------------------------------------------

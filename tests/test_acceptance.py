@@ -398,7 +398,7 @@ def test_criterion_12_property_suites():
             tor = sum(1 for t in z.torsion_at(n) if t % p == 0)
             tor_dn = sum(1 for t in z.torsion_at(n - 1) if t % p == 0)
             assert fp.rank(n) == z.rank(n) + tor + tor_dn
-        coh = H.reduced_cohomology(K, H.INTEGERS)
+        coh = H.reduced_homology(K, H.INTEGERS).cohomology()
         assert coh.ranks == z.ranks
         assert coh.torsion == {n + 1: t for n, t in z.torsion.items()}
 

@@ -108,6 +108,25 @@ def test_cup_witness_on_octahedron():
                                   C.mask_of([5, 6])]
 
 
+@pytest.mark.parametrize("build, witness", [
+    (lambda: C.cross_polytope(4),
+     {"support": 255, "parts": [3, 12, 48, 192], "components": [1, 4, 16, 64],
+      "field": "Q", "dimension": 3}),
+    (lambda: C.join(C.cycle_complex(4), C.cycle_complex(5)),
+     {"support": 511, "parts": [5, 10, 176, 320], "components": [1, 2, 48, 64],
+      "field": "Q", "dimension": 3}),
+    (lambda: C.random_flag(10, 0.4, 1),
+     {"support": 1023, "parts": [873, 150], "components": [513, 6],
+      "field": "Q", "dimension": 1}),
+    # the Toomer invariant over Q is 2, so only F2 can see cup-length 3
+    (rp2_flag12,
+     {"support": 4095, "parts": [3471, 48, 576], "components": [2447, 16, 64],
+      "field": "F2", "dimension": 2}),
+], ids=["cross:4", "cycle:4*cycle:5", "random-flag:10:40:1", "rp2_flag12"])
+def test_cup_witnesses_are_pinned(build, witness):
+    assert L.cup_witness_search(build()) == witness
+
+
 def test_cup_witness_does_not_depend_on_vertex_labels():
     # full subcomplexes keep their parent's vertex names in ``labels``;
     # the search must give what it gives on the same faces named 1..m
