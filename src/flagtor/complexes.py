@@ -485,6 +485,8 @@ def join(K1, K2):
 
 def cross_polytope(d):
     """Boundary of the d-dimensional cross-polytope (d-fold join of S^0)."""
+    if d < 1:
+        raise ValueError("cross-polytope needs d >= 1")
     K = points(2)
     for _ in range(d - 1):
         K = join(K, points(2))
@@ -522,6 +524,8 @@ def barycentric_subdivision(K):
 
 def random_flag(m, p, seed):
     """Clique complex of a Bernoulli random graph G(m, p)."""
+    if m < 1 or not 0 <= p <= 1:
+        raise ValueError("random flag complex needs m >= 1 and 0 <= p <= 1")
     rng = random.Random(seed)
     adj = [0] * m
     for i in range(m):

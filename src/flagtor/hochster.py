@@ -11,11 +11,12 @@ shares and which lasts until another complex is asked for.
 A store holds each distinct profile once, interned by value, and after
 a sweep an id array with one entry per J, the index of its profile in
 that table: one byte per J, or two once a sweep meets more than 255
-distinct profiles (the sweep then widens the array and redoes the layer
-it was in).  The sweep fills the array in ascending J, one vertex layer
-at a time: the J whose top vertex is t are J' + t for J' < 2^t.  When
-every link of t is a full subcomplex (every vertex, when K is flag), the
-whole layer is one block pass: the ids of K_{J'} are the slice
+distinct profiles (the sweep then runs once more from J = 0 with
+two-byte ids, keeping the profiles it met).  The sweep fills the array
+in ascending J, one vertex layer at a time: the J whose top vertex is t
+are J' + t for J' < 2^t.  When every link of t is a full subcomplex
+(every vertex, when K is flag), the whole layer is one block pass: the
+ids of K_{J'} are the slice
 ``ids[:2^t]``, those of lk t = K_{N(t) & J'} one gather, and
 ``homology.mayer_vietoris`` runs once per new (link id, rest id) pair
 before one table lookup maps the whole block.  What t leaves unsettled
@@ -224,7 +225,7 @@ def clear_cache():
 
 
 def _cache_for(K, coeff):
-    return tables(K).setdefault(("store", coeff.key()), _Store())
+    return tables(K).setdefault(("store", coeff), _Store())
 
 
 def cache_snapshot(K, coeff):
@@ -233,7 +234,7 @@ def cache_snapshot(K, coeff):
 
 def profile_for_subset(K, Jmask, coeff):
     """Reduced homology of K_J, off a finished sweep or else by elimination."""
-    store = tables(K).get(("store", coeff.key()))
+    store = tables(K).get(("store", coeff))
     if store:
         return store[Jmask]
     return homology.subcomplex_homology(K, Jmask, coeff)
@@ -249,7 +250,10 @@ def subcomplex_profiles(K, coeff):
     check_sweep_cap(K)
     store = _cache_for(K, coeff)
     if not store:
-        store.ids = _Sweep(K, coeff, store).run()
+        try:
+            store.ids = _Sweep(K, coeff, store, _WIDTHS[0]).run()
+        except _Widen:  # once more from J = 0, keeping the profiles met
+            store.ids = _Sweep(K, coeff, store, _WIDTHS[1]).run()
     return store
 
 
@@ -280,10 +284,9 @@ class _Settled(dict):
 class _Sweep:
     """One ascending pass over every J, writing profile ids in place."""
 
-    def __init__(self, K, coeff, store):
-        self.m, self.coeff, self.store = K.m, coeff, store
+    def __init__(self, K, coeff, store, width):
+        self.m, self.coeff, self.store, self.width = K.m, coeff, store, width
         self.geo = homology.geometry(K)
-        self.width = _WIDTHS[0]
         self.ids = self.width.ids([self.width.unset]) * (1 << K.m)
         self.settled = _Settled(self)
         self.point = None
@@ -291,29 +294,17 @@ class _Sweep:
     def run(self):
         self.ids[0] = self.one(0)
         for t in range(self.m):
-            while True:
-                try:
-                    self.layer(t)
-                    break
-                except _Widen:
-                    self.widen(t)
+            self.layer(t)
         return self.ids
 
     def intern(self, prof):
         i = self.store.intern(prof)
-        if i >= self.width.limit:
-            raise _Widen
-        return i
-
-    def widen(self, t):
-        """Move to two-byte ids and unset every J from layer t up."""
+        if i < self.width.limit:
+            return i
         if self.width is _WIDTHS[-1]:
             raise ComplexTooLargeError(
                 f"a sweep holds at most {self.width.limit} distinct profiles")
-        self.width = _WIDTHS[_WIDTHS.index(self.width) + 1]
-        wide = array(self.width.typecode, self.ids[:1 << t])
-        self.ids = wide + array(wide.typecode, [self.width.unset]) * (len(self.ids) - len(wide))
-        self.settled.clear()
+        raise _Widen
 
     def layer(self, t):
         """Settle every J whose top vertex is t."""

@@ -42,9 +42,6 @@ class Coefficients:
     def is_field(self):
         return self.kind != "z"
 
-    def key(self):
-        return (self.kind, self.p)
-
     def __str__(self):
         return {"q": "Q", "z": "Z"}.get(self.kind, f"F{self.p}")
 

@@ -12,7 +12,8 @@ divided-power part:
 
     d(u_I ⊗ χ_α) = sum over j in supp α of (u_I ∧ u_j) ⊗ χ_{α - e_j}.
 
-It also enumerates a monomial basis of the quadratic dual algebra
+It also enumerates, one word length at a time, a monomial basis of the
+quadratic dual algebra
 
     T(u_1..u_m) / (u_i^2;  u_i u_j + u_j u_i for edges {i,j})
 
@@ -27,15 +28,22 @@ vectors are halved, as in the multidegree 2*beta.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from . import hochster, homology
 from .complexes import NotFlagError, adjacency, is_flag, tables
 
 DEFAULT_DEGREE_BOUND = 8
 MAX_DEGREE_BOUND = 31  # as MultiSeries; cobar words recurse once per letter
+MAX_WORDS = 500_000  # most normal words of one length that are built
 
 
 class BoundExceededError(ValueError):
     """Requested multidegree exceeds the configured total-degree bound."""
+
+
+class WordBudgetExceededError(ValueError):
+    """A length has more than MAX_WORDS normal words."""
 
 
 def _require_flag(K):
@@ -210,38 +218,30 @@ def _can_append(word, x, adj):
     return True
 
 
-def _walk_normal_words(K, max_length):
-    """Every basis word of length <= max_length, in lexicographic order.
+def _normal_word_levels(K, max_length):
+    """The basis words of each length 0..max_length, one level per length.
 
-    A depth-first walk with an explicit stack, so the length is not bound
-    by the recursion limit.  Yields the walk's own letter list, which
-    changes as the walk goes on.
+    Level n + 1 appends each letter, ascending, to each word of level n
+    that ``_can_append`` accepts, so each level is in lexicographic order.
     """
-    adj = adjacency(K)
-    letters = range(1, K.m + 1)
-    word = []
-    yield word
-    # stack[d] runs over the letters still to try after word[:d]
-    stack = [iter(letters)] if max_length else []
-    while stack:
-        for x in stack[-1]:
-            if _can_append(word, x, adj):
-                word.append(x)
-                yield word
-                if len(word) < max_length:
-                    stack.append(iter(letters))
-                    break
-                word.pop()
-        else:
-            stack.pop()
-            if word:
-                word.pop()
+    adj, letters, level = adjacency(K), range(1, K.m + 1), [()]
+    yield level
+    for n in range(1, max_length + 1):
+        longer = []
+        for word in level:
+            longer.extend(word + (x,) for x in letters if _can_append(word, x, adj))
+            if len(longer) > MAX_WORDS:  # checked while building, to bound memory
+                raise WordBudgetExceededError(
+                    f"there are more than {MAX_WORDS} normal words of length {n}")
+        level = longer
+        yield level
 
 
 def normal_words(K, length):
     """All basis words of the given length, in lexicographic order."""
-    return [tuple(w) for w in _walk_normal_words(K, length)
-            if len(w) == length]
+    for words in _normal_word_levels(K, length):
+        pass
+    return words
 
 
 def koszul_dual_basis(K, length):
@@ -249,19 +249,14 @@ def koszul_dual_basis(K, length):
     vector: the words as letter tuples, in lexicographic order, and a dict
     alpha -> count."""
     words = normal_words(K, length)
-    counts = {}
-    for w in words:
-        alpha = _exponents(w, K.m)
-        counts[alpha] = counts.get(alpha, 0) + 1
-    return words, counts
+    return words, dict(Counter(_exponents(w, K.m) for w in words))
 
 
 def normal_word_counts(K, max_total):
     """Counts per exponent vector for all lengths 0..max_total."""
-    by_letters = {}  # keyed by the sorted letters, one key per alpha
-    for word in _walk_normal_words(K, max_total):
-        key = tuple(sorted(word))
-        by_letters[key] = by_letters.get(key, 0) + 1
+    levels = _normal_word_levels(K, max_total)
+    # keyed by the sorted letters, one key per alpha
+    by_letters = Counter(tuple(sorted(word)) for level in levels for word in level)
     return {_exponents(letters, K.m): c for letters, c in by_letters.items()}
 
 

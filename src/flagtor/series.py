@@ -45,7 +45,7 @@ accumulator in place, those of degree above trunc/2 all at once.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 from types import MappingProxyType
 
 from . import complexes
@@ -474,47 +474,37 @@ def pbw_reconstruct(ranks, nvars, trunc):
 def chi_inequality(K, alpha):
     """Direct compositional value sum_N (1/N) sum over alpha = J_1+..+J_N.
 
-    The J_i are nonempty vertex subsets summing to alpha coordinatewise;
-    for gcd(alpha) = 1 this equals the homotopy rank at alpha, and it is
-    non-negative for every flag complex.  Returns (value, value >= 0).
+    The J_i are nonempty vertex subsets summing to alpha coordinatewise,
+    and the inner sum, of the products of the chi~(K_{J_i}), is the x^alpha
+    coefficient of g^N for g = sum chi~(K_J) x^J over nonempty J in
+    supp(alpha): each power is one product more, cut to the box below
+    alpha.  For gcd(alpha) = 1 this equals the homotopy rank at alpha, and
+    it is non-negative for every flag complex.  Returns (value, value >= 0).
     """
     if not is_flag(K):
         raise NotFlagError("the inequality is stated for flag complexes")
-    alpha = tuple(alpha)
     chi = complexes.chi_subcomplexes(K)
-    supp = [i for i, a in enumerate(alpha) if a]
-    subsets = []
+    supp = [(i, a) for i, a in enumerate(alpha) if a]
+    # a vector in the box is a number in mixed radix a + 1 over supp, so
+    # adding a subset that misses every coordinate at its bound never carries
+    places = [prod(a + 1 for _, a in supp[:pos]) for pos in range(len(supp))]
+    g = {}  # subset S of positions in supp -> (its vector as a number, chi~)
     for S in range(1, 1 << len(supp)):
-        mask = 0
-        vec = [0] * K.m
-        for pos, i in enumerate(supp):
-            if (S >> pos) & 1:
-                mask |= 1 << i
-                vec[i] = 1
-        if chi[mask]:
-            subsets.append((tuple(vec), chi[mask]))
-    memo = {}
-
-    def tuples_count(rem, n):
-        """Sum over ordered n-tuples of subsets summing to rem of prod chi."""
-        if n == 0:
-            return 1 if not any(rem) else 0
-        if sum(rem) < n:
-            return 0
-        key = (rem, n)
-        if key in memo:
-            return memo[key]
-        total = 0
-        for vec, c in subsets:
-            if all(v <= r for v, r in zip(vec, rem)):
-                total += c * tuples_count(
-                    tuple(r - v for r, v in zip(rem, vec)), n - 1)
-        memo[key] = total
-        return total
-
-    value = Fraction(0)
-    for n in range(1, sum(alpha) + 1):
-        t = tuples_count(alpha, n)
-        if t:
-            value += Fraction(t, n)
+        c = chi[sum(1 << i for pos, (i, _) in enumerate(supp) if S >> pos & 1)]
+        if c:
+            g[S] = sum(p for pos, p in enumerate(places) if S >> pos & 1), c
+    top = prod(a + 1 for _, a in supp) - 1  # alpha itself
+    value, power = Fraction(0), {0: 1}
+    for n in range(1, sum(a for _, a in supp) + 1):
+        product = {}
+        for k, c in power.items():
+            free = S = sum(1 << pos for pos, ((_, a), p) in enumerate(zip(supp, places))
+                           if k // p % (a + 1) < a)
+            while S:  # the nonempty subsets of free
+                if S in g:
+                    step, x = g[S]
+                    product[k + step] = product.get(k + step, 0) + c * x
+                S = (S - 1) & free
+        power = product
+        value += Fraction(power.get(top, 0), n)
     return value, value >= 0

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,16 @@ def test_bad_input_exits_two():
     assert r.returncode == 2
     r = flagtor("homology", "--named", "cycle:4", "--coeff", "fp:6")
     assert r.returncode == 2
+
+
+@pytest.mark.parametrize("name", ["cross:0", "random-flag:0:50:1", "random-flag:5:150:1",
+                                  "cycle:2", "skeleton:-1:cycle:4"])
+def test_bad_corpus_arguments_exit_two(name, capsys):
+    assert cli.run(["info", "--named", name]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    [line] = err.splitlines()
+    assert line.startswith(f"error: bad arguments in corpus name {name!r}: ")
 
 
 def test_check_all_passes_and_is_quiet_on_success(tmp_path):
@@ -218,6 +229,18 @@ def test_koszul_dual_long_words_do_not_hit_the_recursion_limit():
     data = json.loads(r.stdout)["result"]
     assert data["total"] == 2
     assert data["words"] == [[1, 2] * 750, [2, 1] * 750]
+
+
+def test_koszul_dual_over_the_word_budget_exits_two():
+    # cycle:5 has 231,840 normal words of length 12 and more than
+    # MAX_WORDS of length 13, so no level past 13 is built
+    start = time.monotonic()
+    r = flagtor("koszul-dual", "--named", "cycle:5", "--length", "40")
+    assert time.monotonic() - start < 10
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.splitlines() == [
+        f"error: there are more than {pontryagin.MAX_WORDS} normal words of length 13"]
 
 
 def test_cobar_ext_cli():
@@ -417,3 +440,14 @@ def test_internal_assertion_exits_four(monkeypatch, capsys, argv, target, stub,
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"internal error: {message}\n"
+
+
+@pytest.mark.parametrize("text", [
+    f"are capped at m <= {complexes.SWEEP_CAP};",
+    f"`series.SERIES_BUDGET`, {series.SERIES_BUDGET:,} terms",
+    f"`lscat.MAX_PARTITIONS` = {lscat.MAX_PARTITIONS:,}",
+    f"`pontryagin.MAX_WORDS` = {pontryagin.MAX_WORDS:,}",
+], ids=["SWEEP_CAP", "SERIES_BUDGET", "MAX_PARTITIONS", "MAX_WORDS"])
+def test_readme_states_each_cap_with_its_value(text):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert text in " ".join(readme.split())

@@ -261,7 +261,7 @@ def test_block_sweep_matches_plain_elimination_on_every_subset(monkeypatch):
 
 def test_sweep_widens_its_ids_past_the_byte_limit(monkeypatch):
     # ids are one byte each until the store holds the byte width's limit
-    # of profiles; then the sweep restarts the layer with two-byte ids
+    # of profiles; then the sweep runs once more from J = 0 with two-byte ids
     K = C.disjoint_union(C.real_projective_plane(), C.random_flag(6, 0.5, 1))
     expected = [H.subcomplex_homology(K, J, H.INTEGERS) for J in range(1 << K.m)]
     distinct = len({p.key() for p in expected})

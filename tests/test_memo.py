@@ -148,7 +148,7 @@ def test_the_category_by_links_keeps_the_tables_of_K():
     assert L.cat_via_links(K) == 1 + L.max_subcomplex_cdim(K)
     # the links are eliminated without a memo of their own
     assert C.tables(K) is held
-    assert held[("store", H.INTEGERS.key())] is store
+    assert held[("store", H.INTEGERS)] is store
     assert "cat via links" in held
 
 

@@ -213,6 +213,27 @@ def test_normal_words_lengths():
     assert len(P.normal_words(pts, 2)) == 5 * 4
 
 
+def test_normal_words_come_in_lexicographic_order():
+    # koszul-dual prints the words in this order
+    for K in (C.cycle_complex(5), C.points(3), C.random_flag(7, 0.5, 3),
+              C.join(C.cycle_complex(4), C.points(2))):
+        for length in range(6):
+            words = P.normal_words(K, length)
+            assert all(a < b for a, b in zip(words, words[1:])), (K.m, length)
+
+
+def test_normal_words_stop_past_the_word_budget(monkeypatch):
+    K = C.cycle_complex(5)
+    n = len(P.normal_words(K, 4))
+    monkeypatch.setattr(P, "MAX_WORDS", n)
+    assert len(P.normal_words(K, 4)) == n
+    monkeypatch.setattr(P, "MAX_WORDS", n - 1)
+    with pytest.raises(P.WordBudgetExceededError):
+        P.normal_words(K, 4)
+    with pytest.raises(P.WordBudgetExceededError):
+        P.normal_word_counts(K, 6)
+
+
 def test_normal_word_counts_match_series_growth():
     # the 4-cycle dual algebra grows as 4s in length s
     K = C.cycle_complex(4)
