@@ -5,10 +5,20 @@ paper, and compares exactly: the collapse of the Milnor-Moore spectral
 sequence at E2, the Panov-Ray h-vector identity, cat(Z_K) against the
 maximum of the Toomer invariants, squarefree Tor against the Koszul
 slices, and more.  ``check_all`` is the library entry point; the
-``check-all`` subcommand only renders its result.  The checks build no
-slice and no matrix themselves: Koszul slices are read through
-``pontryagin.tor_via_koszul_complex`` and the Smith form is tested by
-``exact_linalg.snf_spot_checks``.
+``check-all`` subcommand only renders its result.
+
+The checks that read no coefficient ring and draw no random sample are
+closure-and-ghosts, flagification-idempotent, euler-characteristic (over
+Q), nu-two-algorithms, link-equals-full-subcomplex, panov-ray-identity,
+series-coefficients-nonnegative, series-inverse-roundtrip, pbw-roundtrip,
+chi-inequality-matches-ranks and odj-series-vs-normal-words.  Their
+verdicts, with the normal-word counts the cobar check reads, are held in
+K's memo per (K, trunc), so the ``check-all`` runs over several rings on
+one K compute them once; every ring-dependent check runs on each call.
+
+The checks build no slice and no matrix themselves: Koszul slices are
+read through ``pontryagin.tor_via_koszul_complex`` and the Smith form is
+tested by ``exact_linalg.snf_spot_checks``.
 """
 
 from __future__ import annotations
@@ -28,12 +38,19 @@ def check_all(K, coeff, trunc):
     K does not qualify.  The random samples are seeded by K, so the list
     is the same on every run.
 
+    The checks that read no ring and draw no sample (closure, flagness,
+    the Euler characteristic over Q, the two nu algorithms, links, the
+    Panov-Ray identity, the series, PBW, chi~ and normal-word checks) are
+    held in K's memo per (K, trunc), so the next call on K over another
+    ring reads their verdicts; the ring-dependent checks run on every call.
+
     At m <= 10 the Milnor-Moore check takes E2 from the Koszul slices of
     the Tor oracle, which read nothing of the sweep, and E-infinity from
     the sweep.  At m > 10 the oracle samples J, so E2 is the Tor table's
     total and the check is one route: both totals fold the same sweep.
     """
-    checks = []
+    head, tail, counts = _ring_free_checks(K, trunc)
+    checks = list(head)
 
     def record(name, ok, detail=""):
         checks.append((name, bool(ok), detail))
@@ -41,37 +58,6 @@ def check_all(K, coeff, trunc):
     rng = random.Random(repr((K.m, tuple(sorted(K.faces)))))
     flag = complexes.is_flag(K)
     fields = [coeff] if coeff.is_field else [homology.RATIONALS, homology.GF(2)]
-
-    try:
-        complexes.validate(K)
-        record("closure-and-ghosts", True)
-    except Exception as exc:  # noqa: BLE001 - report, do not crash
-        record("closure-and-ghosts", False, str(exc))
-
-    Kf = complexes.flagification(K)
-    ok = complexes.flagification(Kf).faces == Kf.faces
-    if flag:
-        ok = ok and Kf.faces == K.faces
-    record("flagification-idempotent", ok)
-
-    chi = complexes.reduced_euler_char(K)
-    prof = homology.reduced_homology(K, homology.RATIONALS)
-    homological = sum((-1) ** n * prof.rank(n) for n in prof.degrees())
-    record("euler-characteristic", homological == chi,
-           f"combinatorial {chi} vs homological {homological}")
-
-    nu_f = complexes.nu_filtration(K)
-    nu_d = complexes.nu_direct(K)
-    i = 1
-    while i <= Kf.dim and complexes.skeleton(K, i).faces == \
-            complexes.skeleton(Kf, i).faces:
-        i += 1
-    record("nu-two-algorithms",
-           nu_f == nu_d and nu_d <= max(Kf.dim - (i - 1), 0),
-           f"filtration {nu_f}, direct {nu_d}")
-
-    if flag:
-        record("link-equals-full-subcomplex", _links_are_full_subcomplexes(K))
 
     if K.m <= complexes.SWEEP_CAP:
         if flag:
@@ -110,31 +96,10 @@ def check_all(K, coeff, trunc):
                 record("toomer-max-equals-cat", rep["max"] == cat,
                        f"toomer {rep['max']} vs cat {cat}")
 
-    if flag and K.m <= 20:
-        ok, _, _ = series.panov_ray_check(K)
-        record("panov-ray-identity", ok)
-        Ft = series.poincare_ozk_t(K, trunc)
-        record("series-coefficients-nonnegative", all(c >= 0 for c in Ft))
-        prod = series.poly_mul(series.euler_denominator_t(K), Ft, trunc)
-        record("series-inverse-roundtrip", prod[0] == 1 and not any(prod[1:]))
+    checks += tail
 
     if flag and K.m <= 10:
-        N = min(trunc, 8)
-        F = series.poincare_ozk(K, N)
-        ranks = series.homotopy_ranks(K, N)
-        record("pbw-roundtrip", series.pbw_reconstruct(ranks, K.m, N) == F)
-        ok = True
-        for alpha in [a for a in ranks if gcd(*a) == 1][:8]:
-            val, nonneg = series.chi_inequality(K, alpha)
-            if not nonneg or val != ranks.get(alpha, 0):
-                ok = False
-        record("chi-inequality-matches-ranks", ok)
-        bound = min(4, N)
-        counts = pontryagin.normal_word_counts(K, bound)
-        odj = series.poincare_odj(K, bound)
-        ok = all(odj.coefficient(a) == c for a, c in counts.items())
-        ok = ok and all(counts.get(a, 0) == v for a, v in odj.terms.items())
-        record("odj-series-vs-normal-words", ok)
+        bound = min(4, trunc)
         ok = True
         for _ in range(10):
             beta = tuple(rng.randint(0, 1) for _ in range(K.m))
@@ -158,6 +123,87 @@ def check_all(K, coeff, trunc):
 
     record("snf-spot-checks", exact_linalg.snf_spot_checks(rng))
     return checks
+
+
+def _ring_free_checks(K, trunc):
+    """The ring-free checks at ``trunc``, held in K's memo."""
+    return complexes.memo(K, ("ring-free checks", trunc),
+                          lambda K: _run_ring_free_checks(K, trunc))
+
+
+def _run_ring_free_checks(K, trunc):
+    """The checks of ``check_all`` that read no ring and draw no sample.
+
+    Returns (head, tail, counts): the verdicts ``check_all`` lists before
+    the ring-dependent checks, those it lists after them, and the
+    normal-word counts up to length min(4, trunc) that the cobar check
+    reads (None unless K is flag with m <= 10).
+    """
+    head, tail, counts = [], [], None
+
+    def record(out, name, ok, detail=""):
+        out.append((name, bool(ok), detail))
+
+    flag = complexes.is_flag(K)
+    try:
+        complexes.validate(K)
+        record(head, "closure-and-ghosts", True)
+    except Exception as exc:  # noqa: BLE001 - report, do not crash
+        record(head, "closure-and-ghosts", False, str(exc))
+
+    Kf = complexes.flagification(K)
+    ok = complexes.flagification(Kf).faces == Kf.faces
+    if flag:
+        ok = ok and Kf.faces == K.faces
+    record(head, "flagification-idempotent", ok)
+
+    chi = complexes.reduced_euler_char(K)
+    prof = homology.reduced_homology(K, homology.RATIONALS)
+    homological = sum((-1) ** n * prof.rank(n) for n in prof.degrees())
+    record(head, "euler-characteristic", homological == chi,
+           f"combinatorial {chi} vs homological {homological}")
+
+    nu_f = complexes.nu_filtration(K)
+    nu_d = complexes.nu_direct(K)
+    i = 1
+    while i <= Kf.dim and complexes.skeleton(K, i).faces == \
+            complexes.skeleton(Kf, i).faces:
+        i += 1
+    record(head, "nu-two-algorithms",
+           nu_f == nu_d and nu_d <= max(Kf.dim - (i - 1), 0),
+           f"filtration {nu_f}, direct {nu_d}")
+
+    if flag:
+        record(head, "link-equals-full-subcomplex",
+               _links_are_full_subcomplexes(K))
+
+    if flag and K.m <= 20:
+        ok, _, _ = series.panov_ray_check(K)
+        record(tail, "panov-ray-identity", ok)
+        Ft = series.poincare_ozk_t(K, trunc)
+        record(tail, "series-coefficients-nonnegative", all(c >= 0 for c in Ft))
+        prod = series.poly_mul(series.euler_denominator_t(K), Ft, trunc)
+        record(tail, "series-inverse-roundtrip",
+               prod[0] == 1 and not any(prod[1:]))
+
+    if flag and K.m <= 10:
+        N = min(trunc, 8)
+        F = series.poincare_ozk(K, N)
+        ranks = series.homotopy_ranks(K, N)
+        record(tail, "pbw-roundtrip", series.pbw_reconstruct(ranks, K.m, N) == F)
+        ok = True
+        for alpha in [a for a in ranks if gcd(*a) == 1][:8]:
+            val, nonneg = series.chi_inequality(K, alpha)
+            if not nonneg or val != ranks.get(alpha, 0):
+                ok = False
+        record(tail, "chi-inequality-matches-ranks", ok)
+        bound = min(4, N)
+        counts = pontryagin.normal_word_counts(K, bound)
+        odj = series.poincare_odj(K, bound)
+        ok = all(odj.coefficient(a) == c for a, c in counts.items())
+        ok = ok and all(counts.get(a, 0) == v for a, v in odj.terms.items())
+        record(tail, "odj-series-vs-normal-words", ok)
+    return tuple(head), tuple(tail), counts
 
 
 def _links_are_full_subcomplexes(K):

@@ -253,8 +253,9 @@ def tables(K):
 
     It holds the flag bit, the chi~ table, the Z-graded denominator, the
     series F and the rank table, the sweep stores (one per ring), the
-    ``homology.geometry``, the value of ``lscat.cat_via_links``, and the
-    "koszul slices" and "cobar slices" of ``pontryagin``; it is the
+    ``homology.geometry``, the value of ``lscat.cat_via_links``, the
+    "koszul slices" and "cobar slices" of ``pontryagin``, and the verdicts
+    of the ring-free checks of ``checks.check_all`` per trunc; it is the
     package's one per-complex memo.  Only the last complex asked for is
     kept, and an equal copy of K shares its dict; ``hochster.clear_cache``
     empties it.  Each call hashes K, so callers fetch the dict once per

@@ -78,7 +78,7 @@ def _count_builds(monkeypatch):
                         (S, "_euler_denominator_t"), (S.MultiSeries, "inverse"),
                         (S, "_homotopy_ranks"), (P, "koszul_slice"),
                         (P, "cobar_slice"), (Ho._Sweep, "run"),
-                        (L, "_cat_via_links")):
+                        (L, "_cat_via_links"), (checks, "_run_ring_free_checks")):
         fn = getattr(owner, name)
         builds[name] = 0
 
@@ -91,13 +91,15 @@ def _count_builds(monkeypatch):
 
 
 def _use_every_table(K):
-    """Read the flag bit, chi~, the denominator, F, the ranks, one Koszul
-    slice, one cobar slice, the rational store, the geometry and the
-    category by links of K."""
+    """Read the flag bit, chi~, the denominator, F, the ranks, the
+    ring-free checks, one Koszul slice, one cobar slice, the rational
+    store, the geometry and the category by links of K."""
     assert C.is_flag(K)
     S.euler_denominator_t(K)
     S.poincare_ozk(K, 6)
     S.homotopy_ranks(K, 6)
+    head, tail, _ = checks._ring_free_checks(K, 6)
+    assert all(ok for _, ok, _ in head + tail)
     assert checks._tor_matches_koszul_slices(K, {H.RATIONALS: [K.full_mask]}) \
         [H.RATIONALS][0]
     assert P.cobar_ext(K, H.RATIONALS, (1, 1) + (0,) * (K.m - 2))
@@ -163,3 +165,37 @@ def test_a_second_check_all_walks_no_link(monkeypatch):
     walked.clear()
     assert all(ok for _, ok, _ in checks.check_all(K, H.GF(2), 8))
     assert walked == []
+
+
+RING_FREE_ROUTES = ((S, "pbw_reconstruct"), (P, "normal_word_counts"),
+                    (checks, "_links_are_full_subcomplexes"), (C, "nu_filtration"))
+
+
+def test_a_second_check_all_runs_no_ring_free_check(monkeypatch):
+    K = C.random_flag(7, 0.5, 3)
+    copy = C.from_facets(K.m, [list(f) for f in K.facet_lists()])
+    Ho.clear_cache()
+    called = []
+    for owner, name in RING_FREE_ROUTES:
+        fn = getattr(owner, name)
+        monkeypatch.setattr(owner, name,
+                            lambda *args, fn=fn, name=name: called.append(name) or fn(*args))
+    every = sorted(name for _, name in RING_FREE_ROUTES)
+
+    def run(K, ring, trunc):
+        called.clear()
+        result = checks.check_all(K, ring, trunc)
+        assert all(ok for _, ok, _ in result)
+        return sorted(set(called))
+
+    assert run(K, H.RATIONALS, 8) == every
+    # other rings, on K and on an equal copy, read the held verdicts
+    assert run(K, H.GF(2), 8) == []
+    assert run(copy, H.GF(3), 8) == []
+    assert run(copy, H.INTEGERS, 8) == []
+    # another truncation is another entry of the memo
+    assert run(K, H.GF(2), 6) == every
+    assert run(K, H.RATIONALS, 6) == []
+    assert run(K, H.RATIONALS, 8) == []
+    Ho.clear_cache()
+    assert run(K, H.GF(2), 8) == every

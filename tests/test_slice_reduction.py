@@ -185,7 +185,8 @@ def _check_all(source, coeff, capsys):
 
 
 @pytest.mark.parametrize("source", [("--input", str(RP2_FLAG12)),
-                                    ("--named", "cycle:4*cycle:5")])
+                                    ("--named", "cycle:4*cycle:5"),
+                                    ("--named", "boundary:3+boundary:6")])
 def test_a_warm_check_all_prints_what_a_cold_one_prints(source, capsys):
     coeffs = ("q", "fp:2", "fp:3", "z")
     Ho.clear_cache()
@@ -198,3 +199,11 @@ def test_a_warm_check_all_prints_what_a_cold_one_prints(source, capsys):
     # once more with every run's tables kept, so each slice is read again
     for coeff in coeffs:
         assert _check_all(source, coeff, capsys) == cold[coeff], coeff
+    # a run at --trunc 6 right after one at the default 8 reads no verdict
+    # held for 8
+    lower = (*source, "--trunc", "6")
+    for coeff in coeffs:
+        assert _check_all(source, coeff, capsys) == cold[coeff], coeff
+        warm = _check_all(lower, coeff, capsys)
+        Ho.clear_cache()
+        assert warm == _check_all(lower, coeff, capsys), coeff
