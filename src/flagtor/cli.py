@@ -5,9 +5,9 @@ JSON file {"m": <int>, "facets": [[1-based vertices], ...]} or a named
 corpus expression.  Output is deterministic JSON (or a plain table):
 byte-identical across runs.  Every sweep runs in this one process;
 ``--cache`` and ``--threads`` are accepted for old scripts and ignored.
-Exit codes: 0 success, 1 a verified property failed, 2 bad input, 3 a
-precondition such as flagness was violated, 4 an internal consistency
-assertion failed.
+Exit codes: 0 success, 1 a verified property failed, 2 bad input, a
+passed cap or no memory left, 3 a precondition such as flagness was
+violated, 4 an internal consistency assertion failed.
 """
 
 from __future__ import annotations
@@ -378,12 +378,9 @@ def _cmd_gens_rels(cfg, args):
 
 
 def _cmd_koszul_dual(cfg, args):
-    length = args.length
-    if length < 0:
-        raise ValueError("--length must be >= 0")
-    words, counts = pontryagin.koszul_dual_basis(cfg.K, length)
+    words, counts = pontryagin.koszul_dual_basis(cfg.K, args.length)
     return {
-        "length": length,
+        "length": args.length,
         "total": len(words),
         "words": [list(w) for w in words],
         "counts": [{"alpha": list(a), "count": c}
@@ -565,30 +562,29 @@ def run(argv=None):
 
     try:
         payload = COMMANDS[args.command](cfg, args)
-        code = 0
-        if args.command == "check-all" and not payload["ok"]:
-            code = 1
+        emit({**_complex_json(cfg.K), "command": args.command, "result": payload}, cfg)
+    except MemoryError:  # the last resort, where no cap foresaw the call
+        print(f"error: {args.command} ran out of memory", file=sys.stderr)
+        return 2
     except NotFlagError as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return 3
     except series.IntegralityViolationError as exc:
         print(f"property failure: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:  # every bad-input error of the package is one
+    except ValueError as exc:  # every bad-input error and every cap of the package
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:
         print(f"internal error: {str(exc) or 'assertion failed'}", file=sys.stderr)
         return 4
 
-    result = {**_complex_json(cfg.K), "command": args.command, "result": payload}
-    emit(result, cfg)
-    if args.command == "check-all":
-        for c in payload["checks"]:
-            print(f"{c['status']} {c['name']}"
-                  + (f" ({c['detail']})" if c["detail"] else ""),
-                  file=sys.stderr)
-    return code
+    if args.command != "check-all":
+        return 0
+    for c in payload["checks"]:
+        print(f"{c['status']} {c['name']}" + (f" ({c['detail']})" if c["detail"] else ""),
+              file=sys.stderr)
+    return 0 if payload["ok"] else 1
 
 
 def main():

@@ -8,8 +8,9 @@ library targets the face list is just the clique list of a graph.
 
 Exhaustive 2^m subset sweeps cap m at ``SWEEP_CAP`` (24); the objects
 here can be larger (single-subcomplex computations stay cheap), the cap
-is enforced at the sweep entry points by ``check_sweep_cap``, which
-raises ``ComplexTooLargeError``.
+is enforced at the sweep entry points by ``check_sweep_cap``.  Every cap
+of the package, here or in its own module, raises ``BudgetExceededError``
+through ``exceeded``.
 """
 
 from __future__ import annotations
@@ -23,15 +24,20 @@ from math import comb
 SWEEP_CAP = 24
 
 
-class ComplexTooLargeError(ValueError):
-    """A full 2^m sweep was requested for m beyond ``SWEEP_CAP``."""
+class BudgetExceededError(ValueError):
+    """A computation would pass one of the package's caps."""
+
+
+def exceeded(name, cap, detail):
+    """The error of every cap: ``<module>.<CAP> = <value> exceeded: <detail>``."""
+    return BudgetExceededError(f"{name} = {cap} exceeded: {detail}")
 
 
 def check_sweep_cap(K):
-    """Raise ComplexTooLargeError unless K is small enough to sweep."""
+    """Raise BudgetExceededError unless K is small enough to sweep."""
     if K.m > SWEEP_CAP:
-        raise ComplexTooLargeError(
-            f"full subcomplex sweep needs m <= {SWEEP_CAP}, got m = {K.m}")
+        raise exceeded("complexes.SWEEP_CAP", SWEEP_CAP,
+                       f"a full subcomplex sweep over m = {K.m} vertices")
 
 
 class GhostVertexError(ValueError):

@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 from itertools import chain, count, repeat
 
 from . import homology
-from .complexes import ComplexTooLargeError, check_sweep_cap, tables
+from .complexes import check_sweep_cap, exceeded, tables
 from .exact_linalg import factorization
 
 # sub-blocks of fewer J than this are settled J by J
@@ -134,6 +134,7 @@ class _Width:
 
 
 _WIDTHS = (_Width("B"), _Width("H"))
+MAX_PROFILES = _WIDTHS[-1].limit  # distinct profiles one sweep may meet
 
 
 def _pack(high, low):
@@ -302,8 +303,8 @@ class _Sweep:
         if i < self.width.limit:
             return i
         if self.width is _WIDTHS[-1]:
-            raise ComplexTooLargeError(
-                f"a sweep holds at most {self.width.limit} distinct profiles")
+            raise exceeded("hochster.MAX_PROFILES", self.width.limit,
+                           "distinct profiles met by one sweep")
         raise _Widen
 
     def layer(self, t):

@@ -22,14 +22,10 @@ from __future__ import annotations
 from itertools import product, takewhile
 
 from . import hochster, homology
-from .complexes import NotFlagError, flagification, is_flag, link, memo, nu_direct
+from .complexes import NotFlagError, exceeded, flagification, is_flag, link, memo, nu_direct
 from .exact_linalg import rank_columns
 
 MAX_PARTITIONS = 1_000_000  # set partitions one cup-witness search may try
-
-
-class SearchBudgetExceededError(ValueError):
-    """The cup-witness search tried MAX_PARTITIONS set partitions in vain."""
 
 
 def max_subcomplex_cdim(K):
@@ -81,12 +77,14 @@ def toomer_report(K):
 
 
 def cat_lower_bound(K):
-    """1 - nu(K) + max over J of cdim_Z of the flagification's K_J.
+    """1 - nu(K) + max over J of cdim_Z of the flagification's K_J, and at
+    least 1 unless K is a full simplex (Z_K is then contractible, and
+    otherwise it is not).
 
     Equals cat(Z_K) itself when K is flag (nu = 0).
     """
-    Kf = flagification(K)
-    return 1 - nu_direct(K) + max_subcomplex_cdim(Kf)
+    bound = 1 - nu_direct(K) + max_subcomplex_cdim(flagification(K))
+    return bound if K.full_mask in K.faces else max(1, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +200,7 @@ def cup_witness_search(K):
     products of component-indicator 0-cocycles (which span, so checking
     all component choices decides each partition).  Returns the first
     witness found, or None: not finding one proves nothing.  Past
-    MAX_PARTITIONS partitions tried it raises SearchBudgetExceededError.
+    MAX_PARTITIONS partitions tried it raises BudgetExceededError.
     """
     if not is_flag(K):
         raise NotFlagError("the witness search targets flag complexes")
@@ -217,9 +215,8 @@ def cup_witness_search(K):
         for blocks in _partitions(verts, d + 1):
             tried += 1
             if tried > MAX_PARTITIONS:
-                raise SearchBudgetExceededError(
-                    f"the cup-witness search tried {MAX_PARTITIONS} set "
-                    f"partitions without finding a witness")
+                raise exceeded("lscat.MAX_PARTITIONS", MAX_PARTITIONS,
+                               "set partitions tried without finding a witness")
             parts = [sum(1 << v for v in b) for b in blocks]
             comps = list(takewhile(lambda c: len(c) > 1,
                                    (homology._components(adj, p) for p in parts)))

@@ -31,19 +31,11 @@ from __future__ import annotations
 from collections import Counter
 
 from . import hochster, homology
-from .complexes import NotFlagError, adjacency, is_flag, tables
+from .complexes import NotFlagError, adjacency, exceeded, is_flag, tables
 
 DEFAULT_DEGREE_BOUND = 8
 MAX_DEGREE_BOUND = 31  # as MultiSeries; cobar words recurse once per letter
 MAX_WORDS = 500_000  # most normal words of one length that are built
-
-
-class BoundExceededError(ValueError):
-    """Requested multidegree exceeds the configured total-degree bound."""
-
-
-class WordBudgetExceededError(ValueError):
-    """A length has more than MAX_WORDS normal words."""
 
 
 def _require_flag(K):
@@ -231,14 +223,16 @@ def _normal_word_levels(K, max_length):
         for word in level:
             longer.extend(word + (x,) for x in letters if _can_append(word, x, adj))
             if len(longer) > MAX_WORDS:  # checked while building, to bound memory
-                raise WordBudgetExceededError(
-                    f"there are more than {MAX_WORDS} normal words of length {n}")
+                raise exceeded("pontryagin.MAX_WORDS", MAX_WORDS,
+                               f"normal words of length {n}")
         level = longer
         yield level
 
 
 def normal_words(K, length):
     """All basis words of the given length, in lexicographic order."""
+    if length < 0:
+        raise ValueError("--length must be >= 0")
     for words in _normal_word_levels(K, length):
         pass
     return words
@@ -360,9 +354,10 @@ def cobar_ext(K, coeff, beta, bound=DEFAULT_DEGREE_BOUND):
     if not coeff.is_field:
         raise ValueError("cobar Ext needs field coefficients")
     beta = tuple(beta)
-    bound = min(bound, MAX_DEGREE_BOUND)
-    if sum(beta) > bound:
-        raise BoundExceededError(f"|beta| = {sum(beta)} exceeds bound {bound}")
+    name, cap = (("bound", bound) if bound <= MAX_DEGREE_BOUND
+                 else ("pontryagin.MAX_DEGREE_BOUND", MAX_DEGREE_BOUND))
+    if sum(beta) > cap:
+        raise exceeded(name, cap, f"|beta| = {sum(beta)} in cobar Ext")
     slices = tables(K).setdefault("cobar slices", {})
     held = slices.get(beta)
     if held is None:

@@ -69,10 +69,10 @@ class IntegralityViolationError(ValueError):
 # budget admits it; m = 18 (1,562,275) is refused, where `series` ran out
 # of memory with the json.dumps writer (it now fits in 1,033 MB).
 SERIES_BUDGET = 1_500_000
-
-
-class SeriesTooLargeError(ValueError):
-    """A multigraded series could hold more than ``SERIES_BUDGET`` terms."""
+# chi_inequality's subset walk takes at most |alpha| * prod(2 alpha_i + 1)
+# box steps.  On random-flag:16:40:1 with alpha = 1^n: n = 14 (67M steps)
+# runs in 4.5 s, n = 16 (689M) in 35 s; the budget admits the first.
+CHI_BUDGET = 100_000_000
 
 
 def _check_series_budget(K, trunc):
@@ -82,9 +82,9 @@ def _check_series_budget(K, trunc):
     complexes.check_sweep_cap(K)
     terms = comb(K.m + trunc, trunc)
     if terms > SERIES_BUDGET:
-        raise SeriesTooLargeError(
-            f"a series in {K.m} variables to total degree {trunc} can hold "
-            f"{terms} terms, over the budget of {SERIES_BUDGET}")
+        raise complexes.exceeded("series.SERIES_BUDGET", SERIES_BUDGET,
+                                 f"a series in {K.m} variables to total degree "
+                                 f"{trunc} can hold {terms} terms")
 
 
 def _pack(alpha):
@@ -479,10 +479,15 @@ def chi_inequality(K, alpha):
     coefficient of g^N for g = sum chi~(K_J) x^J over nonempty J in
     supp(alpha): each power is one product more, cut to the box below
     alpha.  For gcd(alpha) = 1 this equals the homotopy rank at alpha, and
-    it is non-negative for every flag complex.  Returns (value, value >= 0).
+    it is non-negative for every flag complex.  Returns (value, value >= 0),
+    or raises before any work past CHI_BUDGET box steps.
     """
     if not is_flag(K):
         raise NotFlagError("the inequality is stated for flag complexes")
+    steps = sum(alpha) * prod(2 * a + 1 for a in alpha)
+    if steps > CHI_BUDGET:
+        raise complexes.exceeded("series.CHI_BUDGET", CHI_BUDGET,
+                                 f"|alpha| = {sum(alpha)} takes up to {steps} box steps")
     chi = complexes.chi_subcomplexes(K)
     supp = [(i, a) for i, a in enumerate(alpha) if a]
     # a vector in the box is a number in mixed radix a + 1 over supp, so

@@ -259,7 +259,7 @@ def test_criterion_10_flag_projective_plane_torsion():
     t0 = time.monotonic()
     K = C.barycentric_subdivision(C.real_projective_plane())
     assert K.m == 31 and C.is_flag(K)
-    with pytest.raises(Ho.ComplexTooLargeError):
+    with pytest.raises(C.BudgetExceededError):
         Ho.subcomplex_profiles(K, H.GF(2))
     full = K.full_mask
     assert P.gens_rels_for_subset(K, full, H.GF(2))[1] == 1

@@ -194,7 +194,8 @@ def test_sweep_cap_exits_two_with_one_error_line(command):
     assert r.returncode == 2
     assert r.stdout == ""
     assert r.stderr.splitlines() == [
-        "error: full subcomplex sweep needs m <= 24, got m = 25"]
+        "error: complexes.SWEEP_CAP = 24 exceeded: a full subcomplex sweep "
+        "over m = 25 vertices"]
 
 
 def test_multidegree_serialization_doubles_lambda():
@@ -240,7 +241,8 @@ def test_koszul_dual_over_the_word_budget_exits_two():
     assert r.returncode == 2
     assert r.stdout == ""
     assert r.stderr.splitlines() == [
-        f"error: there are more than {pontryagin.MAX_WORDS} normal words of length 13"]
+        f"error: pontryagin.MAX_WORDS = {pontryagin.MAX_WORDS} exceeded: "
+        "normal words of length 13"]
 
 
 def test_cobar_ext_cli():
@@ -255,7 +257,8 @@ def test_cobar_ext_over_the_degree_cap_exits_two():
                 "--trunc", "1200")
     assert r.returncode == 2
     assert r.stdout == ""
-    assert r.stderr.splitlines() == ["error: |beta| = 1200 exceeds bound 31"]
+    assert r.stderr.splitlines() == [
+        "error: pontryagin.MAX_DEGREE_BOUND = 31 exceeded: |beta| = 1200 in cobar Ext"]
 
 
 def test_tor_subset_slice_on_large_complex():
@@ -301,9 +304,9 @@ SMALL_STDOUT = {
         ("1d97544681ef1beb19809f20c7064e03285ad1b14e40bb9cf429afb09d46ad6a",
          lambda result: result["cat"] == 3 and result["toomer"]["max"] == 3),
     ("cat", "--named", "boundary:4"):
-        ("008869a1587e06c218ab4b3a7f595003229c20b464efe8d535bf0891785709d9",
+        ("a1f5bfe76a9f037ccca7e41b5c4426045e7fdaa1d28f76fabc9aa9538620e448",
          lambda result: not result["is_flag"] and "cat" not in result
-         and result["via_links"] == 3),
+         and result["via_links"] == 3 and result["lower_bound"] == 1),
     ("koszul-dual", "--named", "cycle:5", "--length", "3"):
         ("4d808bf5d090265f1b6ec5218ed241f2b73f659e4e5a2e8cbd90a1522bcf1e5c",
          lambda result: result["total"] == 40
@@ -394,8 +397,51 @@ def test_series_over_the_budget_exits_two(argv, m, trunc, terms):
     assert r.returncode == 2
     assert r.stdout == ""
     assert r.stderr.splitlines() == [
-        f"error: a series in {m} variables to total degree {trunc} can hold "
-        f"{terms} terms, over the budget of {series.SERIES_BUDGET}"]
+        f"error: series.SERIES_BUDGET = {series.SERIES_BUDGET} exceeded: a series "
+        f"in {m} variables to total degree {trunc} can hold {terms} terms"]
+
+
+def _out_of_memory(cfg, args):
+    raise MemoryError
+
+
+# one call past each cap, and one that runs out of memory
+OVER_CAP = {
+    "SWEEP_CAP": (("zk-homology", "--named", "points:25"), None,
+                  "complexes.SWEEP_CAP = 24 exceeded: a full subcomplex sweep "
+                  "over m = 25 vertices"),
+    "SERIES_BUDGET": (("series", "--named", "random-flag:18:40:1"), None,
+                      "series.SERIES_BUDGET = 1500000 exceeded: a series in 18 "
+                      "variables to total degree 8 can hold 1562275 terms"),
+    "bound": (("cobar-ext", "--named", "points:9", "--alpha", ",".join("1" * 9)), None,
+              "bound = 8 exceeded: |beta| = 9 in cobar Ext"),
+    "MAX_WORDS": (("koszul-dual", "--named", "cycle:5", "--length", "40"), None,
+                  "pontryagin.MAX_WORDS = 500000 exceeded: normal words of length 13"),
+    "CHI_BUDGET": (("chi-check", "--named", "random-flag:16:40:1",
+                    "--alpha", ",".join("1" * 16)), None,
+                   "series.CHI_BUDGET = 100000000 exceeded: |alpha| = 16 takes up "
+                   "to 688747536 box steps"),
+    "MAX_PARTITIONS": (("cup-search", "--named", "cycle:4*cycle:5"),
+                       lambda mp: mp.setattr(lscat, "MAX_PARTITIONS", 10),
+                       "lscat.MAX_PARTITIONS = 10 exceeded: set partitions tried "
+                       "without finding a witness"),
+    "MemoryError": (("tor", "--named", "cycle:4"),
+                    lambda mp: mp.setitem(cli.COMMANDS, "tor", _out_of_memory),
+                    "tor ran out of memory"),
+}
+
+
+@pytest.mark.parametrize("cap", OVER_CAP)
+def test_each_cap_exits_two_at_once_with_one_error_line(monkeypatch, capsys, cap):
+    argv, patch, message = OVER_CAP[cap]
+    if patch:
+        patch(monkeypatch)
+    start = time.monotonic()
+    assert cli.run(list(argv)) == 2
+    assert time.monotonic() - start < 5
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_the_series_budget_admits_what_the_package_runs():
@@ -442,12 +488,16 @@ def test_internal_assertion_exits_four(monkeypatch, capsys, argv, target, stub,
     assert err == f"internal error: {message}\n"
 
 
-@pytest.mark.parametrize("text", [
-    f"are capped at m <= {complexes.SWEEP_CAP};",
-    f"`series.SERIES_BUDGET`, {series.SERIES_BUDGET:,} terms",
-    f"`lscat.MAX_PARTITIONS` = {lscat.MAX_PARTITIONS:,}",
-    f"`pontryagin.MAX_WORDS` = {pontryagin.MAX_WORDS:,}",
-], ids=["SWEEP_CAP", "SERIES_BUDGET", "MAX_PARTITIONS", "MAX_WORDS"])
-def test_readme_states_each_cap_with_its_value(text):
+CAPS = [(complexes, "SWEEP_CAP"), (series, "SERIES_BUDGET"), (lscat, "MAX_PARTITIONS"),
+        (pontryagin, "MAX_WORDS"), (series, "CHI_BUDGET"),
+        (pontryagin, "MAX_DEGREE_BOUND"), (hochster, "MAX_PROFILES")]
+
+
+@pytest.mark.parametrize("module, cap", CAPS, ids=[cap for _, cap in CAPS])
+def test_readme_states_each_cap_with_its_value(module, cap):
+    # one row of the README's table of caps: name, then value
+    name = f"`{module.__name__.rpartition('.')[2]}.{cap}`"
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    assert text in " ".join(readme.split())
+    rows = [line for line in readme.splitlines() if line.startswith(f"| {name} |")]
+    assert len(rows) == 1
+    assert rows[0].startswith(f"| {name} | {getattr(module, cap):,} |")

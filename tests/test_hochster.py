@@ -282,7 +282,8 @@ def test_sweep_widens_its_ids_past_the_byte_limit(monkeypatch):
     assert Ho.zk_homology(K, H.INTEGERS).totals_torsion
     monkeypatch.setattr(Ho._WIDTHS[1], "limit", 4)
     Ho.clear_cache()
-    with pytest.raises(Ho.ComplexTooLargeError):
+    with pytest.raises(C.BudgetExceededError,
+                       match=r"^hochster.MAX_PROFILES = 4 exceeded: distinct profiles"):
         Ho.subcomplex_profiles(K, H.INTEGERS)
     Ho.clear_cache()
 
@@ -387,11 +388,11 @@ def test_table_entries_are_a_read_only_mapping():
 
 def test_sweep_cap():
     K = C.barycentric_subdivision(C.real_projective_plane())
-    with pytest.raises(Ho.ComplexTooLargeError):
+    with pytest.raises(C.BudgetExceededError):
         Ho.subcomplex_profiles(K, H.RATIONALS)
     # one error for every 2^m sweep, also the chi-tilde transform's
-    assert Ho.ComplexTooLargeError is C.ComplexTooLargeError
-    with pytest.raises(C.ComplexTooLargeError, match="needs m <= 24, got m = 31"):
+    with pytest.raises(C.BudgetExceededError,
+                       match=r"^complexes.SWEEP_CAP = 24 exceeded: .* m = 31 vertices$"):
         C.chi_subcomplexes(K)
 
 

@@ -66,9 +66,9 @@ def test_cat_lower_bound_examples():
     sk = C.skeleton(C.cross_polytope(3), 1)
     assert L.cat_lower_bound(sk) == 2
     # all full subcomplexes of the flagification (a simplex) are
-    # contractible, so the bound degenerates to -1, consistent with
-    # cat(S^5) = 1
-    assert L.cat_lower_bound(C.simplex_boundary(3)) == -1
+    # contractible, so the paper's bound degenerates to -1 and the trivial
+    # bound 1 holds: cat(S^5) = 1
+    assert L.cat_lower_bound(C.simplex_boundary(3)) == 1
     # flag input reduces to the exact value
     assert L.cat_lower_bound(C.cycle_complex(4)) == L.cat_zk(C.cycle_complex(4))
 
@@ -77,8 +77,23 @@ def test_lower_bound_is_flagified_category_minus_nu():
     for K in (C.simplex_boundary(3), C.skeleton(C.cross_polytope(3), 1),
               C.skeleton(C.simplex(5), 2), C.real_projective_plane()):
         Kf = C.flagification(K)
-        assert L.cat_lower_bound(K) == L.cat_zk(Kf) - C.nu_direct(K)
-        assert L.cat_lower_bound(K) <= L.cat_zk(Kf)
+        assert L.cat_lower_bound(K) == max(1, L.cat_zk(Kf) - C.nu_direct(K))
+        assert L.cat_lower_bound(K) <= max(1, L.cat_zk(Kf))
+
+
+def test_cat_lower_bound_is_one_at_least_off_the_full_simplex():
+    # Z_K = S^7 for the boundary of the 3-simplex, where the paper's bound
+    # is 1 - nu + max cdim = 1 - 1 - 1 = -1
+    K = C.simplex_boundary(4)
+    assert 1 - C.nu_direct(K) + L.max_subcomplex_cdim(C.flagification(K)) == -1
+    assert L.cat_lower_bound(K) == 1
+    # a non-flag K whose bound is already above 1 keeps it
+    K = C.skeleton(C.cross_polytope(3), 1)
+    assert not C.is_flag(K)
+    assert L.cat_lower_bound(K) == 1 - C.nu_direct(K) + L.max_subcomplex_cdim(
+        C.flagification(K)) == 2
+    # a full simplex: Z_K is a polydisc, contractible
+    assert L.cat_lower_bound(C.simplex(3)) == L.cat_zk(C.simplex(3)) == 0
 
 
 def test_supports_walk_the_sorted_and_filtered_subsets():
@@ -148,13 +163,13 @@ def test_cup_witness_search_stops_past_its_budget(monkeypatch, capsys):
     monkeypatch.setattr(L, "MAX_PARTITIONS", 2203)  # the witness is the 2,203rd
     assert L.cup_witness_search(K) is not None
     monkeypatch.setattr(L, "MAX_PARTITIONS", 2202)
-    with pytest.raises(L.SearchBudgetExceededError):
+    with pytest.raises(C.BudgetExceededError):
         L.cup_witness_search(K)
     assert cli.run(["cup-search", "--named", "cycle:4*cycle:5"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.splitlines() == [
-        "error: the cup-witness search tried 2202 set partitions without "
-        "finding a witness"]
+        "error: lscat.MAX_PARTITIONS = 2202 exceeded: set partitions tried "
+        "without finding a witness"]
 
 
 def test_cup_witness_skipped_for_simplex():
@@ -170,4 +185,4 @@ def test_cat_report_shapes():
     rep = L.cat_report(C.simplex_boundary(3))
     assert sorted(rep) == ["is_flag", "lower_bound", "via_links", "via_subcomplexes"]
     assert not rep["is_flag"]
-    assert rep["lower_bound"] == -1
+    assert rep["lower_bound"] == 1

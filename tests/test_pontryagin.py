@@ -222,15 +222,21 @@ def test_normal_words_come_in_lexicographic_order():
             assert all(a < b for a, b in zip(words, words[1:])), (K.m, length)
 
 
+def test_normal_words_refuse_a_negative_length():
+    with pytest.raises(ValueError, match="^--length must be >= 0$"):
+        P.normal_words(C.cycle_complex(5), -1)
+
+
 def test_normal_words_stop_past_the_word_budget(monkeypatch):
     K = C.cycle_complex(5)
     n = len(P.normal_words(K, 4))
     monkeypatch.setattr(P, "MAX_WORDS", n)
     assert len(P.normal_words(K, 4)) == n
     monkeypatch.setattr(P, "MAX_WORDS", n - 1)
-    with pytest.raises(P.WordBudgetExceededError):
+    with pytest.raises(C.BudgetExceededError,
+                       match=rf"^pontryagin.MAX_WORDS = {n - 1} exceeded: .* length 4$"):
         P.normal_words(K, 4)
-    with pytest.raises(P.WordBudgetExceededError):
+    with pytest.raises(C.BudgetExceededError):
         P.normal_word_counts(K, 6)
 
 
@@ -392,7 +398,7 @@ def test_cobar_flag_diagonal_matches_words():
 
 
 def test_cobar_bound():
-    with pytest.raises(P.BoundExceededError):
+    with pytest.raises(C.BudgetExceededError, match=r"^bound = 8 exceeded: \|beta\| = 9"):
         P.cobar_ext(C.points(2), H.RATIONALS, (9, 0), bound=8)
 
 
