@@ -17,10 +17,11 @@ import json
 import sys
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from itertools import chain
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from math import gcd
 
-from . import checks, complexes, hochster, homology, lscat, pontryagin, series
+from . import checks, complexes, hochster, homology, lscat, pontryagin, rows, series
 from .complexes import NotFlagError, SimplicialComplex
 
 
@@ -148,18 +149,13 @@ def _subset_json(Jmask):
     return list(complexes.verts_of(Jmask))
 
 
-def _degree_json(i, alpha):
-    """The multidegree (-i, 2 alpha) of homological index i and halved
-    exponent vector alpha: the one place where exponents are doubled."""
-    return {"t": -i, "lambda": [2 * a for a in alpha]}
-
-
 # the leaves json.dumps renders alike with and without indent; bool is
 # not int here, so True never prints as 1
 _LEAF_TEXT = {str: encode_basestring_ascii, int: int.__repr__,
               bool: {True: "true", False: "false"}.__getitem__,
               type(None): lambda _: "null"}
 _BATCH = 1 << 12  # chunks per write
+_ROWS_PER_WRITE = 1 << 8  # rows of a row source per write
 
 
 @lru_cache(maxsize=None)
@@ -167,10 +163,10 @@ def _level(depth):
     """The layout of a container at ``depth``: the newline and indent
     before an item, the separator between items, the text before the
     closing bracket, and the C encoder of a list of leaves."""
-    inner = "\n" + "  " * (depth + 1)
-    return (inner, "," + inner, inner[:-2],
+    inner, sep, close = rows.layout(depth)
+    return (inner, sep, close,
             c_make_encoder(None, None, encode_basestring_ascii, None, ": ",
-                           "," + inner, False, False, True))
+                           sep, False, False, True))
 
 
 def _flat_list_text(o, depth):
@@ -188,8 +184,10 @@ def _write_json(obj, write):
     With ``indent`` set, json.dumps runs its pure-Python encoder.  Here
     dicts and lists are walked in Python, and a list of leaves alone
     (int, str, bool, None) is one call to the C encoder, whose item
-    separator carries the newline and the indent.  Chunks are written
-    between the items of a list: every long container of a report is one.
+    separator carries the newline and the indent.  A row source is the
+    list of its rows, written a batch of rows at a time (``rows.Rows``).
+    Chunks are written between the items of a list and after each batch
+    of rows: every long container of a report is one.
     """
     chunks = []
     append = chunks.append
@@ -202,6 +200,12 @@ def _write_json(obj, write):
         text = leaf_text(type(o))
         if text is not None:
             append(text(o))
+            return
+        if isinstance(o, rows.Rows):
+            for text in o.texts(depth, _ROWS_PER_WRITE):
+                append(text)
+                write("".join(chunks))
+                chunks.clear()
             return
         if not isinstance(o, (dict, list, tuple)):
             append(json.dumps(o))
@@ -253,6 +257,8 @@ def emit(payload, cfg):
             for k in sorted(obj):
                 walk(f"{prefix}{k}.", obj[k])
         else:
+            if isinstance(obj, rows.Rows):  # the reprs of its rows' dicts
+                obj = list(obj)
             lines.append(f"{prefix[:-1]}: {obj}")
 
     walk("", payload)
@@ -279,9 +285,9 @@ def _cmd_info(cfg, args):
 
 
 def _profile_json(prof):
-    rows = list(prof.rows())
-    return {"ranks": {str(n): r for n, r, _ in rows if r},
-            "torsion": {str(n): list(t) for n, _, t in rows if t}}
+    nonzero = list(prof.rows())
+    return {"ranks": {str(n): r for n, r, _ in nonzero if r},
+            "torsion": {str(n): list(t) for n, _, t in nonzero if t}}
 
 
 def _cmd_homology(cfg, args):
@@ -294,24 +300,17 @@ def _cmd_homology(cfg, args):
             "cdim_Z": integral.cdim()}
 
 
-def _table_json(table, detail):
-    out = {"betti": {str(p): r for p, r in sorted(table.totals_rank.items())},
-           "torsion": {str(p): list(t)
-                       for p, t in sorted(table.totals_torsion.items())}}
-    if detail:
-        out["summands"] = [
-            {"J": _subset_json(J), "p": p, "rank": r, "torsion": list(t)}
-            for (J, p), (r, t) in table.entries.items()]
-    return out
-
-
 def _cmd_table(cfg, args, homology_fn, cohomology_fn):
     """zk-homology and rk-homology, which differ only in the two functions."""
     fn = cohomology_fn if args.dual else homology_fn
     table = fn(cfg.K, cfg.coeff)
-    return {"coefficients": str(cfg.coeff),
-            "variant": "cohomology" if args.dual else "homology",
-            **_table_json(table, args.detail)}
+    out = {"coefficients": str(cfg.coeff),
+           "variant": "cohomology" if args.dual else "homology",
+           "betti": {str(p): r for p, r in sorted(table.totals_rank.items())},
+           "torsion": {str(p): list(t) for p, t in sorted(table.totals_torsion.items())}}
+    if args.detail:
+        out["summands"] = rows.Rows(rows.SUMMAND, table.entries.items, cfg.K.m)
+    return out
 
 
 def _parse_subset(text, m):
@@ -332,28 +331,22 @@ def _parse_alpha(text, m):
     return alpha
 
 
-def _tor_entry(n, J, m, rank, torsion):
-    """Tor_n at the multidegree (-|J|, 2J) of the vertex subset J."""
-    alpha = [(J >> k) & 1 for k in range(m)]
-    return {"n": n, **_degree_json(J.bit_count(), alpha), "J": _subset_json(J),
-            "rank": rank, "torsion": list(torsion)}
-
-
 def _cmd_tor(cfg, args):
     m = cfg.K.m
     if args.subset is not None:
         # one multidegree column; works beyond the 2^m sweep cap
         J = _parse_subset(args.subset, m)
         slice_ = pontryagin.tor_for_subset(cfg.K, J, cfg.coeff)
-        entries = [_tor_entry(n, J, m, r, t) for n, (r, t) in sorted(slice_.items())]
-        return {"coefficients": str(cfg.coeff), "entries": entries}
+        entries = [((J, n), rt) for n, rt in sorted(slice_.items())]
+        return {"coefficients": str(cfg.coeff),
+                "entries": rows.Rows(rows.TOR, entries.__iter__, m)}
     table = pontryagin.tor_via_subcomplexes(cfg.K, cfg.coeff)
-    rows = sorted((n, J, r, t) for (J, n), (r, t) in table.entries.items())
-    entries = [_tor_entry(n, J, m, r, t) for n, J, r, t in rows]
-    # a degree that holds only torsion has rank 0
+    # every entry is nonzero, so its degree has a total; a degree that
+    # holds only torsion has rank 0
     degrees = sorted(table.totals_rank.keys() | table.totals_torsion.keys())
     return {"coefficients": str(cfg.coeff), "exact": cfg.coeff.is_field,
-            "entries": entries,
+            "entries": rows.Rows(rows.TOR, lambda: chain.from_iterable(  # by n, then J
+                map(table.entries.in_degree, degrees)), m),
             "by_degree": {str(n): table.totals_rank.get(n, 0) for n in degrees}}
 
 
@@ -364,17 +357,14 @@ def _cmd_gens_rels(cfg, args):
         return {"coefficients": str(cfg.coeff), "J": _subset_json(J),
                 "generators": g, "relations": r,
                 "exact": cfg.coeff.is_field}
-    gens, rels, totals = pontryagin.generator_relation_counts(cfg.K, cfg.coeff)
-    return {
-        "coefficients": str(cfg.coeff),
-        "exact": totals["exact"],
-        "generators": {"total": totals["generators"],
-                       "by_subset": [{"J": _subset_json(J), "count": c}
-                                     for J, c in gens.items()]},
-        "relations": {"total": totals["relations"],
-                      "by_subset": [{"J": _subset_json(J), "count": c}
-                                    for J, c in rels.items()]},
-    }
+    table = pontryagin.tor_via_subcomplexes(cfg.K, cfg.coeff)
+
+    def counts(n):  # Tor_n, streamed off the table
+        return {"total": pontryagin.minimal_total(table, n),
+                "by_subset": rows.Rows(rows.SUBSET_COUNT,
+                                       lambda: pontryagin.minimal_counts(table, n), cfg.K.m)}
+    return {"coefficients": str(cfg.coeff), "exact": cfg.coeff.is_field,
+            "generators": counts(1), "relations": counts(2)}
 
 
 def _cmd_koszul_dual(cfg, args):
@@ -382,9 +372,8 @@ def _cmd_koszul_dual(cfg, args):
     return {
         "length": args.length,
         "total": len(words),
-        "words": [list(w) for w in words],
-        "counts": [{"alpha": list(a), "count": c}
-                   for a, c in sorted(counts.items())],
+        "words": rows.Rows(rows.WORD, words.__iter__, args.length),
+        "counts": rows.Rows(rows.COUNT, sorted(counts.items()).__iter__, cfg.K.m),
     }
 
 
@@ -401,24 +390,19 @@ def _cmd_mm_check(cfg, args):
             **pontryagin.milnor_moore_check(cfg.K, coeff)}
 
 
-def _series_json(F):
-    return {"trunc": F.trunc,
-            "terms": [{**_degree_json(sum(k), k), "coefficient": str(v)}
-                      for k, v in sorted(F.terms.items())]}
-
-
 def _cmd_series(cfg, args):
     F = series.poincare_ozk(cfg.K, cfg.trunc)
     ok, lhs, rhs = series.panov_ray_check(cfg.K)
-    return {"poincare_loop_zk": _series_json(F),
+    terms = sorted(F.terms.items())
+    return {"poincare_loop_zk": {"trunc": F.trunc,
+                                 "terms": rows.Rows(rows.TERM, terms.__iter__, cfg.K.m)},
             "z_graded": [int(c) for c in F.z_graded()],
             "panov_ray_identity": {"ok": ok, "lhs": lhs, "rhs": rhs}}
 
 
 def _cmd_ranks(cfg, args):
-    ranks = series.homotopy_ranks(cfg.K, cfg.trunc)
-    return {"ranks": [{**_degree_json(sum(a), a), "alpha": list(a), "rank": r}
-                      for a, r in sorted(ranks.items())]}
+    ranks = series.homotopy_ranks(cfg.K, cfg.trunc)  # in ascending alpha
+    return {"ranks": rows.Rows(rows.RANK, ranks.items, cfg.K.m)}
 
 
 def _cmd_chi_check(cfg, args):

@@ -35,7 +35,8 @@ elimination.
 A table groups the J by (profile id, |J|), read off a histogram of the
 id array: each group's degrees p and summands are built once, the totals
 are folded from them, and ``HochsterTable.entries`` is a read-only
-mapping over the id array and the groups that stores nothing per J.
+mapping over the id array and the groups that stores nothing per J; its
+``in_degree(p)`` reads the items of one degree p in one pass.
 For flag K the ``rk_homology`` table, keyed (J, n), is also route one of
 ``pontryagin``'s Tor table.
 """
@@ -47,7 +48,7 @@ from array import array
 from collections import Counter
 from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field
-from itertools import chain, count, repeat
+from itertools import chain, compress, count, repeat, tee
 
 from . import homology
 from .complexes import check_sweep_cap, exceeded, tables
@@ -434,6 +435,16 @@ class _Entries(_FastMapping):
     def _values(self):
         summands = {group: g[2] for group, g in self._groups.items()}
         return chain.from_iterable(map(summands.__getitem__, self._keys()))
+
+    def in_degree(self, p):
+        """The items ((J, p), summand) of the one degree p, in ascending J:
+        one pass over the group of every J, holding none of the items."""
+        summand = {group: g[2][g[1].index(p)]
+                   for group, g in self._groups.items() if p in g[1]}
+        keys = self._keys()
+        Js, again = tee(compress(count(), map(summand.__contains__, keys)))
+        return zip(zip(Js, repeat(p)),
+                   map(summand.__getitem__, map(keys.__getitem__, again)))
 
 
 def _size_keys(ids):

@@ -68,21 +68,28 @@ def tor_for_subset(K, Jmask, coeff):
 def generator_relation_counts(K, coeff):
     """Minimal generator/relation counts of the loop homology algebra.
 
-    They are read off Tor_1 and Tor_2 of the Tor table, whose entries come
-    in ascending J and hold only nonzero rows.  Over a field the counts
+    They are read off Tor_1 and Tor_2 of the Tor table by
+    ``minimal_counts`` and ``minimal_total``.  Over a field the counts
     are exact; over Z they are lower bounds (the minimal number of
     generators of the corresponding Tor modules).  Returns
     (generators_by_J, relations_by_J, totals dict), by ascending J.
     """
-    gens, rels = {}, {}
-    for (J, n), (r, t) in tor_via_subcomplexes(K, coeff).entries.items():
-        if n == 1:
-            gens[J] = r + len(t)
-        elif n == 2:
-            rels[J] = r + len(t)
-    totals = {"generators": sum(gens.values()), "relations": sum(rels.values()),
-              "exact": coeff.is_field}
-    return gens, rels, totals
+    table = tor_via_subcomplexes(K, coeff)
+    totals = {"generators": minimal_total(table, 1),
+              "relations": minimal_total(table, 2), "exact": coeff.is_field}
+    return dict(minimal_counts(table, 1)), dict(minimal_counts(table, 2)), totals
+
+
+def minimal_counts(table, n):
+    """(J, count) for every J where Tor_n of the Tor table is nonzero, in
+    ascending J: the minimal number of generators of Tor_n at J, its rank
+    plus its number of torsion summands."""
+    return ((J, r + len(t)) for (J, _), (r, t) in table.entries.in_degree(n))
+
+
+def minimal_total(table, n):
+    """The sum of ``minimal_counts(table, n)``, read off the totals."""
+    return table.totals_rank.get(n, 0) + len(table.totals_torsion.get(n, ()))
 
 
 def gens_rels_for_subset(K, Jmask, coeff):

@@ -2,14 +2,17 @@
 
 import hashlib
 import json
+import sys
 import time
+import tracemalloc
+from array import array
 from pathlib import Path
 
 import pytest
 from _cli import flagtor, python
 from _fixtures import RP2_FLAG12
 
-from flagtor import cli, complexes, hochster, lscat, pontryagin, series
+from flagtor import cli, complexes, hochster, lscat, pontryagin, rows, series
 
 
 def test_cat_on_named_cycle():
@@ -374,6 +377,12 @@ def _argv_id(argv):
     return " ".join(Path(a).name if a.endswith(".json") else a for a in argv)
 
 
+def _dict_rows(obj):
+    """A row source as the list of its rows as dicts; nothing else."""
+    assert isinstance(obj, rows.Rows), type(obj)
+    return list(obj)
+
+
 @pytest.mark.parametrize("argv", EVERY_COMMAND, ids=_argv_id)
 def test_emit_prints_what_json_dumps_prints(monkeypatch, capsys, argv):
     payloads = []
@@ -382,7 +391,60 @@ def test_emit_prints_what_json_dumps_prints(monkeypatch, capsys, argv):
                         payloads.append(payload) or emit(payload, cfg))
     assert cli.run(list(argv)) == 0
     out = capsys.readouterr().out
-    assert out == json.dumps(payloads[0], sort_keys=True, indent=2) + "\n"
+    assert out == json.dumps(payloads[0], sort_keys=True, indent=2,
+                             default=_dict_rows) + "\n"
+
+
+# sha256 of the --out table stdout, which prints the rows of a row source
+# as the reprs of their dicts
+TABLE_STDOUT = {
+    ("ranks", "--named", "cycle:5", "--trunc", "6"):
+        "3dc3e6911c343bc0f2698c929df356142bf8c25cc13dda32c0209caca4b0df68",
+    ("ranks", "--named", "random-flag:7:50:1", "--trunc", "6"):
+        "49dd3be8a828bdec44ccacf58e6a1dfe41d88547efdb92a4171dc05f451e1e3e",
+    ("tor", "--named", "cycle:5"):
+        "c9d1038fbc8e59492931c681aab04a248928c35bc7f3bc102d17ece270e7e468",
+    ("tor", "--input", str(RP2_FLAG12), "--coeff", "z"):
+        "1b650e2bcb493b6f28d6ceabe88eda09f7a7029c1a121229a168b312891957bc",
+    ("tor", "--named", "cycle:6", "--subset", "1,3,5"):
+        "fbbc1dcd4aff1b7eaa2ac1fd5b6b6868aa336b1f72875df60384e4affbfd9d3b",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(TABLE_STDOUT), ids=_argv_id)
+def test_table_stdout_is_pinned(capsys, argv):
+    assert cli.run([*argv, "--out", "table"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLE_STDOUT[argv]
+
+
+class _CountingSink:
+    def __init__(self):
+        self.written = 0
+
+    def write(self, text):
+        self.written += len(text)
+
+
+@pytest.mark.parametrize("argv", [
+    ["tor", "--named", "random-flag:15:40:1", "--coeff", "fp:2"],
+    ["gens-rels", "--named", "random-flag:16:40:1", "--coeff", "fp:2"],
+], ids=_argv_id)
+def test_per_subset_rows_are_written_without_holding_them(monkeypatch, argv):
+    # once the sweep is in K's memo, writing a row per J holds one batch
+    # of rows at a time, not every row's dict or count
+    monkeypatch.setattr(sys, "stdout", _CountingSink())
+    assert cli.run(argv) == 0
+    sink = _CountingSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        assert cli.run(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.written > 10_000_000
+    assert peak < sink.written / 10
 
 
 @pytest.mark.parametrize("argv, m, trunc, terms", [
@@ -452,8 +514,14 @@ def test_the_series_budget_admits_what_the_package_runs():
 
 
 def test_tor_by_degree_keeps_a_degree_with_only_torsion(monkeypatch, capsys):
-    table = hochster.HochsterTable({(0, 0): (1, ()), (7, 3): (0, (2,))},
+    # entries (0, 0): (1, ()) and (7, 3): (0, (2,)) over the ids of the
+    # 8 subsets of 3 vertices, whose groups are [count, degrees, summands]
+    store = hochster._Store()
+    store.ids = array("B", [0, 1, 1, 1, 1, 1, 1, 2])
+    groups = {0: [1, [0], [(1, ())]], 1: [6, [], []], 2: [1, [3], [(0, (2,))]]}
+    table = hochster.HochsterTable(hochster._Entries(store, False, groups),
                                    {0: 1}, {3: (2,)})
+    assert dict(table.entries.items()) == {(0, 0): (1, ()), (7, 3): (0, (2,))}
     monkeypatch.setattr(pontryagin, "tor_via_subcomplexes", lambda K, coeff: table)
     assert cli.run(["tor", "--named", "cycle:3", "--coeff", "z"]) == 0
     result = json.loads(capsys.readouterr().out)["result"]

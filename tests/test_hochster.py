@@ -357,6 +357,10 @@ def test_tables_read_off_the_ids_match_a_loop_over_every_J():
                 assert len(table.entries) == len(entries)
                 assert all(table.entries[key] == v for key, v in entries.items())
                 assert table.entries == entries
+                # one degree at a time, each in ascending J
+                for p in range(-1, K.m + 3):
+                    assert list(table.entries.in_degree(p)) == \
+                        [(key, v) for key, v in entries.items() if key[1] == p]
                 # insertion order too: first appearance in ascending J
                 assert list(table.totals_rank.items()) == list(rank.items())
                 assert list(table.totals_torsion.items()) == list(torsion.items())

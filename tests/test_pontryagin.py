@@ -181,6 +181,13 @@ def test_generator_relation_counts():
     assert tot == {"generators": 1, "relations": 0, "exact": True}
     gens, rels, tot = P.generator_relation_counts(C.cycle_complex(4), H.RATIONALS)
     assert tot["generators"] == 2 and tot["relations"] == 1
+    # the totals, read off the table's totals, are the sums of the counts,
+    # also where Tor carries torsion
+    for coeff in (H.INTEGERS, H.GF(2)):
+        gens, rels, tot = P.generator_relation_counts(rp2_flag12(), coeff)
+        assert (tot["generators"], tot["relations"]) == \
+            (sum(gens.values()), sum(rels.values()))
+        assert list(gens) == sorted(gens) and list(rels) == sorted(rels)
 
 
 def test_gens_rels_for_subset_needs_a_flag_complex():
