@@ -11,19 +11,19 @@ from flagtor import homology as H
 from flagtor.complexes import verts_of
 
 # Two disjoint points: Z_K is the 3-sphere.
-print("Z_K for two points:", Ho.zk_homology(C.points(2), H.INTEGERS).betti())
+print("Z_K for two points:", Ho.zk_homology(C.points(2), H.INTEGERS).totals_rank)
 
 # The 4-cycle: Z_K = S^3 x S^3, so Betti numbers 1,0,0,2,0,0,1.
 table = Ho.zk_homology(C.cycle_complex(4), H.RATIONALS)
-print("Z_K for the 4-cycle:", table.betti())
+print("Z_K for the 4-cycle:", table.totals_rank)
 print("  contributing subsets:")
 for (J, p), (r, t) in sorted(table.entries.items()):
     print(f"    J = {verts_of(J)!s:14} degree {p}: rank {r}")
 
 # Real moment-angle complexes of cycles are closed surfaces: the 4-cycle
 # gives the torus, the 5-cycle the genus-5 surface.
-print("\nR_K for the 4-cycle:", Ho.rk_homology(C.cycle_complex(4), H.INTEGERS).betti())
-print("R_K for the 5-cycle:", Ho.rk_homology(C.cycle_complex(5), H.INTEGERS).betti())
+print("\nR_K for the 4-cycle:", Ho.rk_homology(C.cycle_complex(4), H.INTEGERS).totals_rank)
+print("R_K for the 5-cycle:", Ho.rk_homology(C.cycle_complex(5), H.INTEGERS).totals_rank)
 
 # Torsion is preserved per subset: a projective plane inside the complex
 # shows up as 2-torsion in the corresponding degree.

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import chain
-from json.encoder import c_make_encoder, encode_basestring_ascii
 from math import gcd
 
 from . import checks, complexes, hochster, homology, lscat, pontryagin, rows, series
@@ -149,98 +149,31 @@ def _subset_json(Jmask):
     return list(complexes.verts_of(Jmask))
 
 
-# the leaves json.dumps renders alike with and without indent; bool is
-# not int here, so True never prints as 1
-_LEAF_TEXT = {str: encode_basestring_ascii, int: int.__repr__,
-              bool: {True: "true", False: "false"}.__getitem__,
-              type(None): lambda _: "null"}
-_BATCH = 1 << 12  # chunks per write
-_ROWS_PER_WRITE = 1 << 8  # rows of a row source per write
+def _write_json(obj, write, depth=0):
+    """Write the text of json.dumps(obj, sort_keys=True, indent=2) at
+    ``depth`` through ``write``.
 
-
-@lru_cache(maxsize=None)
-def _level(depth):
-    """The layout of a container at ``depth``: the newline and indent
-    before an item, the separator between items, the text before the
-    closing bracket, and the C encoder of a list of leaves."""
-    inner, sep, close = rows.layout(depth)
-    return (inner, sep, close,
-            c_make_encoder(None, None, encode_basestring_ascii, None, ": ",
-                           sep, False, False, True))
-
-
-def _flat_list_text(o, depth):
-    """The text of a nonempty list of leaves at ``depth``: one C call,
-    which returns its text in one or more strings (a new one every
-    100,000 chunks on CPython 3.11)."""
-    inner, _, close, encode = _level(depth)
-    return "[" + inner + "".join(encode(o, 0))[1:-1] + close + "]"
-
-
-def _write_json(obj, write):
-    """Write the text of json.dumps(obj, sort_keys=True, indent=2) through
-    ``write``, a few thousand chunks per call.
-
-    With ``indent`` set, json.dumps runs its pure-Python encoder.  Here
-    dicts and lists are walked in Python, and a list of leaves alone
-    (int, str, bool, None) is one call to the C encoder, whose item
-    separator carries the newline and the indent.  A row source is the
-    list of its rows, written a batch of rows at a time (``rows.Rows``).
-    Chunks are written between the items of a list and after each batch
-    of rows: every long container of a report is one.
+    A row source (``rows.Rows``) is streamed a batch of rows at a time,
+    each row from its shape's one template.  A dict is walked in sorted
+    key order, each key rendered as json.dumps renders it, since reports
+    put their row sources under dict keys.  Every other value is the
+    text of json.dumps itself, with each newline indented to its depth;
+    the walk does not look inside lists.  So the text held whole is at
+    most the non-row part of a report.
     """
-    chunks = []
-    append = chunks.append
-    keys = {}
-    leaf_text = _LEAF_TEXT.get
-    leaf_types = _LEAF_TEXT.keys()
-
-    def walk(o, depth):
-        """Append the text of o, a value at ``depth``."""
-        text = leaf_text(type(o))
-        if text is not None:
-            append(text(o))
-            return
-        if isinstance(o, rows.Rows):
-            for text in o.texts(depth, _ROWS_PER_WRITE):
-                append(text)
-                write("".join(chunks))
-                chunks.clear()
-            return
-        if not isinstance(o, (dict, list, tuple)):
-            append(json.dumps(o))
-            return
-        if not o:
-            append("{}" if isinstance(o, dict) else "[]")
-            return
-        inner, sep, close, _ = _level(depth)
-        if isinstance(o, dict):
-            opening = "{" + inner
-            for k in sorted(o):
-                key = keys.get(k)
-                if key is None:
-                    key = json.dumps({k: 0})[1:-2]  # '"k": '
-                    if type(k) is str:  # 1, 1.0 and True are one dict key
-                        keys[k] = key
-                append(opening + key)
-                walk(o[k], depth + 1)
-                opening = sep
-            append(close + "}")
-        elif leaf_types >= set(map(type, o)):
-            append(_flat_list_text(o, depth))
-        else:
-            opening = "[" + inner
-            for v in o:
-                append(opening)
-                walk(v, depth + 1)
-                opening = sep
-                if len(chunks) >= _BATCH:
-                    write("".join(chunks))
-                    chunks.clear()
-            append(close + "]")
-
-    walk(obj, 0)
-    write("".join(chunks))
+    if isinstance(obj, rows.Rows):
+        for text in obj.texts(depth):
+            write(text)
+    elif isinstance(obj, dict) and obj:
+        inner, sep, close = rows.layout(depth)
+        opening = "{" + inner
+        for k in sorted(obj):
+            write(opening + json.dumps({k: 0})[1:-2])  # '"k": '
+            _write_json(obj[k], write, depth + 1)
+            opening = sep
+        write(close + "}")
+    else:
+        write(json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n" + "  " * depth))
 
 
 def emit(payload, cfg):
@@ -547,6 +480,8 @@ def run(argv=None):
     try:
         payload = COMMANDS[args.command](cfg, args)
         emit({**_complex_json(cfg.K), "command": args.command, "result": payload}, cfg)
+    except BrokenPipeError:  # the reader closed stdout: the rest goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except MemoryError:  # the last resort, where no cap foresaw the call
         print(f"error: {args.command} ran out of memory", file=sys.stderr)
         return 2

@@ -76,9 +76,6 @@ class HochsterTable:
     totals_rank: dict = field(default_factory=dict)
     totals_torsion: dict = field(default_factory=dict)
 
-    def betti(self):
-        return dict(self.totals_rank)
-
 
 # ---------------------------------------------------------------------------
 # read-only mappings whose items and values iterate at C level

@@ -29,6 +29,7 @@ vectors are halved, as in the multidegree 2*beta.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import chain
 
 from . import hochster, homology
 from .complexes import NotFlagError, adjacency, exceeded, is_flag, tables
@@ -250,23 +251,25 @@ def koszul_dual_basis(K, length):
     vector: the words as letter tuples, in lexicographic order, and a dict
     alpha -> count."""
     words = normal_words(K, length)
-    return words, dict(Counter(_exponents(w, K.m) for w in words))
+    return words, _exponent_counts(words, K.m)
 
 
 def normal_word_counts(K, max_total):
     """Counts per exponent vector for all lengths 0..max_total."""
-    levels = _normal_word_levels(K, max_total)
-    # keyed by the sorted letters, one key per alpha
-    by_letters = Counter(tuple(sorted(word)) for level in levels for word in level)
-    return {_exponents(letters, K.m): c for letters, c in by_letters.items()}
+    return _exponent_counts(chain.from_iterable(_normal_word_levels(K, max_total)), K.m)
 
 
-def _exponents(letters, m):
-    """The exponent vector of a word: how often each letter 1..m occurs."""
-    alpha = [0] * m
-    for v in letters:
-        alpha[v - 1] += 1
-    return tuple(alpha)
+def _exponent_counts(words, m):
+    """The number of words per exponent vector, alpha_v being how often
+    the letter v occurs: counted by sorted letters, one key per alpha,
+    and each key's alpha built once."""
+    counts = {}
+    for letters, c in Counter(tuple(sorted(w)) for w in words).items():
+        alpha = [0] * m
+        for v in letters:
+            alpha[v - 1] += 1
+        counts[tuple(alpha)] = c
+    return counts
 
 
 # ---------------------------------------------------------------------------

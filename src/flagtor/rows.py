@@ -4,11 +4,11 @@ The paper's results are tables with one row per multidegree: the
 homotopy ranks and the series terms per alpha, Tor and the generator and
 relation counts per vertex subset J.  A report holds each such list as a
 ``Rows``: the library's items in output order and the ``Shape`` of their
-rows.  The CLI's JSON writer renders each row from one ``%`` template
-per shape, built once per report for the row's depth and its fixed list
-length, and writes the rows in batches, so that no list is held whole,
-as text or as dicts.  The text is that of ``json.dumps(rows,
-sort_keys=True, indent=2)`` at the list's depth.
+rows.  A row source gives its text 256 rows at a time, each row from one
+``%`` template per shape, built once per report for the row's depth and
+its fixed list length, so that no list is held whole, as text or as
+dicts.  The text is that of ``json.dumps(rows, sort_keys=True,
+indent=2)`` at the list's depth.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ from json.encoder import encode_basestring_ascii
 from operator import add, call, itemgetter
 
 from .complexes import SWEEP_CAP, verts_of
+
+_ROWS_PER_TEXT = 1 << 8  # rows of a row source per piece of its text
 
 
 def layout(depth):
@@ -92,14 +94,14 @@ class Rows:
     def __iter__(self):
         return map(self.shape.row, self.items(), repeat(self.n))
 
-    def texts(self, depth, rows_per_text):
+    def texts(self, depth):
         """The text of the list at ``depth``, in pieces of up to
-        ``rows_per_text`` rows."""
+        ``_ROWS_PER_TEXT`` rows."""
         inner, sep, close = layout(depth)
         text, items = self.shape.text(depth + 1, self.n), iter(self.items())
         opening = "[" + inner
         # a row's text is never empty: an empty batch is the end
-        while batch := sep.join(map(text, islice(items, rows_per_text))):
+        while batch := sep.join(map(text, islice(items, _ROWS_PER_TEXT))):
             yield opening + batch
             opening = sep
         yield close + "]" if opening is sep else "[]"

@@ -9,7 +9,7 @@ from array import array
 from pathlib import Path
 
 import pytest
-from _cli import flagtor, python
+from _cli import flagtor, python, spawn_flagtor
 from _fixtures import RP2_FLAG12
 
 from flagtor import cli, complexes, hochster, lscat, pontryagin, rows, series
@@ -20,6 +20,16 @@ def test_cat_on_named_cycle():
     assert r.returncode == 0
     payload = json.loads(r.stdout)
     assert payload["result"]["cat"] == 2
+
+
+def test_a_reader_that_closes_stdout_ends_the_call_quietly():
+    # ranks on cycle:7 prints 869 KB; the reader takes 100 bytes and goes
+    child = spawn_flagtor("ranks", "--named", "cycle:7")
+    assert len(child.stdout.read(100)) == 100
+    child.stdout.close()
+    with child.stderr:
+        assert child.stderr.read() == b""
+    assert child.wait() == 0
 
 
 def test_non_flag_input_exits_three():

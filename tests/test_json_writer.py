@@ -1,11 +1,11 @@
 """The report writer of the CLI prints exactly what json.dumps prints.
 
 ``cli.emit`` writes ``json.dumps(payload, sort_keys=True, indent=2)``
-and a newline, but through its own walk, which hands lists of leaves to
-the C encoder, renders the rows of a row source (``rows.Rows``) from one
-template per shape and writes in batches; these tests hold it to the
-text of ``json.dumps`` byte for byte, with each row source read as its
-dict rows.
+and a newline.  Its writer streams each row source (``rows.Rows``) 256
+rows per write, each row from one template per shape, walks dicts in
+sorted key order, and hands every other value to json.dumps itself;
+these tests hold it to the text of ``json.dumps`` byte for byte, with
+each row source read as its dict rows.
 """
 
 import json
@@ -45,18 +45,8 @@ def test_writer_corner_cases():
         assert "".join(_written(obj)) == json.dumps(obj, sort_keys=True, indent=2)
 
 
-def test_long_lists_are_written_in_bounded_batches():
-    rows = [{"J": [1, 2], "n": n, "ok": n % 2 == 0} for n in range(5000)]
-    obj = {"rows": rows, "total": len(rows)}
-    writes = _written(obj)
-    assert "".join(writes) == json.dumps(obj, sort_keys=True, indent=2)
-    assert len(writes) > 3
-    # each write holds at most one batch of chunks, a few per row
-    assert max(map(len, writes)) < len("".join(writes)) / 3
-
-
 def test_a_list_of_many_leaves_is_written_whole():
-    # the C encoder returns a long list's text in several strings
+    # a long list of leaves, as json.dumps writes it, at any depth
     leaves = [n if n % 3 else n % 2 == 0 for n in range(120_000)]
     for obj in [leaves, {"alpha": leaves, "n": 1}, [leaves, {"x": leaves}]]:
         assert "".join(_written(obj)) == json.dumps(obj, sort_keys=True, indent=2)
@@ -118,8 +108,8 @@ def test_an_empty_row_source_is_an_empty_list():
 
 def test_rows_are_written_in_bounded_batches():
     items = [((J, 1), (J, (2,) * (J % 3))) for J in range(1 << 12)]
-    writes = _written([rows.Rows(rows.TOR, items.__iter__, 12)])
+    writes = _written({"entries": rows.Rows(rows.TOR, items.__iter__, 12)})
     dicts = [rows.TOR.row(item, 12) for item in items]
-    assert "".join(writes) == json.dumps([dicts], sort_keys=True, indent=2)
+    assert "".join(writes) == json.dumps({"entries": dicts}, sort_keys=True, indent=2)
     assert len(writes) > 4
     assert max(map(len, writes)) < len("".join(writes)) / 4

@@ -3,7 +3,7 @@
 ``complexes.tables(K)`` holds them all, for the last complex asked for,
 and ``hochster.clear_cache`` empties it: the geometry and the category
 by links live there too, and work on another complex (a link, say)
-keeps nothing.  ``cli._level`` and ``cli.build_parser`` hold no complex.
+keeps nothing.  ``cli.build_parser`` holds no complex.
 Anywhere else in ``src/flagtor`` an ``lru_cache`` or ``cache`` decorator,
 or an empty dict at module level, would be a second lifetime that the
 one clear does not reach.
@@ -23,7 +23,7 @@ from flagtor import pontryagin as P
 from flagtor import series as S
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "flagtor"
-ALLOWED = {("complexes", "tables"), ("cli", "_level"), ("cli", "build_parser")}
+ALLOWED = {("complexes", "tables"), ("cli", "build_parser")}
 MEMO_DECORATORS = {"lru_cache", "cache"}
 DICT_FACTORIES = {"dict", "defaultdict", "OrderedDict"}
 
