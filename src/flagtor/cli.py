@@ -179,23 +179,24 @@ def _write_json(obj, write, depth=0):
 def emit(payload, cfg):
     """Write the report to stdout: the text of json.dumps(payload,
     sort_keys=True, indent=2) and a newline, or a plain table."""
+    write = sys.stdout.write
     if cfg.out == "json":
-        _write_json(payload, sys.stdout.write)
-        sys.stdout.write("\n")
+        _write_json(payload, write)
+        write("\n")
         return
-    lines = []
 
-    def walk(prefix, obj):
+    def walk(prefix, obj):  # one line per leaf, written as it is reached
         if isinstance(obj, dict):
             for k in sorted(obj):
                 walk(f"{prefix}{k}.", obj[k])
         else:
-            if isinstance(obj, rows.Rows):  # the reprs of its rows' dicts
-                obj = list(obj)
-            lines.append(f"{prefix[:-1]}: {obj}")
+            write(f"{prefix[:-1]}: ")
+            # a row source as the reprs of its rows' dicts
+            for text in obj.reprs() if isinstance(obj, rows.Rows) else [str(obj)]:
+                write(text)
+            write("\n")
 
     walk("", payload)
-    sys.stdout.write("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -270,9 +271,8 @@ def _cmd_tor(cfg, args):
         # one multidegree column; works beyond the 2^m sweep cap
         J = _parse_subset(args.subset, m)
         slice_ = pontryagin.tor_for_subset(cfg.K, J, cfg.coeff)
-        entries = [((J, n), rt) for n, rt in sorted(slice_.items())]
         return {"coefficients": str(cfg.coeff),
-                "entries": rows.Rows(rows.TOR, entries.__iter__, m)}
+                "entries": [rows.TOR.row(((J, n), rt), m) for n, rt in sorted(slice_.items())]}
     table = pontryagin.tor_via_subcomplexes(cfg.K, cfg.coeff)
     # every entry is nonzero, so its degree has a total; a degree that
     # holds only torsion has rank 0

@@ -313,6 +313,13 @@ def is_flag(K):
     return memo(K, "flag", _is_flag)
 
 
+def require_flag(K, what):
+    """Raise NotFlagError unless K is flag: the one precondition of every
+    flag-only result, ``what`` naming it as ``<module>.<function>``."""
+    if not is_flag(K):
+        raise NotFlagError(f"{what} needs a flag complex")
+
+
 def _is_flag(K):
     return all(map(K.faces.__contains__, _cliques(adjacency(K))))
 

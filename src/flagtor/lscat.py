@@ -22,7 +22,7 @@ from __future__ import annotations
 from itertools import product, takewhile
 
 from . import hochster, homology
-from .complexes import NotFlagError, exceeded, flagification, is_flag, link, memo, nu_direct
+from .complexes import exceeded, flagification, is_flag, link, memo, nu_direct, require_flag
 from .exact_linalg import rank_columns
 
 MAX_PARTITIONS = 1_000_000  # set partitions one cup-witness search may try
@@ -37,8 +37,7 @@ def cat_zk(K):
 
     The full simplex is the one degenerate case (Z_K a polydisc): 0.
     """
-    if not is_flag(K):
-        raise NotFlagError("the exact category formula needs a flag complex")
+    require_flag(K, "lscat.cat_zk")
     if K.full_mask in K.faces:
         return 0
     return 1 + max_subcomplex_cdim(K)
@@ -57,10 +56,9 @@ def _cat_via_links(K):
 
 def toomer(K, coeff):
     """Toomer invariant of Z_K over a field: 1 + max over J of hdim."""
-    if not is_flag(K):
-        raise NotFlagError("the Toomer formula needs a flag complex")
+    require_flag(K, "lscat.toomer")
     if not coeff.is_field:
-        raise ValueError("Toomer invariant needs field coefficients")
+        raise ValueError("lscat.toomer needs field coefficients")
     return 1 + max(prof.hdim() for prof in hochster.distinct_profiles(K, coeff))
 
 
@@ -202,8 +200,7 @@ def cup_witness_search(K):
     witness found, or None: not finding one proves nothing.  Past
     MAX_PARTITIONS partitions tried it raises BudgetExceededError.
     """
-    if not is_flag(K):
-        raise NotFlagError("the witness search targets flag complexes")
+    require_flag(K, "lscat.cup_witness_search")
     d = max_subcomplex_cdim(K)
     if d < 0:
         return None

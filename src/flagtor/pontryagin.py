@@ -32,16 +32,11 @@ from collections import Counter
 from itertools import chain
 
 from . import hochster, homology
-from .complexes import NotFlagError, adjacency, exceeded, is_flag, tables
+from .complexes import adjacency, exceeded, require_flag, tables
 
 DEFAULT_DEGREE_BOUND = 8
 MAX_DEGREE_BOUND = 31  # as MultiSeries; cobar words recurse once per letter
 MAX_WORDS = 500_000  # most normal words of one length that are built
-
-
-def _require_flag(K):
-    if not is_flag(K):
-        raise NotFlagError("this operation needs a flag complex")
 
 
 # ---------------------------------------------------------------------------
@@ -51,7 +46,7 @@ def _require_flag(K):
 def tor_via_subcomplexes(K, coeff):
     """Tor_n at multidegree (-|J|, 2J), keyed (J, n): the R_K table, whose
     totals are the Tor ranks and torsion per degree n."""
-    _require_flag(K)
+    require_flag(K, "pontryagin.tor_via_subcomplexes")
     return hochster.rk_homology(K, coeff)
 
 
@@ -61,7 +56,7 @@ def tor_for_subset(K, Jmask, coeff):
     Works for any m (no 2^m sweep): used when the full table is out of
     reach but one slice, typically J = [m], is wanted.
     """
-    _require_flag(K)
+    require_flag(K, "pontryagin.tor_for_subset")
     prof = hochster.profile_for_subset(K, Jmask, coeff)
     return {d + 1: (r, t) for d, r, t in prof.rows()}
 
@@ -96,8 +91,6 @@ def minimal_total(table, n):
 def gens_rels_for_subset(K, Jmask, coeff):
     """Generator and relation counts at the single subset J (flag K):
     Tor_1 and Tor_2 of ``tor_for_subset``."""
-    if not is_flag(K):
-        raise NotFlagError("generator/relation counts need a flag complex")
     tor = tor_for_subset(K, Jmask, coeff)
     return tuple(r + len(t) for r, t in (tor.get(n, (0, ())) for n in (1, 2)))
 
@@ -182,7 +175,7 @@ def tor_via_koszul_complex(K, coeff, beta):
     build and no reduction.  No homology is kept, so every call
     eliminates.
     """
-    _require_flag(K)
+    require_flag(K, "pontryagin.tor_via_koszul_complex")
     beta = tuple(beta)
     slices = tables(K).setdefault("koszul slices", {})
     held = slices.get(beta)
@@ -362,7 +355,7 @@ def cobar_ext(K, coeff, beta, bound=DEFAULT_DEGREE_BOUND):
     eliminated on every call.
     """
     if not coeff.is_field:
-        raise ValueError("cobar Ext needs field coefficients")
+        raise ValueError("pontryagin.cobar_ext needs field coefficients")
     beta = tuple(beta)
     name, cap = (("bound", bound) if bound <= MAX_DEGREE_BOUND
                  else ("pontryagin.MAX_DEGREE_BOUND", MAX_DEGREE_BOUND))
@@ -391,9 +384,9 @@ def milnor_moore_check(K, coeff, e2_total=None):
     fold the same sweep unless ``e2_total`` supplies E2 from another
     route, such as the Koszul slices.
     """
-    _require_flag(K)
+    require_flag(K, "pontryagin.milnor_moore_check")
     if not coeff.is_field:
-        raise ValueError("Milnor-Moore totals need field coefficients")
+        raise ValueError("pontryagin.milnor_moore_check needs field coefficients")
     e2 = e2_total
     if e2 is None:
         e2 = sum(tor_via_subcomplexes(K, coeff).totals_rank.values())

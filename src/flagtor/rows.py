@@ -18,7 +18,7 @@ from itertools import islice, repeat
 from json.encoder import encode_basestring_ascii
 from operator import add, call, itemgetter
 
-from .complexes import SWEEP_CAP, verts_of
+from .complexes import verts_of
 
 _ROWS_PER_TEXT = 1 << 8  # rows of a row source per piece of its text
 
@@ -98,13 +98,24 @@ class Rows:
         """The text of the list at ``depth``, in pieces of up to
         ``_ROWS_PER_TEXT`` rows."""
         inner, sep, close = layout(depth)
-        text, items = self.shape.text(depth + 1, self.n), iter(self.items())
-        opening = "[" + inner
-        # a row's text is never empty: an empty batch is the end
-        while batch := sep.join(map(text, islice(items, _ROWS_PER_TEXT))):
-            yield opening + batch
-            opening = sep
-        yield close + "]" if opening is sep else "[]"
+        return _pieces(self.shape.text(depth + 1, self.n), self.items(),
+                       "[" + inner, sep, close + "]")
+
+    def reprs(self):
+        """The repr of the list of its rows' dicts, in pieces of up to
+        ``_ROWS_PER_TEXT`` rows."""
+        return _pieces(repr, self, "[", ", ", "]")
+
+
+def _pieces(text, items, opening, sep, close):
+    """The text of a list, ``text(item)`` per item, in pieces of up to
+    ``_ROWS_PER_TEXT`` items; an empty list is "[]"."""
+    items = iter(items)
+    # an item's text is never empty: an empty batch is the end
+    while batch := sep.join(map(text, islice(items, _ROWS_PER_TEXT))):
+        yield opening + batch
+        opening = sep
+    yield close if opening is sep else "[]"
 
 
 def _doubled(alpha):
@@ -138,13 +149,11 @@ def _subset_list_text(m, depth, labels):
     labels(J, 0, m), where labels(x, offset, width) gives the labels of
     the ``width`` bits of x that stand for the vertices offset + 1, ...
 
-    Up to the sweep cap, where a report may hold a row per J, the text is
-    read off two tables: the labels of the low h = m // 2 bits of J, and
-    those of its high bits, each label followed by the separator.  At
-    m = 20 that writes ``tor`` and ``gens-rels`` 2.2-3.5 times as fast as
-    rendering each J on its own.  Past the cap, where a report holds one
-    J (``--subset``) and 2^(m/2) entries would not fit, each J is
-    rendered on its own."""
+    Only the reports of a 2^m sweep hold a row per J, so m is at most the
+    sweep cap, and the text is read off two tables: the labels of the low
+    h = m // 2 bits of J, and those of its high bits, each label followed
+    by the separator.  At m = 20 that writes ``tor`` and ``gens-rels``
+    2.2-3.5 times as fast as rendering each J on its own."""
     inner, sep, close = layout(depth)
     cut = -len(sep)
 
@@ -153,8 +162,6 @@ def _subset_list_text(m, depth, labels):
 
     def text(body):
         return "[" + inner + body[:cut] + close + "]" if body else "[]"
-    if m > SWEEP_CAP:
-        return lambda J: text(items(J, 0, m))
     h = m // 2
     low = [items(x, 0, h) for x in range(1 << h)]
     high = [items(x, h, m - h) for x in range(1 << (m - h))]

@@ -49,7 +49,7 @@ from math import comb, prod
 from types import MappingProxyType
 
 from . import complexes
-from .complexes import NotFlagError, f_vector, is_flag
+from .complexes import f_vector, require_flag
 from .exact_linalg import factorization
 
 _MAXTRUNC = 31
@@ -312,8 +312,7 @@ def poincare_ozk(K, trunc):
     Coefficient at alpha = dim of the (-|alpha|, 2 alpha) component.
     Held in K's memo; the result must not be mutated.
     """
-    if not is_flag(K):
-        raise NotFlagError("Poincare series formula needs a flag complex")
+    require_flag(K, "series.poincare_ozk")
     _check_series_budget(K, trunc)
     return _memoized(K, "F", trunc,
                      lambda K, trunc: euler_denominator(K, trunc).inverse(),
@@ -322,8 +321,7 @@ def poincare_ozk(K, trunc):
 
 def poincare_ozk_t(K, trunc):
     """The Z-graded specialization, as a coefficient list in t."""
-    if not is_flag(K):
-        raise NotFlagError("Poincare series formula needs a flag complex")
+    require_flag(K, "series.poincare_ozk_t")
     return poly_inverse(euler_denominator_t(K), trunc)
 
 
@@ -346,8 +344,7 @@ def panov_ray_check(K):
 
     n = dim K + 1; returns (ok, lhs, rhs) as coefficient lists.
     """
-    if not is_flag(K):
-        raise NotFlagError("the h-vector identity is stated for flag complexes")
+    require_flag(K, "series.panov_ray_check")
     fv = f_vector(K)
     n = K.dim + 1
     lhs = [comb(K.m - n, j) for j in range(K.m - n + 1)]
@@ -385,8 +382,7 @@ def homotopy_ranks(K, trunc):
     integer (which cannot happen for genuine flag input).  Held in K's
     memo, and returned read-only in ascending order of alpha.
     """
-    if not is_flag(K):
-        raise NotFlagError("homotopy ranks are computed via the flag formula")
+    require_flag(K, "series.homotopy_ranks")
     _check_series_budget(K, trunc)
     return _memoized(K, "ranks", trunc, _homotopy_ranks,
                      lambda ranks, trunc: MappingProxyType(
@@ -482,8 +478,7 @@ def chi_inequality(K, alpha):
     it is non-negative for every flag complex.  Returns (value, value >= 0),
     or raises before any work past CHI_BUDGET box steps.
     """
-    if not is_flag(K):
-        raise NotFlagError("the inequality is stated for flag complexes")
+    require_flag(K, "series.chi_inequality")
     steps = sum(alpha) * prod(2 * a + 1 for a in alpha)
     if steps > CHI_BUDGET:
         raise complexes.exceeded("series.CHI_BUDGET", CHI_BUDGET,

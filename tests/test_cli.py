@@ -439,6 +439,7 @@ class _CountingSink:
 @pytest.mark.parametrize("argv", [
     ["tor", "--named", "random-flag:15:40:1", "--coeff", "fp:2"],
     ["gens-rels", "--named", "random-flag:16:40:1", "--coeff", "fp:2"],
+    ["tor", "--named", "random-flag:17:40:1", "--coeff", "fp:2", "--out", "table"],
 ], ids=_argv_id)
 def test_per_subset_rows_are_written_without_holding_them(monkeypatch, argv):
     # once the sweep is in K's memo, writing a row per J holds one batch
@@ -514,6 +515,43 @@ def test_each_cap_exits_two_at_once_with_one_error_line(monkeypatch, capsys, cap
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+def _not_flag(argv, what):
+    """A flag-only call on boundary:3, the empty triangle and the smallest
+    non-flag complex, with its exit code and the stderr that names the
+    function refusing it."""
+    return ((argv[0], "--named", "boundary:3", *argv[1:]), 3,
+            f"precondition failed: {what} needs a flag complex")
+
+
+PRECONDITION = {
+    "tor": _not_flag(("tor",), "pontryagin.tor_via_subcomplexes"),
+    "gens-rels": _not_flag(("gens-rels",), "pontryagin.tor_via_subcomplexes"),
+    "tor --subset": _not_flag(("tor", "--subset", "1,2"), "pontryagin.tor_for_subset"),
+    "gens-rels --subset": _not_flag(("gens-rels", "--subset", "1,2"),
+                                    "pontryagin.tor_for_subset"),
+    "mm-check": _not_flag(("mm-check",), "pontryagin.milnor_moore_check"),
+    "series": _not_flag(("series",), "series.poincare_ozk"),
+    "ranks": _not_flag(("ranks",), "series.homotopy_ranks"),
+    "chi-check 2,2,0": _not_flag(("chi-check", "--alpha", "2,2,0"), "series.homotopy_ranks"),
+    "chi-check 1,1,1": _not_flag(("chi-check", "--alpha", "1,1,1"), "series.chi_inequality"),
+    "toomer": _not_flag(("toomer",), "lscat.toomer"),
+    "toomer --coeff z": _not_flag(("toomer", "--coeff", "z"), "lscat.toomer"),
+    "cup-search": _not_flag(("cup-search",), "lscat.cup_witness_search"),
+    "cobar-ext --coeff z": (("cobar-ext", "--named", "cycle:4", "--alpha", "1,1,0,0",
+                             "--coeff", "z"), 2,
+                            "error: pontryagin.cobar_ext needs field coefficients"),
+}
+
+
+@pytest.mark.parametrize("call", PRECONDITION)
+def test_each_precondition_exits_with_one_line_naming_it(capsys, call):
+    argv, code, message = PRECONDITION[call]
+    assert cli.run(list(argv)) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == message + "\n"
 
 
 def test_the_series_budget_admits_what_the_package_runs():

@@ -192,7 +192,7 @@ def test_generator_relation_counts():
 
 def test_gens_rels_for_subset_needs_a_flag_complex():
     K = C.simplex_boundary(3)
-    with pytest.raises(NotFlagError, match="generator/relation counts need a flag complex"):
+    with pytest.raises(NotFlagError, match="pontryagin.tor_for_subset needs a flag complex"):
         P.gens_rels_for_subset(K, K.full_mask, H.RATIONALS)
 
 

@@ -332,7 +332,7 @@ def test_neg_log_matches_power_sum():
 
 
 def test_ranks_reject_non_flag_input_that_passes_the_gate(monkeypatch):
-    monkeypatch.setattr(S, "is_flag", lambda K: True)
+    monkeypatch.setattr(S, "require_flag", lambda K, what: None)
     with pytest.raises(S.IntegralityViolationError,
                        match=r"rank at \(1, 1, 1\) is -1"):
         S.homotopy_ranks(C.simplex_boundary(3), 8)
