@@ -15,6 +15,8 @@ chi-inequality-matches-ranks and odj-series-vs-normal-words.  Their
 verdicts, with the normal-word counts the cobar check reads, are held in
 K's memo per (K, trunc), so the ``check-all`` runs over several rings on
 one K compute them once; every ring-dependent check runs on each call.
+The Smith-form self-test tests the kernel, not K or a ring, so its
+verdict is held in K's memo once, drawn from its own stream seeded by K.
 
 The checks build no slice and no matrix themselves: Koszul slices are
 read through ``pontryagin.tor_via_koszul_complex`` and the Smith form is
@@ -43,6 +45,8 @@ def check_all(K, coeff, trunc):
     Panov-Ray identity, the series, PBW, chi~ and normal-word checks) are
     held in K's memo per (K, trunc), so the next call on K over another
     ring reads their verdicts; the ring-dependent checks run on every call.
+    The last check, the Smith-form self-test, reads no ring and draws from
+    its own stream seeded by K, so its verdict is held in K's memo once.
 
     At m <= 10 the Milnor-Moore check takes E2 from the Koszul slices of
     the Tor oracle, which read nothing of the sweep, and E-infinity from
@@ -55,7 +59,7 @@ def check_all(K, coeff, trunc):
     def record(name, ok, detail=""):
         checks.append((name, bool(ok), detail))
 
-    rng = random.Random(repr((K.m, tuple(sorted(K.faces)))))
+    rng = _rng(K)
     flag = complexes.is_flag(K)
     fields = [coeff] if coeff.is_field else [homology.RATIONALS, homology.GF(2)]
 
@@ -121,8 +125,14 @@ def check_all(K, coeff, trunc):
                     ok = False
             record("missing-face-ext2-classes", ok)
 
-    record("snf-spot-checks", exact_linalg.snf_spot_checks(rng))
+    record("snf-spot-checks", complexes.memo(
+        K, "snf self-test", lambda K: exact_linalg.snf_spot_checks(_rng(K))))
     return checks
+
+
+def _rng(K):
+    """A random stream seeded by K, the same on every run."""
+    return random.Random(repr((K.m, tuple(sorted(K.faces)))))
 
 
 def _ring_free_checks(K, trunc):

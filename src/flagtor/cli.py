@@ -7,7 +7,11 @@ byte-identical across runs.  Every sweep runs in this one process;
 ``--cache`` and ``--threads`` are accepted for old scripts and ignored.
 Exit codes: 0 success, 1 a verified property failed, 2 bad input, a
 passed cap or no memory left, 3 a precondition such as flagness was
-violated, 4 an internal consistency assertion failed.
+violated, 4 an internal consistency assertion failed.  ``run`` reads the
+ring, the truncation and the complex, runs the command and writes the
+report under one set of handlers, so an error at any of these steps,
+a ``MemoryError`` while the complex is built included, ends in one line
+on stderr and its exit code, never a traceback.
 """
 
 from __future__ import annotations
@@ -16,13 +20,12 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import chain
 from math import gcd
 
 from . import checks, complexes, hochster, homology, lscat, pontryagin, rows, series
-from .complexes import NotFlagError, SimplicialComplex
+from .complexes import NotFlagError
 
 
 class UnknownNameError(ValueError):
@@ -43,11 +46,20 @@ def corpus(name):
         random-flag:m:p100:seed       icosahedron     octahedron
         rp2          rp2-flag
     e.g. 'boundary:3+boundary:6' or 'skeleton:1:simplex:4'.
+    A name nested past the interpreter's recursion limit is a bad name.
     """
+    try:
+        return _parse(name)
+    except RecursionError:
+        raise UnknownNameError(f"bad arguments in corpus name {name!r}: "
+                               "nested too deeply") from None
+
+
+def _parse(name):
     name = name.strip()
     for sep, combine in (("+", complexes.disjoint_union), ("*", complexes.join)):
         if sep in name:
-            return reduce(combine, [corpus(p) for p in name.split(sep)])
+            return reduce(combine, [_parse(p) for p in name.split(sep)])
     return _atom(name)
 
 
@@ -66,9 +78,9 @@ def _atom(name):
             return complexes.cross_polytope(int(rest))
         if head == "skeleton":
             i, _, inner = rest.partition(":")
-            return complexes.skeleton(corpus(inner), int(i))
+            return complexes.skeleton(_parse(inner), int(i))
         if head == "barycentric":
-            return complexes.barycentric_subdivision(corpus(rest))
+            return complexes.barycentric_subdivision(_parse(rest))
         if head == "random-flag":
             m, p100, seed = rest.split(":")
             return complexes.random_flag(int(m), int(p100) / 100, int(seed))
@@ -81,28 +93,16 @@ def _atom(name):
         if head == "rp2-flag" and not rest:
             return complexes.barycentric_subdivision(
                 complexes.real_projective_plane())
-    except (ValueError, TypeError) as exc:
-        if isinstance(exc, UnknownNameError):
+    except (ValueError, TypeError, ArithmeticError) as exc:
+        if isinstance(exc, (UnknownNameError, complexes.BudgetExceededError)):
             raise
         raise UnknownNameError(f"bad arguments in corpus name {name!r}: {exc}")
     raise UnknownNameError(f"unknown corpus name {name!r}")
 
 
 # ---------------------------------------------------------------------------
-# configuration, loading, serialization
+# loading and serialization
 # ---------------------------------------------------------------------------
-
-@dataclass
-class JobConfig:
-    K: SimplicialComplex
-    coeff: homology.Coefficients
-    trunc: int
-    out: str
-
-    def __post_init__(self):
-        if self.trunc < 1:
-            raise ValueError("truncation must be >= 1")
-
 
 def _load_complex(args):
     if args.named:
@@ -133,12 +133,6 @@ def _load_complex(args):
 
 def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _config(args):
-    return JobConfig(_load_complex(args),
-                     homology.parse_coefficients(args.coeff),
-                     args.trunc, args.out)
 
 
 def _complex_json(K):
@@ -176,11 +170,12 @@ def _write_json(obj, write, depth=0):
         write(json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n" + "  " * depth))
 
 
-def emit(payload, cfg):
-    """Write the report to stdout: the text of json.dumps(payload,
-    sort_keys=True, indent=2) and a newline, or a plain table."""
+def emit(payload, out):
+    """Write the report to stdout: for ``out`` "json" the text of
+    json.dumps(payload, sort_keys=True, indent=2) and a newline, for
+    "table" a plain table."""
     write = sys.stdout.write
-    if cfg.out == "json":
+    if out == "json":
         _write_json(payload, write)
         write("\n")
         return
@@ -200,11 +195,10 @@ def emit(payload, cfg):
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each takes (cfg, args) and returns a JSON-able dict
+# subcommand handlers: each takes (K, coeff, args) and returns a JSON-able dict
 # ---------------------------------------------------------------------------
 
-def _cmd_info(cfg, args):
-    K = cfg.K
+def _cmd_info(K, coeff, args):
     fv = complexes.f_vector(K)
     mf = complexes.missing_faces(K)
     return {
@@ -224,26 +218,26 @@ def _profile_json(prof):
             "torsion": {str(n): list(t) for n, _, t in nonzero if t}}
 
 
-def _cmd_homology(cfg, args):
-    prof = homology.reduced_homology(cfg.K, cfg.coeff)
-    integral = (homology.reduced_homology(cfg.K, homology.INTEGERS)
-                if cfg.coeff.is_field else prof)
-    return {"coefficients": str(cfg.coeff),
+def _cmd_homology(K, coeff, args):
+    prof = homology.reduced_homology(K, coeff)
+    integral = (homology.reduced_homology(K, homology.INTEGERS)
+                if coeff.is_field else prof)
+    return {"coefficients": str(coeff),
             "homology": _profile_json(prof),
             "cohomology": _profile_json(prof.cohomology()),
             "cdim_Z": integral.cdim()}
 
 
-def _cmd_table(cfg, args, homology_fn, cohomology_fn):
+def _cmd_table(K, coeff, args, homology_fn, cohomology_fn):
     """zk-homology and rk-homology, which differ only in the two functions."""
     fn = cohomology_fn if args.dual else homology_fn
-    table = fn(cfg.K, cfg.coeff)
-    out = {"coefficients": str(cfg.coeff),
+    table = fn(K, coeff)
+    out = {"coefficients": str(coeff),
            "variant": "cohomology" if args.dual else "homology",
            "betti": {str(p): r for p, r in sorted(table.totals_rank.items())},
            "torsion": {str(p): list(t) for p, t in sorted(table.totals_torsion.items())}}
     if args.detail:
-        out["summands"] = rows.Rows(rows.SUMMAND, table.entries.items, cfg.K.m)
+        out["summands"] = rows.Rows(rows.SUMMAND, table.entries.items, K.m)
     return out
 
 
@@ -265,88 +259,88 @@ def _parse_alpha(text, m):
     return alpha
 
 
-def _cmd_tor(cfg, args):
-    m = cfg.K.m
+def _cmd_tor(K, coeff, args):
+    m = K.m
     if args.subset is not None:
         # one multidegree column; works beyond the 2^m sweep cap
         J = _parse_subset(args.subset, m)
-        slice_ = pontryagin.tor_for_subset(cfg.K, J, cfg.coeff)
-        return {"coefficients": str(cfg.coeff),
+        slice_ = pontryagin.tor_for_subset(K, J, coeff)
+        return {"coefficients": str(coeff),
                 "entries": [rows.TOR.row(((J, n), rt), m) for n, rt in sorted(slice_.items())]}
-    table = pontryagin.tor_via_subcomplexes(cfg.K, cfg.coeff)
+    table = pontryagin.tor_via_subcomplexes(K, coeff)
     # every entry is nonzero, so its degree has a total; a degree that
     # holds only torsion has rank 0
     degrees = sorted(table.totals_rank.keys() | table.totals_torsion.keys())
-    return {"coefficients": str(cfg.coeff), "exact": cfg.coeff.is_field,
+    return {"coefficients": str(coeff), "exact": coeff.is_field,
             "entries": rows.Rows(rows.TOR, lambda: chain.from_iterable(  # by n, then J
                 map(table.entries.in_degree, degrees)), m),
             "by_degree": {str(n): table.totals_rank.get(n, 0) for n in degrees}}
 
 
-def _cmd_gens_rels(cfg, args):
+def _cmd_gens_rels(K, coeff, args):
     if args.subset is not None:
-        J = _parse_subset(args.subset, cfg.K.m)
-        g, r = pontryagin.gens_rels_for_subset(cfg.K, J, cfg.coeff)
-        return {"coefficients": str(cfg.coeff), "J": _subset_json(J),
+        J = _parse_subset(args.subset, K.m)
+        g, r = pontryagin.gens_rels_for_subset(K, J, coeff)
+        return {"coefficients": str(coeff), "J": _subset_json(J),
                 "generators": g, "relations": r,
-                "exact": cfg.coeff.is_field}
-    table = pontryagin.tor_via_subcomplexes(cfg.K, cfg.coeff)
+                "exact": coeff.is_field}
+    table = pontryagin.tor_via_subcomplexes(K, coeff)
 
     def counts(n):  # Tor_n, streamed off the table
         return {"total": pontryagin.minimal_total(table, n),
                 "by_subset": rows.Rows(rows.SUBSET_COUNT,
-                                       lambda: pontryagin.minimal_counts(table, n), cfg.K.m)}
-    return {"coefficients": str(cfg.coeff), "exact": cfg.coeff.is_field,
+                                       lambda: pontryagin.minimal_counts(table, n), K.m)}
+    return {"coefficients": str(coeff), "exact": coeff.is_field,
             "generators": counts(1), "relations": counts(2)}
 
 
-def _cmd_koszul_dual(cfg, args):
-    words, counts = pontryagin.koszul_dual_basis(cfg.K, args.length)
+def _cmd_koszul_dual(K, coeff, args):
+    words, counts = pontryagin.koszul_dual_basis(K, args.length)
     return {
         "length": args.length,
         "total": len(words),
         "words": rows.Rows(rows.WORD, words.__iter__, args.length),
-        "counts": rows.Rows(rows.COUNT, sorted(counts.items()).__iter__, cfg.K.m),
+        "counts": rows.Rows(rows.COUNT, sorted(counts.items()).__iter__, K.m),
     }
 
 
-def _cmd_cobar_ext(cfg, args):
-    beta = _parse_alpha(args.alpha, cfg.K.m)
-    dims = pontryagin.cobar_ext(cfg.K, cfg.coeff, beta, bound=cfg.trunc)
-    return {"coefficients": str(cfg.coeff), "beta": list(beta),
+def _cmd_cobar_ext(K, coeff, args):
+    beta = _parse_alpha(args.alpha, K.m)
+    dims = pontryagin.cobar_ext(K, coeff, beta, bound=args.trunc)
+    return {"coefficients": str(coeff), "beta": list(beta),
             "ext_dims": {str(s): d for s, d in sorted(dims.items())}}
 
 
-def _cmd_mm_check(cfg, args):
-    coeff = cfg.coeff if cfg.coeff.is_field else homology.RATIONALS
-    return {"coefficients": str(coeff),
-            **pontryagin.milnor_moore_check(cfg.K, coeff)}
+def _cmd_mm_check(K, coeff, args):
+    field = coeff if coeff.is_field else homology.RATIONALS
+    return {"coefficients": str(field),
+            **pontryagin.milnor_moore_check(K, field)}
 
 
-def _cmd_series(cfg, args):
-    F = series.poincare_ozk(cfg.K, cfg.trunc)
-    ok, lhs, rhs = series.panov_ray_check(cfg.K)
+def _cmd_series(K, coeff, args):
+    F = series.poincare_ozk(K, args.trunc)
+    ok, lhs, rhs = series.panov_ray_check(K)
     terms = sorted(F.terms.items())
     return {"poincare_loop_zk": {"trunc": F.trunc,
-                                 "terms": rows.Rows(rows.TERM, terms.__iter__, cfg.K.m)},
+                                 "terms": rows.Rows(rows.TERM, terms.__iter__, K.m)},
             "z_graded": [int(c) for c in F.z_graded()],
             "panov_ray_identity": {"ok": ok, "lhs": lhs, "rhs": rhs}}
 
 
-def _cmd_ranks(cfg, args):
-    ranks = series.homotopy_ranks(cfg.K, cfg.trunc)  # in ascending alpha
-    return {"ranks": rows.Rows(rows.RANK, ranks.items, cfg.K.m)}
+def _cmd_ranks(K, coeff, args):
+    ranks = series.homotopy_ranks(K, args.trunc)  # in ascending alpha
+    return {"ranks": rows.Rows(rows.RANK, ranks.items, K.m)}
 
 
-def _cmd_chi_check(cfg, args):
-    alpha = _parse_alpha(args.alpha, cfg.K.m)
+def _cmd_chi_check(K, coeff, args):
+    alpha = _parse_alpha(args.alpha, K.m)
     # the compositional formula applies when gcd(alpha) = 1; otherwise
     # the value is the homotopy rank itself
     if gcd(*alpha) == 1:
-        val, ok = series.chi_inequality(cfg.K, alpha)
+        val, ok = series.chi_inequality(K, alpha)
         route = "compositional"
     else:
-        ranks = series.homotopy_ranks(cfg.K, max(cfg.trunc, sum(alpha)))
+        ranks = series.homotopy_ranks(K, max(args.trunc, sum(alpha)))
         val = ranks.get(tuple(alpha), 0)
         ok = val >= 0
         route = "homotopy-rank"
@@ -354,20 +348,20 @@ def _cmd_chi_check(cfg, args):
             "nonnegative": bool(ok), "route": route}
 
 
-def _cmd_toomer(cfg, args):
-    if cfg.coeff.is_field:
-        return {"coefficients": str(cfg.coeff),
-                "toomer": lscat.toomer(cfg.K, cfg.coeff)}
-    return lscat.toomer_report(cfg.K)
+def _cmd_toomer(K, coeff, args):
+    if coeff.is_field:
+        return {"coefficients": str(coeff),
+                "toomer": lscat.toomer(K, coeff)}
+    return lscat.toomer_report(K)
 
 
-def _cmd_cat_bound(cfg, args):
-    return {"nu": complexes.nu_direct(cfg.K),
-            "lower_bound": lscat.cat_lower_bound(cfg.K)}
+def _cmd_cat_bound(K, coeff, args):
+    return {"nu": complexes.nu_direct(K),
+            "lower_bound": lscat.cat_lower_bound(K)}
 
 
-def _cmd_cup_search(cfg, args):
-    witness = lscat.cup_witness_search(cfg.K)
+def _cmd_cup_search(K, coeff, args):
+    witness = lscat.cup_witness_search(K)
     if witness is None:
         return {"witness": None}
     return {"witness": {
@@ -379,8 +373,8 @@ def _cmd_cup_search(cfg, args):
     }}
 
 
-def _cmd_check_all(cfg, args):
-    results = checks.check_all(cfg.K, cfg.coeff, cfg.trunc)
+def _cmd_check_all(K, coeff, args):
+    results = checks.check_all(K, coeff, args.trunc)
     return {"checks": [{"name": name, "status": "PASS" if ok else "FAIL",
                         "detail": detail} for name, ok, detail in results],
             "ok": all(ok for _, ok, _ in results)}
@@ -390,10 +384,10 @@ def _cmd_check_all(cfg, args):
 COMMANDS = {
     "info": _cmd_info,
     "homology": _cmd_homology,
-    "zk-homology": lambda cfg, args: _cmd_table(
-        cfg, args, hochster.zk_homology, hochster.zk_cohomology),
-    "rk-homology": lambda cfg, args: _cmd_table(
-        cfg, args, hochster.rk_homology, hochster.rk_cohomology),
+    "zk-homology": lambda K, coeff, args: _cmd_table(
+        K, coeff, args, hochster.zk_homology, hochster.zk_cohomology),
+    "rk-homology": lambda K, coeff, args: _cmd_table(
+        K, coeff, args, hochster.rk_homology, hochster.rk_cohomology),
     "tor": _cmd_tor,
     "gens-rels": _cmd_gens_rels,
     "koszul-dual": _cmd_koszul_dual,
@@ -402,12 +396,12 @@ COMMANDS = {
     "series": _cmd_series,
     "ranks": _cmd_ranks,
     "chi-check": _cmd_chi_check,
-    "cat": lambda cfg, args: lscat.cat_report(cfg.K),
+    "cat": lambda K, coeff, args: lscat.cat_report(K),
     "toomer": _cmd_toomer,
     "cat-bound": _cmd_cat_bound,
     "cup-search": _cmd_cup_search,
     "check-all": _cmd_check_all,
-    "corpus": lambda cfg, args: _complex_json(cfg.K),
+    "corpus": lambda K, coeff, args: _complex_json(K),
 }
 
 
@@ -462,7 +456,9 @@ IGNORED_OPTIONS = {"cache": "profiles are recomputed on every call",
 
 
 def run(argv=None):
-    """Parse arguments, dispatch, print the report; returns the exit code."""
+    """Parse arguments, then read the ring, the truncation and the complex,
+    run the command and print the report under one set of handlers;
+    returns the exit code."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -472,14 +468,12 @@ def run(argv=None):
         if getattr(args, option) is not None:
             print(f"warning: --{option} is ignored; {reason}", file=sys.stderr)
     try:
-        cfg = _config(args)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
-        payload = COMMANDS[args.command](cfg, args)
-        emit({**_complex_json(cfg.K), "command": args.command, "result": payload}, cfg)
+        coeff = homology.parse_coefficients(args.coeff)
+        if args.trunc < 1:
+            raise ValueError("truncation must be >= 1")
+        K = _load_complex(args)
+        payload = COMMANDS[args.command](K, coeff, args)
+        emit({**_complex_json(K), "command": args.command, "result": payload}, args.out)
     except BrokenPipeError:  # the reader closed stdout: the rest goes nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except MemoryError:  # the last resort, where no cap foresaw the call
@@ -491,7 +485,7 @@ def run(argv=None):
     except series.IntegralityViolationError as exc:
         print(f"property failure: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:  # every bad-input error and every cap of the package
+    except (OSError, ValueError) as exc:  # every bad input and every cap of the package
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:

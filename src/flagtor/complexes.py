@@ -8,7 +8,9 @@ library targets the face list is just the clique list of a graph.
 
 Exhaustive 2^m subset sweeps cap m at ``SWEEP_CAP`` (24); the objects
 here can be larger (single-subcomplex computations stay cheap), the cap
-is enforced at the sweep entry points by ``check_sweep_cap``.  Every cap
+is enforced at the sweep entry points by ``check_sweep_cap``.
+``from_facets`` refuses a facet of more than ``MAX_FACET_VERTICES`` (20)
+vertices, since it would close to over 2^20 stored faces.  Every cap
 of the package, here or in its own module, raises ``BudgetExceededError``
 through ``exceeded``.
 """
@@ -22,6 +24,7 @@ from itertools import combinations, islice
 from math import comb
 
 SWEEP_CAP = 24
+MAX_FACET_VERTICES = 20
 
 
 class BudgetExceededError(ValueError):
@@ -164,10 +167,9 @@ def from_facets(m, facets_list):
                 raise VertexOutOfRangeError(f"vertex {v} not in 1..{m}")
         if not f:
             raise ValueError("empty facet")
-        if len(set(f)) > 20:
-            # faces are stored explicitly; a k-facet closes to 2^k faces
-            raise ValueError(f"facet with {len(set(f))} vertices is out of "
-                             "scope (face sets are stored explicitly)")
+        if len(set(f)) > MAX_FACET_VERTICES:
+            raise exceeded("complexes.MAX_FACET_VERTICES", MAX_FACET_VERTICES,
+                           f"a facet of {len(set(f))} vertices")
         used.update(f)
     # decided on the vertex set, before any mask of m bits is built
     if len(used) != m:
@@ -260,8 +262,9 @@ def tables(K):
     It holds the flag bit, the chi~ table, the Z-graded denominator, the
     series F and the rank table, the sweep stores (one per ring), the
     ``homology.geometry``, the value of ``lscat.cat_via_links``, the
-    "koszul slices" and "cobar slices" of ``pontryagin``, and the verdicts
-    of the ring-free checks of ``checks.check_all`` per trunc; it is the
+    "koszul slices" and "cobar slices" of ``pontryagin``, the verdicts
+    of the ring-free checks of ``checks.check_all`` per trunc and the
+    verdict of its Smith-form self-test; it is the
     package's one per-complex memo.  Only the last complex asked for is
     kept, and an equal copy of K shares its dict; ``hochster.clear_cache``
     empties it.  Each call hashes K, so callers fetch the dict once per

@@ -11,6 +11,9 @@ DATA = Path(__file__).resolve().parent / "data"
 # full subcomplexes carry 2-torsion
 RP2_FLAG12 = DATA / "rp2_flag12.json"
 
+# one facet of 21 vertices: one past complexes.MAX_FACET_VERTICES
+FACET21 = DATA / "facet21.json"
+
 
 def rp2_flag12():
     data = json.loads(RP2_FLAG12.read_text())

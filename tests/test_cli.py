@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 import sys
 import time
 import tracemalloc
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 from _cli import flagtor, python, spawn_flagtor
-from _fixtures import RP2_FLAG12
+from _fixtures import FACET21, RP2_FLAG12
 
 from flagtor import cli, complexes, hochster, lscat, pontryagin, rows, series
 
@@ -43,10 +44,21 @@ def test_bad_input_exits_two():
     assert r.returncode == 2
     r = flagtor("homology", "--named", "cycle:4", "--coeff", "fp:6")
     assert r.returncode == 2
+    # the ring is read before the complex, so its error comes first
+    r = flagtor("info", "--named", "no-such-thing", "--coeff", "fp:6")
+    assert (r.returncode, r.stderr) == (2, "error: 6 is not prime\n")
+
+
+# names nested past the recursion limit, and a probability past a float
+DEEP_OR_HUGE_NAMES = {"skeleton:1:x3000": "skeleton:1:" * 3000 + "cycle:4",
+                      "barycentric:x1200": "barycentric:" * 1200 + "points:1",
+                      "random-flag:5:9x400:1": f"random-flag:5:{'9' * 400}:1"}
 
 
 @pytest.mark.parametrize("name", ["cross:0", "random-flag:0:50:1", "random-flag:5:150:1",
-                                  "cycle:2", "skeleton:-1:cycle:4"])
+                                  "cycle:2", "skeleton:-1:cycle:4",
+                                  *(pytest.param(name, id=short)
+                                    for short, name in DEEP_OR_HUGE_NAMES.items())])
 def test_bad_corpus_arguments_exit_two(name, capsys):
     assert cli.run(["info", "--named", name]) == 2
     out, err = capsys.readouterr()
@@ -474,7 +486,7 @@ def test_series_over_the_budget_exits_two(argv, m, trunc, terms):
         f"in {m} variables to total degree {trunc} can hold {terms} terms"]
 
 
-def _out_of_memory(cfg, args):
+def _out_of_memory(*args):
     raise MemoryError
 
 
@@ -498,9 +510,17 @@ OVER_CAP = {
                        lambda mp: mp.setattr(lscat, "MAX_PARTITIONS", 10),
                        "lscat.MAX_PARTITIONS = 10 exceeded: set partitions tried "
                        "without finding a witness"),
+    "MAX_FACET_VERTICES": (("info", "--input", str(FACET21)), None,
+                           f"{FACET21}: complexes.MAX_FACET_VERTICES = 20 exceeded: "
+                           "a facet of 21 vertices"),
     "MemoryError": (("tor", "--named", "cycle:4"),
                     lambda mp: mp.setitem(cli.COMMANDS, "tor", _out_of_memory),
                     "tor ran out of memory"),
+    # building cross:20 ran out of memory after 22 s under a 3 GB limit
+    "MemoryError while building": (("info", "--named", "cross:20"),
+                                   lambda mp: mp.setattr(complexes, "cross_polytope",
+                                                         _out_of_memory),
+                                   "info ran out of memory"),
 }
 
 
@@ -604,7 +624,8 @@ def test_internal_assertion_exits_four(monkeypatch, capsys, argv, target, stub,
     assert err == f"internal error: {message}\n"
 
 
-CAPS = [(complexes, "SWEEP_CAP"), (series, "SERIES_BUDGET"), (lscat, "MAX_PARTITIONS"),
+CAPS = [(complexes, "SWEEP_CAP"), (complexes, "MAX_FACET_VERTICES"),
+        (series, "SERIES_BUDGET"), (lscat, "MAX_PARTITIONS"),
         (pontryagin, "MAX_WORDS"), (series, "CHI_BUDGET"),
         (pontryagin, "MAX_DEGREE_BOUND"), (hochster, "MAX_PROFILES")]
 
@@ -617,3 +638,76 @@ def test_readme_states_each_cap_with_its_value(module, cap):
     rows = [line for line in readme.splitlines() if line.startswith(f"| {name} |")]
     assert len(rows) == 1
     assert rows[0].startswith(f"| {name} | {getattr(module, cap):,} |")
+
+
+# inputs of the fuzz of cli.run, each a list of good values and a list of
+# bad ones: complexes with m <= 8, malformed names, rings, options, and the
+# texts of --input files
+FUZZ_NAMES = (["cycle:4", "cycle:5", "points:3", "boundary:3", "octahedron", "rp2",
+               "cross:4", "skeleton:1:simplex:4", "cycle:4*points:2", "boundary:3+cycle:4",
+               "barycentric:points:2", "random-flag:7:50:1", "random-flag:8:30:2"],
+              ["no-such-thing", "cycle:", "cycle:x", "cycle:2", "cross:0", "skeleton:x:cycle:4",
+               "random-flag:5:150:1", "random-flag:5", "rp2:3", "cycle:4+", "*", "",
+               *DEEP_OR_HUGE_NAMES.values()])
+FUZZ_FILES = ([b'{"m": 5, "facets": [[1, 2], [2, 3], [3, 4], [4, 5], [1, 5]]}',
+               b'{"m": 3, "facets": [[1, 2], [2, 3], [1, 3]]}'],
+              [b'{"m": "x", "facets": [[1]]}', b'{"m": 1, "facets": [[true]]}', b"[1, 2]",
+               b"null", b'{"m": NaN, "facets": [[1]]}', b'{"m": 4, "facets": [[1, 2], [3,',
+               bytes(range(256)), b"", b'{"m": 6, "facets": [[1, 2], [2, 3]]}',
+               b'{"m": 2, "facets": [[1, 3]]}', b'{"m": 1, "facets": [[1], []]}',
+               FACET21.read_bytes()])
+FUZZ_RINGS = (["q", "z", "fp:2", "fp:3"], ["fp:6", "fp:0", "fp:", "fp:x", "r"])
+FUZZ_TRUNCS = (["1", "3", "6"], ["0", "-2", "x"])
+FUZZ_SUBSETS = (["all", "1,2", "1,3"], ["", "0", "1,99", "x"])
+FUZZ_LENGTHS = (["0", "1", "3", "6", "12"], ["-1", "x"])
+
+
+def _pick(rng, values):
+    """One of the good values, or one time in five a bad one."""
+    good, bad = values
+    return rng.choice(bad if rng.random() < 0.2 else good)
+
+
+def _fuzz_argv(rng, files):
+    """One argv of a command of cli.COMMANDS over a drawn input and options."""
+    command = rng.choice(list(cli.COMMANDS))
+    argv = [command]
+    source = rng.random()
+    if source < 0.6:
+        argv += ["--named", _pick(rng, FUZZ_NAMES)]
+    elif source < 0.95:
+        argv += ["--input", str(_pick(rng, files))]
+    if rng.random() < 0.5:
+        argv += ["--coeff", _pick(rng, FUZZ_RINGS)]
+    if rng.random() < 0.4:
+        argv.append(f"--trunc={_pick(rng, FUZZ_TRUNCS)}")
+    if rng.random() < 0.2:
+        argv += ["--out", "table"]
+    if command in ("zk-homology", "rk-homology"):
+        argv += rng.sample(["--detail", "--dual"], rng.randint(0, 2))
+    if command in ("tor", "gens-rels") and rng.random() < 0.5:
+        argv.append(f"--subset={_pick(rng, FUZZ_SUBSETS)}")
+    if command == "koszul-dual":
+        argv.append(f"--length={_pick(rng, FUZZ_LENGTHS)}")
+    if command in ("cobar-ext", "chi-check"):
+        alpha = ",".join(str(rng.choice([0, 1, 1, 2])) for _ in range(rng.randint(3, 8)))
+        argv.append(f"--alpha={_pick(rng, ([alpha], ['1,-1,1', 'a,b', '']))}")
+    return argv
+
+
+def test_a_seeded_fuzz_of_run_ends_each_call_in_an_exit_code(tmp_path, capsys):
+    # 200 argv over every command: no exception escapes run, no call exits 4,
+    # and a call that fails says why on stderr
+    files = ([], [tmp_path / "missing.json"])
+    for i, text in enumerate(FUZZ_FILES[0] + FUZZ_FILES[1]):
+        path = tmp_path / f"k{i}.json"
+        path.write_bytes(text)
+        files[i >= len(FUZZ_FILES[0])].append(path)
+    rng = random.Random(0)
+    calls = [_fuzz_argv(rng, files) for _ in range(200)]
+    assert {argv[0] for argv in calls} == set(cli.COMMANDS)
+    for argv in calls:
+        code = cli.run(argv)
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2, 3), (argv, code, err)
+        assert out if code == 0 else err

@@ -16,6 +16,7 @@ from pathlib import Path
 
 from flagtor import checks
 from flagtor import complexes as C
+from flagtor import exact_linalg as E
 from flagtor import hochster as Ho
 from flagtor import homology as H
 from flagtor import lscat as L
@@ -199,3 +200,17 @@ def test_a_second_check_all_runs_no_ring_free_check(monkeypatch):
     assert run(K, H.RATIONALS, 8) == []
     Ho.clear_cache()
     assert run(K, H.GF(2), 8) == every
+
+
+def test_a_second_check_all_runs_no_smith_form_self_test(monkeypatch):
+    K = C.random_flag(7, 0.5, 3)
+    Ho.clear_cache()
+    drawn = []
+    spot = E.snf_spot_checks
+    monkeypatch.setattr(E, "snf_spot_checks", lambda rng: drawn.append(rng) or spot(rng))
+    assert checks.check_all(K, H.RATIONALS, 8)[-1] == ("snf-spot-checks", True, "")
+    assert len(drawn) == 1
+    drawn.clear()
+    # another ring on K reads the held verdict
+    assert checks.check_all(K, H.GF(2), 8)[-1] == ("snf-spot-checks", True, "")
+    assert drawn == []
