@@ -233,12 +233,13 @@ def _tor_matches_koszul_slices(K, masks_by_ring):
 
     Tor_n at J is reduced H_{n-1}(K_J), read off the sweep's profiles.
     ``masks_by_ring`` maps each field to the J it checks (every J for
-    m <= 10, else 128 sampled ones).  Each field that asks for J
-    eliminates J's slice through ``pontryagin.tor_via_koszul_complex``,
-    which builds the slice once per complex and reduces it over Z from
-    its second read on.  Returns {field: (ok, total)} with ok true when
-    every J matched, and total the sum of the slice ranks over the
-    field's J.
+    m <= 10, else 128 sampled ones).  Each field that asks for J reads
+    J's slice through ``pontryagin.tor_via_koszul_complex``, which builds
+    the slice and eliminates it over Z once per complex, and gives every
+    field its homology by universal coefficients: the field kernels of the
+    sweep are not on this route.  Returns {field: (ok, total)} with ok
+    true when every J matched, and total the sum of the slice ranks over
+    the field's J.
     """
     out = {}
     for ring, masks in masks_by_ring.items():

@@ -299,7 +299,8 @@ def _cmd_koszul_dual(K, coeff, args):
     return {
         "length": args.length,
         "total": len(words),
-        "words": rows.Rows(rows.WORD, words.__iter__, args.length),
+        # an empty list needs no row template, which grows with the length
+        "words": rows.Rows(rows.WORD, words.__iter__, args.length if words else 0),
         "counts": rows.Rows(rows.COUNT, sorted(counts.items()).__iter__, K.m),
     }
 

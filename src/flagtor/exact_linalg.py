@@ -7,9 +7,8 @@ the Smith normal form.  The Smith form first eliminates every +-1 pivot it
 can find through a column index, each one an invariant factor 1 (after
 Dumas, Heckenbach, Saunders and Welker, "Computing simplicial homology
 based on efficient Smith normal form algorithms", 2003), and runs
-minimal-absolute-value pivoting only on the core that is left.  The same
-unit-pivot kernel reduces a chain complex over Z for
-``homology.reduce_over_z``.  No floating point is used anywhere.
+minimal-absolute-value pivoting only on the core that is left.  No
+floating point is used anywhere.
 
 The one matrix format is columns: ``rank_columns`` and ``snf_columns``
 take [(row, value), ...] lists whose rows are indices 0, 1, ... of the

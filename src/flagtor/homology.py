@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .complexes import adjacency, is_flag, memo, missing_faces
-from .exact_linalg import (NonPrimeModulusError, _eliminate_units, is_prime,
-                           rank_columns, snf_columns)
+from .exact_linalg import NonPrimeModulusError, is_prime, rank_columns, snf_columns
 
 
 @dataclass(frozen=True)
@@ -114,6 +113,26 @@ class HomologyProfile:
         """
         return HomologyProfile(dict(self.ranks),
                                {n + 1: t for n, t in self.torsion.items()})
+
+    def over(self, coeff):
+        """The homology over coeff of the complex whose integral homology
+        profile this is.
+
+        By universal coefficients (Hatcher, Algebraic Topology, 3A.3),
+        H_n(C; F_p) = H_n(C) ⊗ F_p ⊕ Tor(H_{n-1}(C), F_p): each p-primary
+        summand of H_n adds one to the F_p rank in degrees n and n + 1.
+        Over Q the ranks are kept, and over Z the profile is itself.
+        """
+        if coeff.kind == "z":
+            return self
+        ranks = dict(self.ranks)
+        if coeff.kind == "fp":
+            for n, t in self.torsion.items():
+                k = sum(1 for q in t if q % coeff.p == 0)
+                if k:
+                    ranks[n] = ranks.get(n, 0) + k
+                    ranks[n + 1] = ranks.get(n + 1, 0) + k
+        return HomologyProfile(dict(sorted(ranks.items())))
 
     def cdim(self):
         """Top degree >= 0 with nonzero reduced *cohomology*, else -1.
@@ -304,41 +323,6 @@ def chain_homology(dims, differentials, coeff, known=None):
         if b:
             betti[n] = b
     return HomologyProfile(betti, torsion)
-
-
-def reduce_over_z(dims, differentials):
-    """A smaller complex, chain-homotopy equivalent over Z, in the format
-    of ``chain_homology``: (dims, differentials) with fewer basis elements.
-
-    Each +-1 entry d_k[τ, σ] that the Smith form's unit-pivot kernel picks
-    cancels σ in C_k against τ in C_{k-1}: d_k keeps its Schur complement,
-    d_{k+1} loses row σ and d_{k-1} loses column τ (the reduction lemma;
-    Kaczynski, Mischaikow and Mrozek, Computational Homology, 2004).  So
-    the homology over every ring, ranks and torsion, is that of the input.
-    Degrees are reduced in ascending order, and the basis elements left
-    keep their order.
-    """
-    gone = {n: set() for n in dims}
-    left = {}
-    for k in sorted(differentials):
-        dropped = gone.setdefault(k - 1, set())  # cancelled by d_{k-1}'s pivots
-        live = {}
-        for c, col in enumerate(differentials[k]):
-            entries = {r: v for r, v in col if v and r not in dropped}
-            if entries:
-                live[c] = entries
-        for c, r in _eliminate_units(live):
-            gone[k].add(c)
-            dropped.add(r)
-        left[k] = live
-    kept = {n: [i for i in range(dim) if i not in gone[n]] for n, dim in dims.items()}
-    renumber = {n: {i: j for j, i in enumerate(ids)} for n, ids in kept.items()}
-    reduced = {}
-    for k, live in left.items():
-        rows = renumber.get(k - 1)
-        reduced[k] = [[(rows[r], v) for r, v in live[c].items()] if c in live else []
-                      for c in kept[k]]
-    return {n: len(ids) for n, ids in kept.items()}, reduced
 
 
 def _profile_restricted(geo, Jmask, coeff):

@@ -37,6 +37,7 @@ from .complexes import adjacency, exceeded, require_flag, tables
 DEFAULT_DEGREE_BOUND = 8
 MAX_DEGREE_BOUND = 31  # as MultiSeries; cobar words recurse once per letter
 MAX_WORDS = 500_000  # most normal words of one length that are built
+MAX_LETTERS = 16_000_000  # most letters of normal words built, over all lengths
 
 
 # ---------------------------------------------------------------------------
@@ -167,25 +168,20 @@ def tor_via_koszul_complex(K, coeff, beta):
     non-squarefree beta it must vanish entirely.  Returns a dict
     t -> (rank, torsion).
 
-    The slice is read from K's memo, table "koszul slices".  The first
-    read builds it and stores it as built; the second replaces it by its
-    reduction over Z, ``homology.reduce_over_z``, which every later read
-    returns: a chain-homotopy equivalent complex, so each ring finds the
-    same homology in a smaller elimination.  A slice read once costs one
-    build and no reduction.  No homology is kept, so every call
-    eliminates.
+    K's memo, table "koszul slices", holds the integral homology of each
+    slice read: the first read builds the slice and eliminates it over Z,
+    once, and every read, over any ring, returns that profile by
+    universal coefficients (``HomologyProfile.over``).
     """
     require_flag(K, "pontryagin.tor_via_koszul_complex")
     beta = tuple(beta)
     slices = tables(K).setdefault("koszul slices", {})
-    held = slices.get(beta)
-    if held is None:
+    prof = slices.get(beta)
+    if prof is None:
         bases, matrices = koszul_slice(K, beta)
-        held = slices[beta] = {t: len(bs) for t, bs in bases.items()}, matrices, False
-    elif not held[2]:
-        held = slices[beta] = *homology.reduce_over_z(*held[:2]), True
-    prof = homology.chain_homology(*held[:2], coeff)
-    return {t: (r, tors) for t, r, tors in prof.rows()}
+        prof = slices[beta] = homology.chain_homology(
+            {t: len(bs) for t, bs in bases.items()}, matrices, homology.INTEGERS)
+    return {t: (r, tors) for t, r, tors in prof.over(coeff).rows()}
 
 
 # ---------------------------------------------------------------------------
@@ -216,18 +212,29 @@ def _normal_word_levels(K, max_length):
 
     Level n + 1 appends each letter, ascending, to each word of level n
     that ``_can_append`` accepts, so each level is in lexicographic order.
+    Both caps are checked while building: MAX_WORDS bounds one level's
+    memory, and MAX_LETTERS the work of all levels, which grows with the
+    length where each level is small.  Past an empty level every level is
+    empty, so none is built.
     """
     adj, letters, level = adjacency(K), range(1, K.m + 1), [()]
+    built = 0
     yield level
     for n in range(1, max_length + 1):
         longer = []
         for word in level:
             longer.extend(word + (x,) for x in letters if _can_append(word, x, adj))
-            if len(longer) > MAX_WORDS:  # checked while building, to bound memory
+            if len(longer) > MAX_WORDS:
                 raise exceeded("pontryagin.MAX_WORDS", MAX_WORDS,
                                f"normal words of length {n}")
+            if built + n * len(longer) > MAX_LETTERS:
+                raise exceeded("pontryagin.MAX_LETTERS", MAX_LETTERS,
+                               f"letters of the normal words up to length {n}")
+        built += n * len(longer)
         level = longer
         yield level
+        if not level:
+            return
 
 
 def normal_words(K, length):

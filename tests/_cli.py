@@ -35,3 +35,26 @@ def spawn_flagtor(*args):
     """Start the CLI on args, with its stdout and stderr on pipes."""
     return subprocess.Popen([sys.executable, "-m", "flagtor", *args],
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_env())
+
+
+# the CLI in a child that prints its own peak RSS, VmHWM in KB, as the
+# last line of its stderr.  A child's RUSAGE_SELF and os.wait4 both keep
+# the high-water mark of the process that forked it across exec, and
+# RUSAGE_CHILDREN the largest of every earlier child.
+_PEAK_RSS_CHILD = """
+import sys
+from flagtor import cli
+code = cli.run(sys.argv[1:])
+with open("/proc/self/status") as status:
+    print(next(line.split()[1] for line in status if line.startswith("VmHWM:")),
+          file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def flagtor_peak_rss(*args):
+    """Run the CLI on args in a child; the completed child, which must
+    exit 0, and its own peak RSS in KB."""
+    r = python("-c", _PEAK_RSS_CHILD, *args)
+    assert r.returncode == 0, r.stderr
+    return r, int(r.stderr.split()[-1])

@@ -7,7 +7,6 @@ doubles as a verification report.
 """
 
 import random
-import resource
 import time
 
 import pytest
@@ -22,7 +21,7 @@ from flagtor.complexes import mask_of
 from flagtor.exact_linalg import rank_columns, snf_columns
 from flagtor.series import MultiSeries
 
-from _cli import flagtor, python
+from _cli import flagtor_peak_rss
 
 
 def report(criterion, detail=""):
@@ -277,37 +276,22 @@ def test_criterion_10_flag_projective_plane_torsion():
 def test_criterion_11_check_all_performance():
     """Full check-all at m = 16 over F2: <= 120 s wall, <= 2 GB memory."""
     t0 = time.monotonic()
-    r = flagtor("check-all", "--named", "random-flag:16:40:1",
-                "--coeff", "fp:2", "--threads", "2")
+    r, peak_kb = flagtor_peak_rss("check-all", "--named", "random-flag:16:40:1",
+                                  "--coeff", "fp:2", "--threads", "2")
     elapsed = time.monotonic() - t0
-    assert r.returncode == 0, r.stderr
     assert "FAIL" not in r.stderr
-    peak_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
     assert elapsed <= 120.0
     assert peak_kb <= 2 * 1024 * 1024
     report("criterion 11: m=16 check-all",
            f"{elapsed:.1f}s, {peak_kb // 1024} MB")
 
 
-# the CLI run in a child that reports its own peak RSS in KB on stderr;
-# RUSAGE_CHILDREN would keep the largest earlier child of the test run
-_PEAK_RSS_CHILD = """
-import resource, sys
-from flagtor import cli
-code = cli.run(sys.argv[1:])
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
-sys.exit(code)
-"""
-
-
 def test_criterion_13_sweep_memory_at_m20():
     """zk-homology over Z at m = 20 stays under 100 MB peak RSS."""
     t0 = time.monotonic()
-    r = python("-c", _PEAK_RSS_CHILD, "zk-homology", "--named",
-               "random-flag:20:40:1", "--coeff", "z")
+    _, peak_kb = flagtor_peak_rss("zk-homology", "--named", "random-flag:20:40:1",
+                                  "--coeff", "z")
     elapsed = time.monotonic() - t0
-    assert r.returncode == 0, r.stderr
-    peak_kb = int(r.stderr.split()[-1])
     assert peak_kb < 100 * 1024
     report("criterion 13: m=20 zk-homology memory",
            f"{elapsed:.1f}s, {peak_kb // 1024} MB")

@@ -45,44 +45,50 @@ def test_check_alls_on_one_complex_build_each_squarefree_slice_once(monkeypatch)
     assert sorted(seen) == list(range(1 << K.m))
 
 
-def test_a_built_slice_is_eliminated_on_every_call(monkeypatch):
+def test_a_slice_is_eliminated_over_z_once_and_read_over_every_field(monkeypatch):
     K = C.cycle_complex(5)
     masks = {H.RATIONALS: range(1 << K.m), H.GF(2): [K.full_mask]}
-    # builds the table and both sweeps
-    assert checks._tor_matches_koszul_slices(K, masks) == \
-        {H.RATIONALS: (True, 12), H.GF(2): (True, 1)}
-    # a wrong elimination on the warm table must still be seen
+    verdict = {H.RATIONALS: (True, 12), H.GF(2): (True, 1)}
     chain_homology = H.chain_homology
     calls = []
-
-    def off_by_one(dims, matrices, coeff, known=None):
-        calls.append(coeff)
-        prof = chain_homology(dims, matrices, coeff, known)
-        return H.HomologyProfile({n: r + 1 for n, r in prof.ranks.items()},
-                                 prof.torsion)
-
-    monkeypatch.setattr(H, "chain_homology", off_by_one)
+    monkeypatch.setattr(H, "chain_homology", lambda *args: calls.append(args[2])
+                        or chain_homology(*args))
+    # builds the table and both sweeps, which eliminate over the fields
+    assert checks._tor_matches_koszul_slices(K, masks) == verdict
+    assert calls.count(H.INTEGERS) == 1 << K.m
+    # a warm table eliminates nothing, over any ring
+    calls.clear()
+    assert checks._tor_matches_koszul_slices(K, masks) == verdict
+    assert calls == []
+    # a wrong universal-coefficient reading of the warm table must be seen
+    over = H.HomologyProfile.over
+    monkeypatch.setattr(H.HomologyProfile, "over", lambda prof, coeff: H.HomologyProfile(
+        {n: r + 1 for n, r in over(prof, coeff).ranks.items()}))
     oracle = checks._tor_matches_koszul_slices(K, masks)
     assert [ok for ok, _ in oracle.values()] == [False, False]
-    assert len(calls) == (1 << K.m) + 1
+    assert calls == []
 
 
-def test_non_squarefree_slices_are_shared_and_eliminated_on_every_call(monkeypatch):
+def test_non_squarefree_slices_are_shared_and_eliminated_once(monkeypatch):
     K = C.random_flag(7, 0.5, 5)
-    Ho.clear_cache()
-    built = []
-    koszul_slice = P.koszul_slice
+    built, eliminated = [], []
+    koszul_slice, chain_homology = P.koszul_slice, H.chain_homology
     monkeypatch.setattr(P, "koszul_slice",
                         lambda K, beta: built.append(beta) or koszul_slice(K, beta))
+    monkeypatch.setattr(H, "chain_homology",
+                        lambda *args: eliminated.append(args[2]) or chain_homology(*args))
     assert checks._tor_vanishes_off_squarefree(K, H.RATIONALS, 8, random.Random(1))
     assert built and len(set(built)) == len(built)
-    # a second ring draws the same beta and builds nothing
+    assert eliminated == [H.INTEGERS] * len(built)
+    # a second ring draws the same beta, and builds and eliminates nothing
     n = len(built)
     assert checks._tor_vanishes_off_squarefree(K, H.GF(3), 8, random.Random(1))
-    assert len(built) == n
-    # a wrong elimination on the warm table must still be seen
-    monkeypatch.setattr(H, "chain_homology", lambda *args: H.HomologyProfile({0: 1}, {}))
+    assert len(built) == len(eliminated) == n
+    # a wrong universal-coefficient reading of the warm table must be seen
+    monkeypatch.setattr(H.HomologyProfile, "over",
+                        lambda prof, coeff: H.HomologyProfile({0: 1}))
     assert not checks._tor_vanishes_off_squarefree(K, H.GF(3), 8, random.Random(1))
+    assert len(built) == len(eliminated) == n
 
 
 def test_oracle_runs_each_field_on_its_own_subsets():

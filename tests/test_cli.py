@@ -257,6 +257,17 @@ def test_koszul_dual_long_words_do_not_hit_the_recursion_limit():
     assert data["words"] == [[1, 2] * 750, [2, 1] * 750]
 
 
+def test_koszul_dual_builds_no_level_past_an_empty_one():
+    # every two letters of simplex:3 anticommute, so its words are ascending
+    # runs of distinct letters and every level past 3 is empty
+    start = time.monotonic()
+    r = flagtor("koszul-dual", "--named", "simplex:3", "--length", str(10 ** 10))
+    assert time.monotonic() - start < 10
+    assert r.returncode == 0, r.stderr
+    data = json.loads(r.stdout)["result"]
+    assert data["total"] == 0 and data["words"] == [] and data["counts"] == []
+
+
 def test_koszul_dual_over_the_word_budget_exits_two():
     # cycle:5 has 231,840 normal words of length 12 and more than
     # MAX_WORDS of length 13, so no level past 13 is built
@@ -502,6 +513,10 @@ OVER_CAP = {
               "bound = 8 exceeded: |beta| = 9 in cobar Ext"),
     "MAX_WORDS": (("koszul-dual", "--named", "cycle:5", "--length", "40"), None,
                   "pontryagin.MAX_WORDS = 500000 exceeded: normal words of length 13"),
+    # cycle:4 has 4n words of length n, so no one level meets MAX_WORDS
+    "MAX_LETTERS": (("koszul-dual", "--named", "cycle:4", "--length", "1000"), None,
+                    "pontryagin.MAX_LETTERS = 16000000 exceeded: letters of the "
+                    "normal words up to length 229"),
     "CHI_BUDGET": (("chi-check", "--named", "random-flag:16:40:1",
                     "--alpha", ",".join("1" * 16)), None,
                    "series.CHI_BUDGET = 100000000 exceeded: |alpha| = 16 takes up "
@@ -626,7 +641,7 @@ def test_internal_assertion_exits_four(monkeypatch, capsys, argv, target, stub,
 
 CAPS = [(complexes, "SWEEP_CAP"), (complexes, "MAX_FACET_VERTICES"),
         (series, "SERIES_BUDGET"), (lscat, "MAX_PARTITIONS"),
-        (pontryagin, "MAX_WORDS"), (series, "CHI_BUDGET"),
+        (pontryagin, "MAX_WORDS"), (pontryagin, "MAX_LETTERS"), (series, "CHI_BUDGET"),
         (pontryagin, "MAX_DEGREE_BOUND"), (hochster, "MAX_PROFILES")]
 
 

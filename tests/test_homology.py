@@ -2,6 +2,9 @@
 
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from flagtor import complexes as C
 from flagtor import homology as H
 
@@ -99,6 +102,60 @@ def test_universal_coefficients_consistency():
                 tor_here = sum(1 for t in z.torsion_at(n) if t % p == 0)
                 tor_below = sum(1 for t in z.torsion_at(n - 1) if t % p == 0)
                 assert fp.rank(n) == z.rank(n) + tor_here + tor_below
+            assert z.over(H.GF(p)) == fp
+        assert z.over(H.RATIONALS) == q and z.over(H.INTEGERS) is z
+
+
+# the multipliers of the pieces Z -> Z of a random complex: mostly torsion,
+# as the matrices without units of the Smith form's tests, and 0 and +-1
+MULTIPLIERS = st.sampled_from([-6, -4, -3, -2, -1, 0, 1, 2, 3, 4, 6])
+
+
+@st.composite
+def integral_complexes(draw, top=3):
+    """A chain complex of free Z-modules in degrees 0..top, as (dims,
+    differentials) for ``chain_homology``.
+
+    It is a sum of pieces Z -a-> Z from degree k to k - 1 and of free
+    classes, whose bases are then mixed: replacing e_i of C_n by
+    e_i + c e_j adds c times column j to column i of d_n and subtracts c
+    times row i from row j of d_{n+1}, which keeps d^2 = 0 and the
+    homology, and hides the pieces from the eliminations.
+    """
+    dims = dict.fromkeys(range(top + 1), 0)
+    entries = []
+    for k, a in draw(st.lists(st.tuples(st.integers(1, top), MULTIPLIERS), max_size=6)):
+        entries.append((k, dims[k - 1], dims[k], a))
+        dims[k] += 1
+        dims[k - 1] += 1
+    for n in draw(st.lists(st.integers(0, top), max_size=3)):
+        dims[n] += 1
+    d = {k: [[0] * dims[k] for _ in range(dims[k - 1])] for k in range(1, top + 1)}
+    for k, r, c, a in entries:
+        d[k][r][c] = a
+    for _ in range(draw(st.integers(0, 12))):
+        n = draw(st.integers(0, top))
+        if dims[n] < 2:
+            continue
+        i = draw(st.integers(0, dims[n] - 1))
+        j = draw(st.integers(0, dims[n] - 2))
+        j += j >= i
+        c = draw(st.sampled_from([-2, -1, 1, 2]))
+        for row in d.get(n, ()):
+            row[i] += c * row[j]
+        if n + 1 in d:
+            d[n + 1][j] = [x - c * y for x, y in zip(d[n + 1][j], d[n + 1][i])]
+    differentials = {k: [[(r, rows[r][c]) for r in range(dims[k - 1]) if rows[r][c]]
+                         for c in range(dims[k])] for k, rows in d.items()}
+    return dims, differentials
+
+
+@settings(max_examples=300, deadline=None)
+@given(integral_complexes())
+def test_integral_homology_over_a_field_is_the_homology_over_that_field(cx):
+    z = H.chain_homology(*cx, H.INTEGERS)
+    for ring in (H.RATIONALS, H.GF(2), H.GF(3)):
+        assert z.over(ring) == H.chain_homology(*cx, ring), ring
 
 
 def test_lemma_cdim_is_max_hdim_over_fields():

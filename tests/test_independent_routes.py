@@ -4,10 +4,11 @@
 (route one) with the homology of the Koszul slices (route two).  The
 comparison checks something only while route two is computed without
 the sweep, so the slice functions of ``pontryagin`` (whose reader keeps
-the slices in K's memo), the non-squarefree check of ``checks``, the
-reduction over Z of ``homology`` that the reader applies from a slice's
-second read on, and the functions of their own module that they call,
-may name neither ``hochster`` nor its per-subset profiles.
+each slice's integral homology in K's memo), the non-squarefree check of
+``checks``, the universal-coefficient reading of ``homology`` that the
+reader applies over every ring, and the functions and methods of their
+own module that they call, may name neither ``hochster`` nor its
+per-subset profiles.
 """
 
 import ast
@@ -17,7 +18,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "flagtor"
 ROUTE_TWO = {
     "pontryagin.py": ("koszul_slice", "tor_via_koszul_complex"),
     "checks.py": ("_tor_vanishes_off_squarefree",),
-    "homology.py": ("reduce_over_z",),
+    "homology.py": ("over",),
 }
 BANNED = {"hochster", "subcomplex_profiles", "profile_for_subset"}
 
@@ -37,8 +38,9 @@ def _scan(module, roots):
     """The names that roots, and the module's functions they call, refer
     to; and every banned one among them."""
     tree = ast.parse((SRC / module).read_text())
-    functions = {node.name: node for node in tree.body
-                 if isinstance(node, ast.FunctionDef)}
+    defs = [node for top in tree.body
+            for node in (top.body if isinstance(top, ast.ClassDef) else [top])]
+    functions = {node.name: node for node in defs if isinstance(node, ast.FunctionDef)}
     assert set(roots) <= set(functions)  # the scan saw every root
     seen, todo, named, offences = set(), list(roots), set(), []
     while todo:  # follow calls to the module's own functions
@@ -56,18 +58,18 @@ def _scan(module, roots):
 def test_koszul_route_names_nothing_of_the_sweep():
     named, offences = _scan("pontryagin.py", ROUTE_TWO["pontryagin.py"])
     assert "chain_homology" in named
-    assert {"tables", "koszul_slice", "reduce_over_z"} <= named  # the reader
+    assert {"tables", "koszul_slice", "over"} <= named  # the reader
     assert not offences, offences
 
 
 def test_slice_table_names_nothing_of_the_sweep():
     named, offences = _scan("checks.py", ROUTE_TWO["checks.py"])
     assert "tor_via_koszul_complex" in named  # the one slice reader
-    assert not {"koszul_slice", "reduce_over_z", "tables"} & named  # builds nothing
+    assert not {"koszul_slice", "chain_homology", "over", "tables"} & named  # reads only
     assert not offences, offences
 
 
-def test_the_slice_reduction_names_nothing_of_the_sweep():
+def test_the_universal_coefficient_reading_names_nothing_of_the_sweep():
     named, offences = _scan("homology.py", ROUTE_TWO["homology.py"])
-    assert "_eliminate_units" in named  # the Smith form's unit-pivot kernel
+    assert {"ranks", "torsion", "HomologyProfile"} <= named  # one profile in, one out
     assert not offences, offences

@@ -247,6 +247,18 @@ def test_normal_words_stop_past_the_word_budget(monkeypatch):
         P.normal_word_counts(K, 6)
 
 
+def test_normal_words_stop_past_the_letter_budget(monkeypatch):
+    # cycle:4 has 4n words of length n: the letters of all levels add up
+    K = C.cycle_complex(4)
+    letters = sum(n * 4 * n for n in range(1, 7))
+    monkeypatch.setattr(P, "MAX_LETTERS", letters)
+    assert len(P.normal_words(K, 6)) == 24
+    monkeypatch.setattr(P, "MAX_LETTERS", letters - 1)
+    with pytest.raises(C.BudgetExceededError, match=rf"^pontryagin.MAX_LETTERS = "
+                       rf"{letters - 1} exceeded: .* up to length 6$"):
+        P.normal_words(K, 6)
+
+
 def test_normal_word_counts_match_series_growth():
     # the 4-cycle dual algebra grows as 4s in length s
     K = C.cycle_complex(4)

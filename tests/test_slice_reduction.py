@@ -1,11 +1,11 @@
-"""The reduction over Z of a Koszul slice, and the unit-pivot kernel under it.
+"""Each Koszul slice reduced to its integral homology, and the unit-pivot
+kernel of the Smith form.
 
-``homology.reduce_over_z`` cancels every +-1 pivot of a chain complex
-with its pair of basis elements.  The result is chain-homotopy
-equivalent over Z, so ``chain_homology`` must give the same ranks and
-torsion on it as on the slice as built, over every ring.  ``checks``
-keeps a slice as built until its second read, and reduced from then on,
-so a warm ``check-all`` must print what a cold one prints.
+``pontryagin.tor_via_koszul_complex`` keeps, per slice, the profile of one
+elimination over Z, and reads it over every ring by universal
+coefficients (``HomologyProfile.over``).  What it returns must be what
+``chain_homology`` finds on the slice as built, over every ring, and a
+warm ``check-all`` must print what a cold one prints.
 """
 
 import random
@@ -56,32 +56,26 @@ def _non_squarefree(K, rng, count=60):
     ("C4 * C5", C.join(C.cycle_complex(4), C.cycle_complex(5))),
 ])
 def test_a_reduced_slice_has_the_homology_of_the_slice_over_every_ring(name, K):
+    # each slice reduced to its profile over Z, which the slice table holds
+    # for flag K (the Tor reader refuses the others)
     rng = random.Random(name)
-    betas = _squarefree(K, rng) + _non_squarefree(K, rng)
-    before = after = 0
+    Ho.clear_cache()
+    flag = C.is_flag(K)
     torsion = False
-    for beta in betas:
+    for beta in _squarefree(K, rng) + _non_squarefree(K, rng):
         bases, matrices = P.koszul_slice(K, beta)
         dims = {t: len(bs) for t, bs in bases.items()}
-        small, reduced = H.reduce_over_z(dims, matrices)
-        assert set(small) == set(dims) and set(reduced) == set(matrices)
-        before += sum(dims.values())
-        after += sum(small.values())
+        held = H.chain_homology(dims, matrices, H.INTEGERS)
         for ring in RINGS:
             prof = H.chain_homology(dims, matrices, ring)
-            assert H.chain_homology(small, reduced, ring) == prof, (beta, ring)
-            torsion = torsion or bool(prof.torsion)
-    assert after < before / 4  # the reduction did cancel most of each slice
+            assert held.over(ring) == prof, (beta, ring)
+            if flag:
+                assert P.tor_via_koszul_complex(K, ring, beta) == \
+                    {t: (r, tors) for t, r, tors in prof.rows()}, (beta, ring)
+        if flag:
+            assert C.tables(K)["koszul slices"][beta] == held
+        torsion = torsion or bool(held.torsion)
     assert torsion == (name != "C4 * C5")  # the RP2 cases did reach torsion
-
-
-def test_a_torsion_slice_keeps_a_core():
-    K = rp2_flag12()
-    bases, matrices = P.koszul_slice(K, (1,) * K.m)
-    small, reduced = H.reduce_over_z({t: len(bs) for t, bs in bases.items()}, matrices)
-    assert H.chain_homology(small, reduced, H.INTEGERS).torsion == {2: (2,)}
-    assert any(v not in (1, -1) for cols in reduced.values() for col in cols
-               for _, v in col)
 
 
 def _det(rows):
@@ -152,31 +146,28 @@ def test_the_unit_pivots_of_a_boundary_are_the_ones_of_its_smith_form(K, torsion
         assert len(pairs) == E.snf_columns(cols).diagonal.count(1)
 
 
-def test_one_read_keeps_a_slice_as_built_and_a_second_reduces_it(monkeypatch):
+def test_a_slice_is_built_and_eliminated_over_z_once(monkeypatch):
     K = C.join(C.cycle_complex(4), C.cycle_complex(5))
-    Ho.clear_cache()
-    reductions = []
-    reduce_over_z = H.reduce_over_z
-    monkeypatch.setattr(H, "reduce_over_z",
-                        lambda *args: reductions.append(args) or reduce_over_z(*args))
+    for ring in RINGS[:3]:
+        Ho.subcomplex_profiles(K, ring)  # the oracle's sweeps, before counting
+    built, eliminated = [], []
+    koszul_slice, chain_homology = P.koszul_slice, H.chain_homology
+    monkeypatch.setattr(P, "koszul_slice",
+                        lambda K, beta: built.append(beta) or koszul_slice(K, beta))
+    monkeypatch.setattr(H, "chain_homology",
+                        lambda *args: eliminated.append(args[2]) or chain_homology(*args))
     beta = (1,) * K.m
-    bases, matrices = P.koszul_slice(K, beta)
-    built = {t: len(bs) for t, bs in bases.items()}, matrices
-    tor = P.tor_via_koszul_complex(K, H.INTEGERS, beta)
-    slices = C.tables(K)["koszul slices"]
-    assert slices[beta][:2] == built
-    assert reductions == []
-    assert P.tor_via_koszul_complex(K, H.INTEGERS, beta) == tor
-    small = slices[beta][:2]
-    assert small == reduce_over_z(*built)
-    assert sum(small[0].values()) < sum(built[0].values())
-    assert P.tor_via_koszul_complex(K, H.INTEGERS, beta) == tor
-    assert slices[beta][:2] == small
-    assert len(reductions) == 1
-    # through the oracle: every ring finds the same homology either way
+    tor = {ring: P.tor_via_koszul_complex(K, ring, beta) for ring in RINGS}
+    assert built == [beta] and eliminated == [H.INTEGERS]
+    bases, matrices = koszul_slice(K, beta)
+    assert C.tables(K)["koszul slices"][beta] == chain_homology(
+        {t: len(bs) for t, bs in bases.items()}, matrices, H.INTEGERS)
+    # every later read, over every ring, builds and eliminates nothing
+    for ring in RINGS:
+        assert P.tor_via_koszul_complex(K, ring, beta) == tor[ring]
     for ring in RINGS[:3]:
         assert checks._tor_matches_koszul_slices(K, {ring: [K.full_mask]})[ring][0]
-    assert len(reductions) == 1
+    assert built == [beta] and eliminated == [H.INTEGERS]
 
 
 def _check_all(source, coeff, capsys):
