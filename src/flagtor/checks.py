@@ -19,13 +19,16 @@ The Smith-form self-test tests the kernel, not K or a ring, so its
 verdict is held in K's memo once, drawn from its own stream seeded by K.
 
 The checks build no slice and no matrix themselves: Koszul slices are
-read through ``pontryagin.tor_via_koszul_complex`` and the Smith form is
-tested by ``exact_linalg.snf_spot_checks``.
+read through ``pontryagin``'s readers of its interned "koszul slices"
+table, and the Smith form is tested by ``exact_linalg.snf_spot_checks``.
+The squarefree Tor oracle compares each distinct (slice, sweep profile)
+pair of its J once.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from math import gcd
 
 from . import complexes, exact_linalg, hochster, homology, lscat, pontryagin, series
@@ -233,24 +236,24 @@ def _tor_matches_koszul_slices(K, masks_by_ring):
 
     Tor_n at J is reduced H_{n-1}(K_J), read off the sweep's profiles.
     ``masks_by_ring`` maps each field to the J it checks (every J for
-    m <= 10, else 128 sampled ones).  Each field that asks for J reads
-    J's slice through ``pontryagin.tor_via_koszul_complex``, which builds
-    the slice and eliminates it over Z once per complex, and gives every
-    field its homology by universal coefficients: the field kernels of the
-    sweep are not on this route.  Returns {field: (ok, total)} with ok
-    true when every J matched, and total the sum of the slice ranks over
-    the field's J.
+    m <= 10, else 128 sampled ones).  Each field takes the slice index of
+    its J from ``pontryagin.squarefree_slice_ids``, which builds each
+    slice and eliminates it over Z once per complex, and interns equal
+    slice homology: the field kernels of the sweep are not on this route.
+    The J are counted per (slice index, sweep id) pair, and each pair is
+    compared once, the slice read over the field by universal
+    coefficients.  Returns {field: (ok, total)} with ok true when every J
+    matched, and total the sum of the slice ranks over the field's J.
     """
     out = {}
     for ring, masks in masks_by_ring.items():
-        profiles = hochster.subcomplex_profiles(K, ring)
+        store = hochster.subcomplex_profiles(K, ring)
+        ids, slices = pontryagin.squarefree_slice_ids(K, masks)
         ok, total = True, 0
-        for J in masks:
-            beta = tuple((J >> i) & 1 for i in range(K.m))
-            slice_h = {n: r for n, (r, _) in
-                       pontryagin.tor_via_koszul_complex(K, ring, beta).items()}
-            total += sum(slice_h.values())
-            if slice_h != {d + 1: r for d, r, _ in profiles[J].rows()}:
+        for (i, s), count in Counter(zip(ids, map(store.ids.__getitem__, masks))).items():
+            slice_h = {n: r for n, (r, _) in slices.tor(i, ring).items()}
+            total += count * sum(slice_h.values())
+            if slice_h != {d + 1: r for d, r, _ in store.objs[s].rows()}:
                 ok = False
         out[ring] = ok, total
     return out

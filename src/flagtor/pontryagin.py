@@ -161,6 +161,58 @@ def koszul_slice(K, beta):
     return bases, matrices
 
 
+class KoszulSlices:
+    """K's table "koszul slices": the integral homology of each slice read.
+
+    A store like the sweep's: equal profiles are interned, so ``objs``
+    lists each distinct profile once, and ``ids`` maps each slice read to
+    its index in ``objs``, keyed by the mask J when beta = J is squarefree
+    and by beta itself otherwise.  Indexed by beta, the table gives the
+    profile.  A slice is built and eliminated over Z once, on its first
+    read; ``tor`` reads a profile over a ring on every call.
+    """
+
+    def __init__(self, m):
+        self.m = m
+        self.objs = []
+        self._index = {}  # profile.key() -> its index in objs
+        self.ids = {}
+
+    def __getitem__(self, beta):
+        return self.objs[self.ids[self.key(tuple(beta))]]
+
+    def key(self, beta):
+        """The key of beta in ``ids``: its mask J if beta = J is a
+        squarefree vector of length m, else beta."""
+        if len(beta) == self.m and all(b == 0 or b == 1 for b in beta):
+            return sum(1 << v for v, b in enumerate(beta) if b)
+        return beta
+
+    def index(self, K, key):
+        """The index in ``objs`` of the slice under ``key``, built and
+        eliminated over Z on its first read."""
+        i = self.ids.get(key)
+        if i is None:
+            beta = key if type(key) is tuple else tuple((key >> v) & 1 for v in range(self.m))
+            bases, matrices = koszul_slice(K, beta)
+            prof = homology.chain_homology(
+                {t: len(bs) for t, bs in bases.items()}, matrices, homology.INTEGERS)
+            i = self.ids[key] = self._index.setdefault(prof.key(), len(self.objs))
+            if i == len(self.objs):
+                self.objs.append(prof)
+        return i
+
+    def tor(self, i, coeff):
+        """The homology over coeff of the slice with index i, per
+        homological degree t -> (rank, torsion), by universal coefficients
+        (``HomologyProfile.over``)."""
+        return {t: (r, tors) for t, r, tors in self.objs[i].over(coeff).rows()}
+
+
+def _slices(K):
+    return tables(K).setdefault("koszul slices", KoszulSlices(K.m))
+
+
 def tor_via_koszul_complex(K, coeff, beta):
     """Homology of the slice at 2*beta, per homological degree.
 
@@ -168,20 +220,28 @@ def tor_via_koszul_complex(K, coeff, beta):
     non-squarefree beta it must vanish entirely.  Returns a dict
     t -> (rank, torsion).
 
-    K's memo, table "koszul slices", holds the integral homology of each
-    slice read: the first read builds the slice and eliminates it over Z,
-    once, and every read, over any ring, returns that profile by
-    universal coefficients (``HomologyProfile.over``).
+    It reads K's table "koszul slices" (``KoszulSlices``): the first read
+    of a slice builds it and eliminates it over Z, once, and every read,
+    over any ring, takes that profile by universal coefficients.
     """
     require_flag(K, "pontryagin.tor_via_koszul_complex")
-    beta = tuple(beta)
-    slices = tables(K).setdefault("koszul slices", {})
-    prof = slices.get(beta)
-    if prof is None:
-        bases, matrices = koszul_slice(K, beta)
-        prof = slices[beta] = homology.chain_homology(
-            {t: len(bs) for t, bs in bases.items()}, matrices, homology.INTEGERS)
-    return {t: (r, tors) for t, r, tors in prof.over(coeff).rows()}
+    slices = _slices(K)
+    return slices.tor(slices.index(K, slices.key(tuple(beta))), coeff)
+
+
+def squarefree_slice_ids(K, masks):
+    """The slices at the squarefree beta = J, for each J in masks.
+
+    Returns (ids, slices): ``slices`` is K's table "koszul slices" and
+    ids[k] the index of the k-th J's slice in it, so that J with equal
+    slice homology share one index and ``slices.tor(i, coeff)`` reads
+    each distinct slice once.  Cold slices are built and eliminated over
+    Z as ``tor_via_koszul_complex`` does.
+    """
+    require_flag(K, "pontryagin.squarefree_slice_ids")
+    slices = _slices(K)
+    ids = slices.ids
+    return [ids[J] if J in ids else slices.index(K, J) for J in masks], slices
 
 
 # ---------------------------------------------------------------------------

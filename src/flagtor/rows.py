@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from itertools import islice, repeat
 from json.encoder import encode_basestring_ascii
-from operator import add, call, itemgetter
+from operator import add
 
 from .complexes import verts_of
 
@@ -45,7 +45,8 @@ class Shape:
     report (m, or a word length); "list", a tuple of ints of any length;
     "J", a vertex subset as a bitmask, its vertex list in the row; "2J",
     a vertex subset J, the lambda of the multidegree (-|J|, 2J) in the
-    row.  Each kind but "int" fills one %s slot with its text.
+    row.  An "ints" tuple fills n %d slots, and each of the other kinds
+    but "int" one %s slot with its text.
     """
 
     def __init__(self, fields, raw=tuple):
@@ -53,23 +54,36 @@ class Shape:
 
     def text(self, depth, n):
         """item -> the text of its row at ``depth``: one template, built
-        here with its slots in sorted key order, % the item's values."""
+        here with its slots in sorted key order, % one tuple of the item's
+        values, made by one function that is also built here.  An "int"
+        goes straight to its %d slot and an "ints" tuple to its n %d
+        slots; only the other kinds call their text function."""
         if not self.fields:
-            return _ints_text(n, depth)
+            return _ints_template(n, depth).__mod__
         inner, sep, close = layout(depth)
-        order = sorted(range(len(self.fields)), key=lambda i: self.fields[i][0])
-        template = "{" + inner + sep.join(
-            json.dumps(key) + ": " + ("%d" if kind == "int" else "%s")
-            for key, kind in map(self.fields.__getitem__, order)) + close + "}"
-        texts = [_KINDS[self.fields[i][1]][1](n, depth + 1) for i in order]
-        pick, raw = itemgetter(*order), self.raw
-        return lambda item: template % tuple(map(call, texts, pick(raw(item))))
+        slots, args, scope = [], [], {"raw": self.raw}
+        for i, (key, kind) in sorted(enumerate(self.fields), key=lambda f: f[1][0]):
+            if kind == "int":
+                slot, arg = "%d", f"v[{i}]"
+            elif kind == "ints":
+                slot, arg = _ints_template(n, depth + 1), f"*v[{i}]"
+            else:
+                scope[f"text{i}"] = _TEXTS[kind](n, depth + 1)
+                slot, arg = "%s", f"text{i}(v[{i}])"
+            slots.append(json.dumps(key) + ": " + slot)
+            args.append(arg)
+        scope["template"] = "{" + inner + sep.join(slots) + close + "}"
+        # built from source, so that a row costs this call and raw's, not
+        # one call per field
+        exec("def text(item):\n    v = raw(item)\n"
+             f"    return template % ({', '.join(args)},)", scope)
+        return scope["text"]
 
     def row(self, item, n):
         """The row of an item as a dict."""
         if not self.fields:
             return list(item)
-        return {key: _KINDS[kind][0](v, n)
+        return {key: _VALUES[kind](v, n)
                 for (key, kind), v in zip(self.fields, self.raw(item))}
 
 
@@ -129,13 +143,12 @@ def _bits(x, width):
     return [x >> k & 1 for k in range(width)]
 
 
-def _ints_text(n, depth):
-    """A tuple of n ints -> its text at ``depth``: a template with one %d
-    slot per int."""
+def _ints_template(n, depth):
+    """The template of a tuple of n ints at ``depth``: one %d slot per int."""
     if not n:
-        return "[]".__mod__
+        return "[]"
     inner, sep, close = layout(depth)
-    return ("[" + inner + sep.join(["%d"] * n) + close + "]").__mod__
+    return "[" + inner + sep.join(["%d"] * n) + close + "]"
 
 
 def _list_text(n, depth):
@@ -182,16 +195,18 @@ def _lambda_text(m, depth):
         str, _doubled(_bits(x, width))))
 
 
-# kind -> (its dict form: (raw value, n) -> value, its text: (n, depth) ->
-# raw value -> text); an int's text is the int, for its %d slot
-_KINDS = {
-    "int": (lambda v, n: v, lambda n, depth: int),
-    "str": (lambda v, n: v, lambda n, depth: encode_basestring_ascii),
-    "ints": (lambda v, n: list(v), _ints_text),
-    "list": (lambda v, n: list(v), _list_text),
-    "J": (lambda J, n: list(verts_of(J)), _subset_text),
-    "2J": (lambda J, n: list(_doubled(_bits(J, n))), _lambda_text),
+# kind -> its dict form: (raw value, n) -> value
+_VALUES = {
+    "int": lambda v, n: v,
+    "str": lambda v, n: v,
+    "ints": lambda v, n: list(v),
+    "list": lambda v, n: list(v),
+    "J": lambda J, n: list(verts_of(J)),
+    "2J": lambda J, n: list(_doubled(_bits(J, n))),
 }
+# kind of a %s slot -> its text: (n, depth) -> raw value -> text
+_TEXTS = {"str": lambda n, depth: encode_basestring_ascii, "list": _list_text,
+          "J": _subset_text, "2J": _lambda_text}
 
 
 def _rank_fields(item):

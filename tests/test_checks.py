@@ -1,6 +1,9 @@
 """The Koszul-slice Tor oracle and the Milnor-Moore check of ``check_all``."""
 
 import random
+from collections import Counter
+
+import pytest
 
 from flagtor import checks
 from flagtor import complexes as C
@@ -125,3 +128,106 @@ def test_milnor_moore_detail_is_the_same_by_either_route():
         assert ok
         assert P.milnor_moore_check(K, ring, e2_total=total) == \
             P.milnor_moore_check(K, ring)
+
+
+def _per_j_oracle(K, masks_by_ring):
+    """The Tor oracle read one J at a time: a reference for the grouped one."""
+    out = {}
+    for ring, masks in masks_by_ring.items():
+        profiles = Ho.subcomplex_profiles(K, ring)
+        ok, total = True, 0
+        for J in masks:
+            beta = tuple((J >> i) & 1 for i in range(K.m))
+            slice_h = {n: r for n, (r, _) in
+                       P.tor_via_koszul_complex(K, ring, beta).items()}
+            total += sum(slice_h.values())
+            if slice_h != {d + 1: r for d, r, _ in profiles[J].rows()}:
+                ok = False
+        out[ring] = ok, total
+    return out
+
+
+FIELDS = (H.RATIONALS, H.GF(2), H.GF(3))
+
+
+# six flag complexes at m <= 10, and the 12-vertex flag RP^2, whose slices
+# carry 2-torsion
+ORACLE_INPUTS = {
+    "C5": C.cycle_complex(5),
+    "C7": C.cycle_complex(7),
+    "octahedron": C.cross_polytope(3),
+    "C4 * C5": C.join(C.cycle_complex(4), C.cycle_complex(5)),
+    "flag G(8, .5)": C.random_flag(8, 0.5, 2),
+    "flag G(10, .4)": C.random_flag(10, 0.4, 3),
+    "flag RP2": rp2_flag12(),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_INPUTS)
+def test_the_grouped_oracle_reads_what_the_per_j_oracle_reads(name):
+    K = ORACLE_INPUTS[name]
+    Ho.clear_cache()
+    every = dict.fromkeys(FIELDS, range(1 << K.m))
+    grouped = checks._tor_matches_koszul_slices(K, every)
+    assert grouped == _per_j_oracle(K, every)
+    assert all(ok for ok, _ in grouped.values())
+    # sampled J, some of them twice, as the oracle reads them past m = 10
+    rng = random.Random(name)
+    sampled = {ring: sorted(rng.choices(range(1 << K.m), k=40)) for ring in FIELDS}
+    assert checks._tor_matches_koszul_slices(K, sampled) == _per_j_oracle(K, sampled)
+    # the torsion shows in the F2 total
+    torsion = any(p.torsion for p in C.tables(K)["koszul slices"].objs)
+    assert torsion == (name == "flag RP2")
+    assert (grouped[H.GF(2)][1] > grouped[H.RATIONALS][1]) == torsion
+
+
+def test_one_wrong_sweep_profile_among_many_equal_slices_is_seen():
+    K = C.random_flag(8, 0.5, 2)
+    Ho.clear_cache()
+    every = range(1 << K.m)
+    ids, _ = P.squarefree_slice_ids(K, every)
+    shared, count = Counter(ids).most_common(1)[0]
+    assert count >= 50
+    J = max(J for J in every if ids[J] == shared)
+    for ring in FIELDS:
+        store = Ho.subcomplex_profiles(K, ring)
+        right = store.ids[J]
+        assert checks._tor_matches_koszul_slices(K, {ring: every})[ring][0]
+        wrong = store.objs[right]
+        store.ids[J] = store.intern(H.HomologyProfile({**wrong.ranks, 0: wrong.rank(0) + 1}))
+        try:
+            assert checks._tor_matches_koszul_slices(K, {ring: every})[ring][0] is False
+        finally:
+            store.ids[J] = right
+    Ho.clear_cache()
+
+
+def test_equal_slices_share_one_profile_and_each_pair_is_read_once(monkeypatch):
+    K = C.join(C.cycle_complex(4), C.cycle_complex(5))
+    Ho.clear_cache()
+    every = range(1 << K.m)
+    oracle = checks._tor_matches_koszul_slices(K, dict.fromkeys(FIELDS, every))
+    ids, slices = P.squarefree_slice_ids(K, every)
+    # one interned profile per distinct slice homology
+    assert len({p.key() for p in slices.objs}) == len(slices.objs) == len(set(ids))
+    assert len(slices.objs) < 1 << K.m
+    for J, i in zip(every, ids):
+        assert slices[tuple((J >> v) & 1 for v in range(K.m))] is slices.objs[i]
+    # a warm call builds and eliminates nothing, and reads each (slice,
+    # sweep) pair over its field exactly once
+    built, eliminated, read = [], [], []
+    koszul_slice, chain_homology, over = P.koszul_slice, H.chain_homology, H.HomologyProfile.over
+    monkeypatch.setattr(P, "koszul_slice",
+                        lambda K, beta: built.append(beta) or koszul_slice(K, beta))
+    monkeypatch.setattr(H, "chain_homology",
+                        lambda *args: eliminated.append(args[2]) or chain_homology(*args))
+    monkeypatch.setattr(H.HomologyProfile, "over",
+                        lambda prof, coeff: read.append(coeff) or over(prof, coeff))
+    for ring in FIELDS:
+        read.clear()
+        assert checks._tor_matches_koszul_slices(K, {ring: every})[ring] == oracle[ring]
+        store = Ho.subcomplex_profiles(K, ring)
+        pairs = set(zip(ids, (store.ids[J] for J in every)))
+        assert read == [ring] * len(pairs)
+        assert len(pairs) < 1 << K.m
+    assert built == eliminated == []

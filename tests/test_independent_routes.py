@@ -3,12 +3,13 @@
 ``check-all`` compares the squarefree Tor read off the Hochster sweep
 (route one) with the homology of the Koszul slices (route two).  The
 comparison checks something only while route two is computed without
-the sweep, so the slice functions of ``pontryagin`` (whose reader keeps
+the sweep, so the slice functions of ``pontryagin`` (whose readers keep
 each slice's integral homology in K's memo), the non-squarefree check of
 ``checks``, the universal-coefficient reading of ``homology`` that the
 reader applies over every ring, and the functions and methods of their
 own module that they call, may name neither ``hochster`` nor its
-per-subset profiles.
+per-subset profiles.  The squarefree oracle of ``checks`` compares the two
+routes, and reads the slices through ``pontryagin``'s readers alone.
 """
 
 import ast
@@ -16,7 +17,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "flagtor"
 ROUTE_TWO = {
-    "pontryagin.py": ("koszul_slice", "tor_via_koszul_complex"),
+    "pontryagin.py": ("koszul_slice", "tor_via_koszul_complex", "squarefree_slice_ids"),
     "checks.py": ("_tor_vanishes_off_squarefree",),
     "homology.py": ("over",),
 }
@@ -67,6 +68,12 @@ def test_slice_table_names_nothing_of_the_sweep():
     assert "tor_via_koszul_complex" in named  # the one slice reader
     assert not {"koszul_slice", "chain_homology", "over", "tables"} & named  # reads only
     assert not offences, offences
+
+
+def test_the_oracle_reads_slices_only_through_pontryagin():
+    named, _ = _scan("checks.py", ("_tor_matches_koszul_slices",))
+    assert "squarefree_slice_ids" in named  # the grouped reader
+    assert not {"koszul_slice", "chain_homology", "over", "tables", "KoszulSlices"} & named
 
 
 def test_the_universal_coefficient_reading_names_nothing_of_the_sweep():
