@@ -135,23 +135,19 @@ def _raise_ghosts(m, used):
 
 
 def _close_downward(masks):
+    """Every face of the given facets: each new facet adds all its subsets,
+    doubled one vertex at a time."""
     faces = {0}
     for f in masks:
         if f in faces:
             continue
-        stack = [f]
-        while stack:
-            g = stack.pop()
-            if g in faces:
-                continue
-            faces.add(g)
-            low = g
-            while low:
-                bit = low & -low
-                sub = g ^ bit
-                if sub not in faces:
-                    stack.append(sub)
-                low ^= bit
+        subs = [0]
+        low = f
+        while low:
+            bit = low & -low
+            subs += [s | bit for s in subs]
+            low ^= bit
+        faces.update(subs)
     return faces
 
 

@@ -3,12 +3,13 @@
 Everything runs on arbitrary-precision Python integers: ranks over Q are
 computed by fraction-free elimination, ranks over F_p by modular
 elimination (with a bitset fast path for p = 2), and torsion over Z via
-the Smith normal form.  The Smith form first eliminates every +-1 pivot it
-can find through a column index, each one an invariant factor 1 (after
-Dumas, Heckenbach, Saunders and Welker, "Computing simplicial homology
-based on efficient Smith normal form algorithms", 2003), and runs
-minimal-absolute-value pivoting only on the core that is left.  No
-floating point is used anywhere.
+the Smith normal form.  The Smith form is one elimination loop over a
+column index: a +-1 pivot splits off as an invariant factor 1 in one
+pass (after Dumas, Heckenbach, Saunders and Welker, "Computing simplicial
+homology based on efficient Smith normal form algorithms", 2003), and
+where no row has one, the least entry pivots and each remainder it
+leaves, the least first, pivots next.  No floating point is used
+anywhere.
 
 The one matrix format is columns: ``rank_columns`` and ``snf_columns``
 take [(row, value), ...] lists whose rows are indices 0, 1, ... of the
@@ -206,122 +207,94 @@ def rank_columns(columns, p=None):
 # Smith normal form
 # ---------------------------------------------------------------------------
 
-def _eliminate_units(live):
-    """Eliminate +-1 pivots from a dict-of-dicts matrix {r: {c: v}} in place.
+def _pivot(live, cols, queue, pr, pc):
+    """Split one diagonal entry off {r: {c: v}}, starting from the pivot
+    (pr, pc), and return its absolute value.
 
-    Each unit pivot is cleared from its column by row operations, which
-    leaves its row clearable by column operations that touch nothing else:
-    the pivot splits off as an invariant factor 1 and the Schur complement
-    stays in ``live``.  A column index {c: rows} finds the rows to update,
-    and each row's pivot is its unit entry in the sparsest column.  Rows
-    that change are scanned again.  ``live`` must hold no empty rows.
-    Returns the (row, column) pairs pivoted on, in order; their rows and
-    columns are gone from ``live``, and rows left empty are dropped.
+    Row operations clear column pc through the column index ``cols``
+    {c: rows}; if remainders are left, the least becomes the pivot.  Then
+    column operations clear row pr, which touch no other row as its column
+    is clear; again the least remainder becomes the pivot, until row pr
+    and column pc hold the pivot alone and are dropped.  A +-1 pivot
+    leaves no remainder and takes one pass.  Rows that change go on
+    ``queue``; rows left empty are dropped.
     """
-    cols = {}
-    for r, row in live.items():
-        for c in row:
-            cols.setdefault(c, set()).add(r)
-    pairs = []
-    queue = list(live)
-    while queue:
-        r = queue.pop()
-        row = live.get(r)
-        if row is None:
-            continue
-        pc = None
-        for c, v in row.items():
-            if (v == 1 or v == -1) and (pc is None or len(cols[c]) < len(cols[pc])):
-                pc = c
-        if pc is None:
-            continue
-        del live[r]
-        pairs.append((r, pc))
-        for c in row:
-            cols[c].discard(r)
-        pv = row[pc]
-        for r2 in cols.pop(pc):
-            row2 = live[r2]
-            q = row2.pop(pc) * pv  # = entry / pv, as pv = +-1
-            for c, v in row.items():
-                if c == pc:
-                    continue
-                nv = row2.get(c, 0) - q * v
-                if nv:
-                    if c not in row2:
-                        cols[c].add(r2)
-                    row2[c] = nv
-                elif c in row2:
-                    del row2[c]
-                    cols[c].discard(r2)
-            if row2:
-                queue.append(r2)
-            else:
-                del live[r2]
-    return pairs
+    while True:
+        prow = live.pop(pr)
+        for c in prow:
+            cols[c].discard(pr)
+        pv = prow.pop(pc)
+        unit = pv == 1 or pv == -1
+        left = [pr]
+        for r in cols.pop(pc):
+            row = live[r]
+            a = row.pop(pc)
+            q = a * pv if unit else a // pv  # a * pv = a / pv, as pv = +-1
+            if q:
+                for c, v in prow.items():
+                    nv = row.get(c, 0) - q * v
+                    if nv:
+                        if c not in row:
+                            cols[c].add(r)
+                        row[c] = nv
+                    elif c in row:
+                        del row[c]
+                        cols[c].discard(r)
+                a -= q * pv
+            if a:
+                row[pc] = a
+                left.append(r)
+            if not row:
+                del live[r]
+            elif q:
+                queue.append(r)
+        if unit:
+            return 1
+        if len(left) == 1:
+            prow = {c: v % pv for c, v in prow.items() if v % pv}
+            if not prow:
+                return abs(pv)
+        prow[pc] = pv
+        live[pr] = prow
+        cols[pc] = set(left)
+        for c in prow:
+            cols[c].add(pr)
+        if len(left) > 1:
+            pr = min(left[1:], key=lambda r: (abs(live[r][pc]), r))
+        else:
+            pc = min(prow, key=lambda c: (abs(prow[c]), c))
 
 
 def _snf_diagonal(rows):
     """Diagonalize a dict-of-dicts integer matrix {r: {c: v}}, consuming it.
 
     Returns the list of nonzero diagonal values produced by the
-    elimination (not yet normalized into a divisibility chain).  The unit
-    pivots go first; minimal-absolute-value pivoting then runs on the core
-    they leave, which for boundary matrices is usually empty.
+    elimination (not yet normalized into a divisibility chain).  Rows come
+    off a LIFO queue, each pivoting on its +-1 entry in the sparsest
+    column; when no queued row has one, the pivot is the least (|v|, r, c)
+    of the matrix, and the rows it changes are queued again.
     """
     live = {r: row for r, row in rows.items() if row}
-    diag = [1] * len(_eliminate_units(live))
+    cols = {}
+    for r, row in live.items():
+        for c in row:
+            cols.setdefault(c, set()).add(r)
+    diag = []
+    queue = list(live)
     while live:
-        # minimal absolute value pivot, deterministic tie-break
-        pr = pc = pv = None
-        for r, row in live.items():
-            for c, v in row.items():
-                if pv is None or (abs(v), r, c) < (abs(pv), pr, pc):
-                    pr, pc, pv = r, c, v
-        while True:
-            if live[pr][pc] < 0:
-                live[pr] = {c: -v for c, v in live[pr].items()}
-            pv = live[pr][pc]
-            # clear the pivot column
-            dirty = None
+        pr = pc = None
+        while queue and pc is None:
+            pr = queue.pop()
+            for c, v in live.get(pr, {}).items():
+                if (v == 1 or v == -1) and (pc is None or len(cols[c]) < len(cols[pc])):
+                    pc = c
+        if pc is None:
+            pv = None
             for r, row in live.items():
-                if r == pr or pc not in row:
-                    continue
-                q = row[pc] // pv
-                if q:
-                    prow = live[pr]
-                    for c, v in prow.items():
-                        nv = row.get(c, 0) - q * v
-                        if nv:
-                            row[c] = nv
-                        else:
-                            row.pop(c, None)
-                if pc in row:
-                    dirty = r  # remainder is smaller than |pv|
-                    break
-            if dirty is not None:
-                pr = dirty
-                continue
-            # column is clean; clear the pivot row (touches row pr only)
-            prow = live[pr]
-            rem = None
-            for c in list(prow):
-                if c == pc:
-                    continue
-                q = prow[c] // pv
-                prow[c] -= q * pv
-                if prow[c] == 0:
-                    del prow[c]
-                elif rem is None:
-                    rem = c
-            if rem is not None:
-                pc = rem
-                continue
-            break
-        diag.append(abs(live[pr][pc]))
-        del live[pr]
-        for r in [r for r, row in live.items() if not row]:
-            del live[r]
+                for c, v in row.items():
+                    if pv is None or (abs(v), r, c) < (abs(pv), pr, pc):
+                        pr, pc, pv = r, c, v
+        diag.append(_pivot(live, cols, queue, pr, pc))
     return diag
 
 
@@ -355,7 +328,9 @@ def snf_columns(columns):
 def snf_spot_checks(rng):
     """Smith forms of 20 random small matrices, drawn from rng: each
     diagonal must be a divisibility chain, be invariant under row and
-    column permutations, and be as long as the rank over Q."""
+    column permutations, be as long as the rank over Q, and read the
+    ranks over F_2 and F_3 (``SNFResult.rank_mod``) that the field
+    kernels find."""
     for _ in range(20):
         n_rows, n_cols = rng.randint(1, 5), rng.randint(1, 5)
         cells = [(r, c, rng.randint(-4, 4)) for r in range(n_rows)
@@ -368,9 +343,11 @@ def snf_spot_checks(rng):
         for r, c, v in cells:
             columns[c].append((r, v))
             shuffled[perm_c[c]].append((perm_r[r], v))
-        diag = snf_columns(columns).diagonal
+        snf = snf_columns(columns)
+        diag = snf.diagonal
         if any(b % a for a, b in zip(diag, diag[1:])) \
                 or snf_columns(shuffled).diagonal != diag \
-                or rank_columns(columns) != len(diag):
+                or rank_columns(columns) != len(diag) \
+                or any(rank_columns(columns, p) != snf.rank_mod(p) for p in (2, 3)):
             return False
     return True

@@ -248,42 +248,43 @@ def squarefree_slice_ids(K, masks):
 # the quadratic dual: normal-word basis
 # ---------------------------------------------------------------------------
 
-def _can_append(word, x, adj):
-    """Keep only words that are canonical in their commutation class.
+def _normal_word_levels(K, max_length):
+    """The basis words of each length 0..max_length, one level per length.
 
     Letters joined by an edge anticommute, so a word is a basis monomial
     iff it is the lexicographically least in its class and no two equal
     letters can be brought together (those words are zero, u_i^2 = 0).
-    Scanning the suffix of letters that commute with x decides both.
+    Whether x may follow a word ending in y is decided by y, unless x
+    anticommutes with y and exceeds it: then x moves past y and the rest
+    of the word decides.  So each word carries the mask of the letters
+    that may follow it, and that of word + (y,) takes one step: what y
+    decides, plus what the word accepts of the letters y passes on.
+
+    Level n + 1 appends each accepted letter, ascending, to each word of
+    level n, so each level is in lexicographic order.  Both caps are
+    checked while building: MAX_WORDS bounds one level's memory, and
+    MAX_LETTERS the work of all levels, which grows with the length where
+    each level is small.  Past an empty level every level is empty, so
+    none is built.
     """
-    xbit = 1 << (x - 1)
-    for y in reversed(word):
-        if y == x:
-            return False  # the two occurrences would meet: square, zero
-        if not adj[y - 1] & xbit:
-            return True  # blocked: x cannot move further left
-        if y > x:
-            return False  # x could sit before y: smaller representative
-    return True
-
-
-def _normal_word_levels(K, max_length):
-    """The basis words of each length 0..max_length, one level per length.
-
-    Level n + 1 appends each letter, ascending, to each word of level n
-    that ``_can_append`` accepts, so each level is in lexicographic order.
-    Both caps are checked while building: MAX_WORDS bounds one level's
-    memory, and MAX_LETTERS the work of all levels, which grows with the
-    length where each level is small.  Past an empty level every level is
-    empty, so none is built.
-    """
-    adj, letters, level = adjacency(K), range(1, K.m + 1), [()]
+    adj, level, follow = adjacency(K), [()], [(1 << K.m) - 1]
+    # y accepts the letters it does not meet (they stay behind it), refuses
+    # itself (a square) and the smaller letters it meets (they could sit
+    # before it), and passes on the greater letters it meets
+    accepts = [follow[0] & ~a & ~(1 << y) for y, a in enumerate(adj)]
+    passes = [a & -(2 << y) for y, a in enumerate(adj)]
     built = 0
     yield level
     for n in range(1, max_length + 1):
-        longer = []
-        for word in level:
-            longer.extend(word + (x,) for x in letters if _can_append(word, x, adj))
+        longer, after = [], []
+        for word, ok in zip(level, follow):
+            rest = ok
+            while rest:
+                low = rest & -rest
+                y = low.bit_length() - 1
+                longer.append(word + (y + 1,))
+                after.append(accepts[y] | passes[y] & ok)
+                rest ^= low
             if len(longer) > MAX_WORDS:
                 raise exceeded("pontryagin.MAX_WORDS", MAX_WORDS,
                                f"normal words of length {n}")
@@ -291,7 +292,7 @@ def _normal_word_levels(K, max_length):
                 raise exceeded("pontryagin.MAX_LETTERS", MAX_LETTERS,
                                f"letters of the normal words up to length {n}")
         built += n * len(longer)
-        level = longer
+        level, follow = longer, after
         yield level
         if not level:
             return

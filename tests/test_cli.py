@@ -268,6 +268,16 @@ def test_koszul_dual_builds_no_level_past_an_empty_one():
     assert data["total"] == 0 and data["words"] == [] and data["counts"] == []
 
 
+def test_koszul_dual_builds_every_word_of_simplex_20_at_once():
+    # 2^20 words, the ascending runs of distinct letters: 10.5M letters,
+    # under MAX_LETTERS, so only the time to build them bounds this call
+    start = time.monotonic()
+    r = flagtor("koszul-dual", "--named", "simplex:20", "--length", "20")
+    assert time.monotonic() - start < 5
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["result"]["words"] == [list(range(1, 21))]
+
+
 def test_koszul_dual_over_the_word_budget_exits_two():
     # cycle:5 has 231,840 normal words of length 12 and more than
     # MAX_WORDS of length 13, so no level past 13 is built

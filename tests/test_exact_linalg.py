@@ -149,9 +149,73 @@ def test_snf_spot_checks_see_a_wrong_smith_form(monkeypatch):
     assert not E.snf_spot_checks(random.Random(3))
 
 
-# Property tests.  Matrices with +-1 entries send most pivots through the
-# unit pass of the Smith form; matrices without them leave all the work to
-# the minimal-|v| core.  Both kinds are drawn.
+def test_snf_spot_checks_see_a_wrong_reading_over_a_field(monkeypatch):
+    from flagtor import exact_linalg as E
+
+    rank_mod = E.SNFResult.rank_mod
+    monkeypatch.setattr(E.SNFResult, "rank_mod",
+                        lambda self, p: rank_mod(self, p) + (p == 3 and 3 in self.diagonal))
+    assert not E.snf_spot_checks(random.Random(3))
+
+
+def test_snf_spot_checks_draw_what_they_always_drew():
+    # the F_p readings draw nothing, so every check-all keeps its matrices
+    from flagtor import exact_linalg as E
+
+    for seed, after in ((0, 637381822), (3, 2148813409)):
+        rng = random.Random(seed)
+        assert E.snf_spot_checks(rng)
+        assert rng.getrandbits(32) == after
+
+
+def unit_free(seed, n):
+    """An n x n matrix with about 5 entries per column, each one of +-2,
+    +-3, +-4, +-6, drawn from random.Random(seed): no entry is a unit."""
+    rng = random.Random(seed)
+    return [[(r, rng.choice((2, 3, 4, 6)) * rng.choice((1, -1)))
+             for r in range(n) if rng.random() < 5 / n] for _ in range(n)]
+
+
+# the nonzero invariant factors of unit_free(seed, n), each computed once
+# by sympy (which lists the zeros too):
+#   PYTHONPATH=src:tests python -c "import sympy as S, test_exact_linalg as T;
+#     seed, n = 4, 40; cols = T.unit_free(seed, n);
+#     print(S.matrices.normalforms.invariant_factors(S.Matrix(n, n,
+#       lambda r, c: dict(cols[c]).get(r, 0)), domain=S.ZZ))"
+# On (7, 60) that call did not end in 50 min.  Its matrix is nonsingular,
+# so its diagonal multiplies out to sympy's det(method="bareiss"); each
+# prime p of sympy's factorint of the determinant, to the power v, got its
+# exponents from an elimination over Z/p^(v+1) on least p-valuations, which
+# gives sympy's diagonals on (4, 40) and (7, 40).
+UNIT_FREE = {
+    (4, 40): (1,) * 28 + (2, 2, 2, 2, 2, 6, 12, 12, 36, 36, 36, 5628885723940485096),
+    (7, 40): (1,) * 25 + (2,) * 11 + (4, 12, 36, 6017973347007994364928),
+    (7, 60): (1,) * 38 + (2,) * 14 + (12,) * 5 + (36, 144, 274504467322237109720518309104),
+    (21, 40): (1,) * 24 + (2,) * 8 + (4, 4, 12, 12, 12, 72, 216),
+}
+
+
+@pytest.mark.parametrize("seed, n", sorted(UNIT_FREE), ids=lambda v: str(v))
+def test_snf_of_a_unit_free_matrix_ends_and_matches_sympy(seed, n):
+    # no entry is a unit, so the first pivot is a least entry and its
+    # remainders; entries once grew without bound there, past 9M bits
+    # within 20 s on (4, 40)
+    def too_slow(signum, frame):
+        raise TimeoutError(f"the Smith form of unit_free({seed}, {n}) took over 1 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        diagonal = snf_columns(unit_free(seed, n)).diagonal
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert diagonal == UNIT_FREE[seed, n]
+
+
+# Property tests.  Matrices with +-1 entries take most pivots on a unit;
+# matrices without them leave every pivot to the least |v| and its
+# remainders.  Both kinds are drawn.
 WITH_UNITS = st.integers(-3, 3)
 WITHOUT_UNITS = st.sampled_from([-6, -4, -3, -2, 0, 0, 0, 2, 3, 4, 6])
 

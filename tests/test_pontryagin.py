@@ -8,6 +8,7 @@ from flagtor import complexes as C
 from flagtor import hochster as Ho
 from flagtor import homology as H
 from flagtor import pontryagin as P
+from flagtor.cli import corpus
 from flagtor.complexes import NotFlagError, mask_of
 
 from _fixtures import rp2_flag12
@@ -257,6 +258,34 @@ def test_normal_words_stop_past_the_letter_budget(monkeypatch):
     with pytest.raises(C.BudgetExceededError, match=rf"^pontryagin.MAX_LETTERS = "
                        rf"{letters - 1} exceeded: .* up to length 6$"):
         P.normal_words(K, 6)
+
+
+def _can_append(word, x, adj):
+    """Whether x may follow word, by scanning back over the letters that x
+    anticommutes with: an equal letter makes a square, a greater one a
+    smaller representative, and a letter x does not meet blocks it."""
+    for y in reversed(word):
+        meets = adj[y - 1] >> (x - 1) & 1
+        if y == x or meets and y > x:
+            return False
+        if not meets:
+            return True
+    return True
+
+
+@pytest.mark.parametrize("name", ["cycle:4", "cycle:5", "points:3", "simplex:4",
+                                  "octahedron", "cycle:4*points:2", "random-flag:7:50:3",
+                                  "random-flag:9:40:2"])
+def test_normal_words_are_those_a_suffix_scan_accepts(name):
+    # each word carries the letters that may follow it; scanning the word
+    # again for each letter must accept exactly those
+    K = corpus(name)
+    adj = C.adjacency(K)
+    level = [()]
+    for n in range(1, 7):
+        level = [w + (x,) for w in level for x in range(1, K.m + 1)
+                 if _can_append(w, x, adj)]
+        assert P.normal_words(K, n) == level, (name, n)
 
 
 def test_normal_word_counts_match_series_growth():
