@@ -21,7 +21,11 @@ verdict is held in K's memo once, drawn from its own stream seeded by K.
 The checks build no slice and no matrix themselves: Koszul slices are
 read through ``pontryagin``'s readers of its interned "koszul slices"
 table, and the Smith form is tested by ``exact_linalg.snf_spot_checks``.
-The squarefree Tor oracle compares each distinct (slice, sweep profile)
+That table makes one build and one integral elimination per distinct
+slice shape: for flag K the slice at 2*beta depends only on the values
+of beta on its support S and on the graph K induces on S, renumbered in
+order, since K restricted to S is that graph's clique complex.  The
+squarefree Tor oracle compares each distinct (slice, sweep profile)
 pair of its J once.
 """
 
@@ -237,8 +241,8 @@ def _tor_matches_koszul_slices(K, masks_by_ring):
     Tor_n at J is reduced H_{n-1}(K_J), read off the sweep's profiles.
     ``masks_by_ring`` maps each field to the J it checks (every J for
     m <= 10, else 128 sampled ones).  Each field takes the slice index of
-    its J from ``pontryagin.squarefree_slice_ids``, which builds each
-    slice and eliminates it over Z once per complex, and interns equal
+    its J from ``pontryagin.squarefree_slice_ids``, which builds and
+    eliminates over Z one slice per distinct shape of J, and interns equal
     slice homology: the field kernels of the sweep are not on this route.
     The J are counted per (slice index, sweep id) pair, and each pair is
     compared once, the slice read over the field by universal

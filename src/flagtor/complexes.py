@@ -258,7 +258,7 @@ def tables(K):
     It holds the flag bit, the chi~ table, the Z-graded denominator, the
     series F and the rank table, the sweep stores (one per ring), the
     ``homology.geometry``, the value of ``lscat.cat_via_links``, the
-    "koszul slices" of ``pontryagin`` (each slice's homology over Z,
+    "koszul slices" of ``pontryagin`` (the homology over Z of one slice per shape,
     equal ones interned, as the sweep stores intern profiles) and its
     "cobar slices" (each slice as built), the verdicts
     of the ring-free checks of ``checks.check_all`` per trunc and the

@@ -167,39 +167,94 @@ class KoszulSlices:
     A store like the sweep's: equal profiles are interned, so ``objs``
     lists each distinct profile once, and ``ids`` maps each slice read to
     its index in ``objs``, keyed by the mask J when beta = J is squarefree
-    and by beta itself otherwise.  Indexed by beta, the table gives the
-    profile.  A slice is built and eliminated over Z once, on its first
-    read; ``tor`` reads a profile over a ring on every call.
+    and by (the values of beta on its support S, in vertex order, S)
+    otherwise.  Indexed by beta, the table gives the profile.
+
+    For flag K the slice at 2*beta depends only on the values of beta on
+    S and on the graph K induces on S, renumbered 0..|S|-1 in order: K
+    restricted to S is the clique complex of that graph, and
+    ``koszul_slice`` reads only faces inside S, sorts the masks I and
+    signs by |I ∩ [0, j)|, which a renumbering that keeps the order
+    preserves.  So there is one build and one integral elimination per
+    distinct slice shape: a cold beta takes the index of the first beta
+    of its shape (``shape``), and only the first of each shape is built.
+    ``tor`` reads a profile over a ring on every call.
     """
 
-    def __init__(self, m):
-        self.m = m
+    def __init__(self, K):
+        self.m = K.m
+        self.adj = adjacency(K)
         self.objs = []
         self._index = {}  # profile.key() -> its index in objs
+        self._shapes = {}  # the shape of a slice -> its index in objs
         self.ids = {}
 
     def __getitem__(self, beta):
         return self.objs[self.ids[self.key(tuple(beta))]]
 
     def key(self, beta):
-        """The key of beta in ``ids``: its mask J if beta = J is a
-        squarefree vector of length m, else beta."""
-        if len(beta) == self.m and all(b == 0 or b == 1 for b in beta):
-            return sum(1 << v for v, b in enumerate(beta) if b)
-        return beta
+        """The key of beta in ``ids``: its mask J if beta = J is squarefree
+        (given as a vector of length m, or as J), else the pair of its
+        values on its support S, in vertex order, and S."""
+        if type(beta) is int:
+            return beta
+        S, high = 0, False
+        for v, b in enumerate(beta):
+            if b:
+                S |= 1 << v
+                high = high or b != 1
+        if len(beta) != self.m or high and min(beta) < 0:
+            raise ValueError("beta must be a nonnegative vector of length m")
+        return (tuple(filter(None, beta)), S) if high else S
 
-    def index(self, K, key):
-        """The index in ``objs`` of the slice under ``key``, built and
-        eliminated over Z on its first read."""
+    def shape(self, S):
+        """The shape of the support S as an int: a sentinel bit for |S|,
+        then for the i-th vertex of S, in order, i bits that mark its
+        neighbours among the vertices of S before it.  Supports whose
+        induced graphs agree once renumbered in order share it, and no
+        two sizes of S do."""
+        key, low, i = 1 << S.bit_count(), S, 0
+        while low:
+            bit = low & -low
+            low ^= bit
+            near = self.adj[bit.bit_length() - 1] & S & (bit - 1)
+            key <<= i
+            while near:
+                u = near & -near
+                near ^= u
+                key |= 1 << (S & (u - 1)).bit_count()
+            i += 1
+        return key
+
+    def index(self, K, beta):
+        """The index in ``objs`` of the slice at 2*beta (a vector, or the
+        mask J of a squarefree one).  A cold beta is keyed by its shape, the
+        shape of its support paired with its values there unless it is
+        squarefree, and only the first beta of a shape is built and
+        eliminated over Z."""
+        key = self.key(beta)
         i = self.ids.get(key)
         if i is None:
-            beta = key if type(key) is tuple else tuple((key >> v) & 1 for v in range(self.m))
-            bases, matrices = koszul_slice(K, beta)
-            prof = homology.chain_homology(
-                {t: len(bs) for t, bs in bases.items()}, matrices, homology.INTEGERS)
-            i = self.ids[key] = self._index.setdefault(prof.key(), len(self.objs))
-            if i == len(self.objs):
-                self.objs.append(prof)
+            if type(key) is int:
+                shape = self.shape(key)
+                beta = tuple((key >> v) & 1 for v in range(self.m))
+            else:
+                shape = key[0], self.shape(key[1])
+            i = self._shapes.get(shape)
+            if i is None:
+                i = self._shapes[shape] = self._eliminate(K, beta)
+            self.ids[key] = i
+        return i
+
+    def _eliminate(self, K, beta):
+        """Build the slice at 2*beta, eliminate it over Z and intern its
+        profile; its index in ``objs``."""
+        bases, matrices = koszul_slice(K, beta)
+        prof = homology.chain_homology(
+            {t: len(bs) for t, bs in bases.items()}, matrices, homology.INTEGERS)
+        i = self._index.setdefault(prof.key(), len(self.objs))
+        if i == len(self.objs):
+            self.objs.append(prof)
         return i
 
     def tor(self, i, coeff):
@@ -210,7 +265,11 @@ class KoszulSlices:
 
 
 def _slices(K):
-    return tables(K).setdefault("koszul slices", KoszulSlices(K.m))
+    held = tables(K)
+    slices = held.get("koszul slices")
+    if slices is None:
+        slices = held["koszul slices"] = KoszulSlices(K)
+    return slices
 
 
 def tor_via_koszul_complex(K, coeff, beta):
@@ -220,13 +279,16 @@ def tor_via_koszul_complex(K, coeff, beta):
     non-squarefree beta it must vanish entirely.  Returns a dict
     t -> (rank, torsion).
 
-    It reads K's table "koszul slices" (``KoszulSlices``): the first read
-    of a slice builds it and eliminates it over Z, once, and every read,
-    over any ring, takes that profile by universal coefficients.
+    It reads K's table "koszul slices" (``KoszulSlices``), which makes
+    one build and one integral elimination per distinct slice shape: for
+    flag K, K restricted to the support S of beta is the clique complex of
+    its induced graph, so the slice depends only on the values of beta on
+    S and on that graph, renumbered in order.  Every read, over any ring,
+    takes the profile by universal coefficients.
     """
     require_flag(K, "pontryagin.tor_via_koszul_complex")
     slices = _slices(K)
-    return slices.tor(slices.index(K, slices.key(tuple(beta))), coeff)
+    return slices.tor(slices.index(K, tuple(beta)), coeff)
 
 
 def squarefree_slice_ids(K, masks):
@@ -235,8 +297,11 @@ def squarefree_slice_ids(K, masks):
     Returns (ids, slices): ``slices`` is K's table "koszul slices" and
     ids[k] the index of the k-th J's slice in it, so that J with equal
     slice homology share one index and ``slices.tor(i, coeff)`` reads
-    each distinct slice once.  Cold slices are built and eliminated over
-    Z as ``tor_via_koszul_complex`` does.
+    each distinct slice once.  A cold J shares the slice of an earlier J
+    of its shape, if there is one: there is one build and one integral
+    elimination per distinct slice shape, since for flag K the slice at J
+    depends only on the graph K induces on J, renumbered in order, whose
+    clique complex K_J is.
     """
     require_flag(K, "pontryagin.squarefree_slice_ids")
     slices = _slices(K)

@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -28,14 +29,37 @@ def _count_squarefree_slices(monkeypatch):
     return seen
 
 
+def _shapes(K, masks):
+    """The distinct squarefree slice shapes among masks: each J's size and
+    the edges K induces on J, with J's vertices renumbered 0..|J|-1 in
+    order."""
+    out = set()
+    for J in masks:
+        verts = C.verts_of(J)
+        out.add((len(verts), frozenset(
+            (a, b) for a, b in combinations(range(len(verts)), 2)
+            if C.mask_of((verts[a], verts[b])) in K.faces)))
+    return out
+
+
+def _built_once_per_shape(K, seen):
+    """Every J built has a shape of its own, and every shape of K is built."""
+    shapes = _shapes(K, range(1 << K.m))
+    assert len(seen) == len(_shapes(K, seen)) == len(shapes) < 1 << K.m
+    return len(shapes)
+
+
 def test_check_all_over_z_builds_each_squarefree_slice_once(monkeypatch):
     K = C.random_flag(7, 0.5, 5)
     seen = _count_squarefree_slices(monkeypatch)
     results = checks.check_all(K, H.INTEGERS, 8)
     assert all(ok for _, ok, _ in results)
-    assert sorted(seen) == list(range(1 << K.m))
+    n = _built_once_per_shape(K, seen)
     names = [name for name, _, _ in results]
     assert names.index("milnor-moore-collapse-Q") < names.index("tor-oracle-squarefree-Q")
+    # a warm table builds nothing
+    assert checks.check_all(K, H.INTEGERS, 8) == results
+    assert len(seen) == n
 
 
 def test_check_alls_on_one_complex_build_each_squarefree_slice_once(monkeypatch):
@@ -43,9 +67,11 @@ def test_check_alls_on_one_complex_build_each_squarefree_slice_once(monkeypatch)
     seen = _count_squarefree_slices(monkeypatch)
     # the second K is equal, not identical, as when each run reads a file
     copy = C.from_facets(K.m, [list(f) for f in K.facet_lists()])
-    for L, coeff in ((K, H.RATIONALS), (copy, H.INTEGERS)):
-        assert all(ok for _, ok, _ in checks.check_all(L, coeff, 8))
-    assert sorted(seen) == list(range(1 << K.m))
+    assert all(ok for _, ok, _ in checks.check_all(K, H.RATIONALS, 8))
+    n = _built_once_per_shape(K, seen)
+    # the second run reads the warm table, and builds nothing
+    assert all(ok for _, ok, _ in checks.check_all(copy, H.INTEGERS, 8))
+    assert len(seen) == n
 
 
 def test_a_slice_is_eliminated_over_z_once_and_read_over_every_field(monkeypatch):
@@ -58,7 +84,8 @@ def test_a_slice_is_eliminated_over_z_once_and_read_over_every_field(monkeypatch
                         or chain_homology(*args))
     # builds the table and both sweeps, which eliminate over the fields
     assert checks._tor_matches_koszul_slices(K, masks) == verdict
-    assert calls.count(H.INTEGERS) == 1 << K.m
+    # one integral elimination per distinct shape of J
+    assert calls.count(H.INTEGERS) == len(_shapes(K, range(1 << K.m))) == 15
     # a warm table eliminates nothing, over any ring
     calls.clear()
     assert checks._tor_matches_koszul_slices(K, masks) == verdict

@@ -60,6 +60,9 @@ def test_koszul_route_names_nothing_of_the_sweep():
     named, offences = _scan("pontryagin.py", ROUTE_TWO["pontryagin.py"])
     assert "chain_homology" in named
     assert {"tables", "koszul_slice", "over"} <= named  # the reader
+    # the shape key that shares one slice among the beta of a shape, so
+    # its names are checked too
+    assert {"shape", "_eliminate"} <= named
     assert not offences, offences
 
 

@@ -5,7 +5,9 @@ invariant factors of a boundary.
 elimination over Z, and reads it over every ring by universal
 coefficients (``HomologyProfile.over``).  What it returns must be what
 ``chain_homology`` finds on the slice as built, over every ring, and a
-warm ``check-all`` must print what a cold one prints.
+warm ``check-all`` must print what a cold one prints.  The table builds
+one slice per shape of beta, so the profile it hands each beta must be
+that of the beta's own slice.
 """
 
 import random
@@ -110,6 +112,61 @@ def test_a_slice_is_built_and_eliminated_over_z_once(monkeypatch):
     for ring in RINGS[:3]:
         assert checks._tor_matches_koszul_slices(K, {ring: [K.full_mask]})[ring][0]
     assert built == [beta] and eliminated == [H.INTEGERS]
+
+
+def _direct(K, beta):
+    """The integral homology of the slice at 2*beta as built, outside the table."""
+    bases, matrices = P.koszul_slice(K, beta)
+    return H.chain_homology({t: len(bs) for t, bs in bases.items()}, matrices, H.INTEGERS)
+
+
+@pytest.mark.parametrize("name, K", [
+    ("flag RP2", rp2_flag12()),
+    ("flag G(10, .5)", C.random_flag(10, 0.5, 7)),
+    ("flag G(9, .4)", C.random_flag(9, 0.4, 11)),
+])
+def test_the_slice_of_each_shape_is_the_slice_of_each_beta(name, K):
+    # the table builds one slice per shape and hands its profile to every
+    # beta of that shape: each must be the profile of its own slice
+    Ho.clear_cache()
+    every = range(1 << K.m)
+    ids, slices = P.squarefree_slice_ids(K, every)
+    for J, i in zip(every, ids):
+        beta = tuple((J >> v) & 1 for v in range(K.m))
+        assert slices.objs[i].key() == _direct(K, beta).key(), J
+    for beta in _non_squarefree(K, random.Random(name), 200):
+        assert P.tor_via_koszul_complex(K, H.INTEGERS, beta) == \
+            {t: (r, tors) for t, r, tors in _direct(K, beta).rows()}, beta
+        assert slices[beta].key() == _direct(K, beta).key(), beta
+    if name == "flag RP2":
+        assert any(p.torsion for p in slices.objs)
+
+
+def test_the_empty_slice_and_a_vertex_slice_have_shapes_of_their_own():
+    K = C.cycle_complex(5)
+    Ho.clear_cache()
+    ids, slices = P.squarefree_slice_ids(K, [0, 1])
+    assert slices.shape(0) != slices.shape(1)
+    assert ids[0] != ids[1]
+    assert slices.objs[ids[0]].key() == _direct(K, (0,) * 5).key()
+    assert slices.objs[ids[1]].key() == _direct(K, (1, 0, 0, 0, 0)).key()
+
+
+def test_betas_of_one_shape_on_two_supports_share_one_build(monkeypatch):
+    K = C.cycle_complex(5)  # {1, 2} and {2, 3} are edges, {1, 3} is not
+    Ho.clear_cache()
+    built = []
+    koszul_slice = P.koszul_slice
+    monkeypatch.setattr(P, "koszul_slice",
+                        lambda K, beta: built.append(beta) or koszul_slice(K, beta))
+    ids, slices = P.squarefree_slice_ids(K, [0b00011, 0b00110, 0b00101])
+    assert ids[0] == ids[1] and built == [(1, 1, 0, 0, 0), (1, 0, 1, 0, 0)]
+    built.clear()
+    for beta in [(2, 1, 0, 0, 0), (0, 2, 1, 0, 0), (0, 0, 0, 2, 1), (1, 2, 0, 0, 0)]:
+        P.tor_via_koszul_complex(K, H.RATIONALS, beta)
+    # the values on the support, in order, are part of the shape
+    assert built == [(2, 1, 0, 0, 0), (1, 2, 0, 0, 0)]
+    assert slices.shape(0b00011) == slices.shape(0b11000) != slices.shape(0b00101)
 
 
 def _check_all(source, coeff, capsys):
