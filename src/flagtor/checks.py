@@ -27,6 +27,27 @@ of beta on its support S and on the graph K induces on S, renumbered in
 order, since K restricted to S is that graph's clique complex.  The
 squarefree Tor oracle compares each distinct (slice, sweep profile)
 pair of its J once.
+
+Which checks are two routes, and through what:
+
+- tor-oracle-squarefree and, at m <= 10, milnor-moore-collapse: the
+  sweep's store over the ring against the Koszul slices, eliminated over
+  Z and read over the ring by ``HomologyProfile.over``.  Over Q the
+  sweep is a direct sweep over Q.  Over a prime field the store is read
+  off the integral sweep once that has run (``check_all`` runs it first
+  whenever it runs it at all), so the check compares two integral
+  computations, the 2^m sweep and the Koszul slices, each read through
+  ``over``; ``over`` itself is pinned against direct field sweeps and
+  eliminations in the tests.
+- toomer-max-equals-cat: cat(Z_K) from the integral sweep against the
+  Toomer invariants, which read sweeps over Q and each torsion prime
+  field themselves, never a store read off Z.
+- cdim-links-vs-subcomplexes: the integral sweep against the links of
+  K, each eliminated over Z.
+- hochster-euler-vs-series: the Z_K table of the sweep against the
+  denominator of the Poincare series.
+- cobar-diagonal-property: the cobar slices, eliminated over Z and read
+  over the ring, against the normal-word counts.
 """
 
 from __future__ import annotations
@@ -55,6 +76,10 @@ def check_all(K, coeff, trunc):
     The last check, the Smith-form self-test, reads no ring and draws from
     its own stream seeded by K, so its verdict is held in K's memo once.
 
+    The chi~ table that the series check reads is built before any sweep,
+    so its transient meets no store.  When the call sweeps Z anyway
+    (``coeff`` Z, or m <= 16) it sweeps Z next, so that every prime field
+    is read off it rather than swept.
     At m <= 10 the Milnor-Moore check takes E2 from the Koszul slices of
     the Tor oracle, which read nothing of the sweep, and E-infinity from
     the sweep.  At m > 10 the oracle samples J, so E2 is the Tor table's
@@ -71,6 +96,13 @@ def check_all(K, coeff, trunc):
     fields = [coeff] if coeff.is_field else [homology.RATIONALS, homology.GF(2)]
 
     if K.m <= complexes.SWEEP_CAP:
+        # chi~ of every K_J, which the series reads, is the largest
+        # transient of a large call: it is built before any store is held
+        expected = sum(c * (-1) ** d
+                       for d, c in enumerate(series.euler_denominator_t(K)))
+        sweeps_z = coeff.kind == "z" or K.m <= 16
+        if sweeps_z:
+            hochster.subcomplex_profiles(K, homology.INTEGERS)
         if flag:
             oracle = {}
             if K.m <= 10:
@@ -91,12 +123,10 @@ def check_all(K, coeff, trunc):
 
         table = hochster.zk_homology(K, fields[0])
         euler_zk = sum((-1) ** p * r for p, r in table.totals_rank.items())
-        expected = sum(c * (-1) ** d
-                       for d, c in enumerate(series.euler_denominator_t(K)))
         record("hochster-euler-vs-series", euler_zk == expected,
                f"{euler_zk} vs {expected}")
 
-        if coeff.kind == "z" or K.m <= 16:
+        if sweeps_z:
             via_sub = 1 + lscat.max_subcomplex_cdim(K)
             via_links = lscat.cat_via_links(K)
             record("cdim-links-vs-subcomplexes", via_sub == via_links,

@@ -256,11 +256,13 @@ def tables(K):
     """K's memo: one dict of every table computed from K's full subcomplexes.
 
     It holds the flag bit, the chi~ table, the Z-graded denominator, the
-    series F and the rank table, the sweep stores (one per ring), the
+    series F and the rank table, the sweep stores (one per ring, and the
+    prime-field stores read off the integral one), the Z_K and R_K
+    homology tables (one per ring), the
     ``homology.geometry``, the value of ``lscat.cat_via_links``, the
     "koszul slices" of ``pontryagin`` (the homology over Z of one slice per shape,
     equal ones interned, as the sweep stores intern profiles) and its
-    "cobar slices" (each slice as built), the verdicts
+    "cobar slices" (the homology over Z of each slice), the verdicts
     of the ring-free checks of ``checks.check_all`` per trunc and the
     verdict of its Smith-form self-test; it is the
     package's one per-complex memo.  Only the last complex asked for is

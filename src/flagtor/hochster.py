@@ -7,6 +7,12 @@ version R_K uses degree p-1.  The expensive part is one pass over all
 (``complexes.tables``), one store per ring, which every other module
 shares and which lasts until another complex is asked for.
 ``clear_cache`` is the one call that empties every per-complex table.
+Q and Z are always swept.  A prime field is swept until K's integral
+store is in the memo; from then on its store is read off the integral
+one by universal coefficients (``HomologyProfile.over``): one reading
+per distinct integral profile, and the ids mapped through that table.
+Only ``subcomplex_profiles(K, F_p, derive=False)`` still sweeps the
+field then, for ``lscat.toomer``.
 
 A store holds each distinct profile once, interned by value, and after
 a sweep an id array with one entry per J, the index of its profile in
@@ -29,7 +35,7 @@ vertex is a point, the vertex rule is tried at each qualifying vertex not
 yet tried, from the top down, then the collapse and split rules of
 ``homology.reduction``, and only then elimination, which on flag
 complexes is left with the empty J alone.  A single subset
-(``profile_for_subset``) is read off a finished sweep, or else is plain
+(``profile_for_subset``) is read off a finished store, or else is plain
 elimination.
 
 A table groups the J by (profile id, |J|), read off a histogram of the
@@ -37,8 +43,9 @@ id array: each group's degrees p and summands are built once, the totals
 are folded from them, and ``HochsterTable.entries`` is a read-only
 mapping over the id array and the groups that stores nothing per J; its
 ``in_degree(p)`` reads the items of one degree p in one pass.
-For flag K the ``rk_homology`` table, keyed (J, n), is also route one of
-``pontryagin``'s Tor table.
+Each ``zk_homology`` and ``rk_homology`` table is assembled once per ring
+and held in K's memo.  For flag K the ``rk_homology`` table, keyed
+(J, n), is also route one of ``pontryagin``'s Tor table.
 """
 
 from __future__ import annotations
@@ -51,7 +58,7 @@ from dataclasses import dataclass, field
 from itertools import chain, compress, count, repeat, tee
 
 from . import homology
-from .complexes import check_sweep_cap, exceeded, tables
+from .complexes import check_sweep_cap, exceeded, memo, tables
 from .exact_linalg import factorization
 
 # sub-blocks of fewer J than this are settled J by J
@@ -224,6 +231,7 @@ def clear_cache():
 
 
 def _cache_for(K, coeff):
+    """K's swept store over coeff, empty until its sweep has run."""
     return tables(K).setdefault(("store", coeff), _Store())
 
 
@@ -232,21 +240,38 @@ def cache_snapshot(K, coeff):
 
 
 def profile_for_subset(K, Jmask, coeff):
-    """Reduced homology of K_J, off a finished sweep or else by elimination."""
-    store = tables(K).get(("store", coeff))
+    """Reduced homology of K_J, off a finished store or else by elimination."""
+    held = tables(K)
+    store = held.get(("store", coeff)) or held.get(("derived store", coeff))
     if store:
         return store[Jmask]
     return homology.subcomplex_homology(K, Jmask, coeff)
 
 
-def subcomplex_profiles(K, coeff):
+def subcomplex_profiles(K, coeff, derive=True):
     """Reduced homology of every full subcomplex K_J, keyed by bitmask.
 
     Returns the shared store, a read-only mapping, not a copy; use
     ``cache_snapshot`` for a copy.  Subsets with equal profiles share a
     single profile object.
+
+    Over a prime field, a call with ``derive`` whose ring has not been
+    swept reads K's integral store when that one has been: the store
+    "derived store" holds each distinct integral profile read over the
+    field once (``HomologyProfile.over``, universal coefficients) and the
+    integral ids mapped through that table.  ``derive=False`` asks for a
+    store swept over the field itself, which ``lscat.toomer`` reads so that
+    it stays a second route to the category.  Q and Z are always swept.
     """
     check_sweep_cap(K)
+    held = tables(K)
+    if derive and coeff.kind == "fp" and not held.get(("store", coeff)):
+        integral = held.get(("store", homology.INTEGERS))
+        if integral:
+            store = held.setdefault(("derived store", coeff), _Store())
+            if not store:
+                store.ids = _over(store, integral, coeff)
+            return store
     store = _cache_for(K, coeff)
     if not store:
         try:
@@ -254,6 +279,16 @@ def subcomplex_profiles(K, coeff):
         except _Widen:  # once more from J = 0, keeping the profiles met
             store.ids = _Sweep(K, coeff, store, _WIDTHS[1]).run()
     return store
+
+
+def _over(store, integral, coeff):
+    """The ids of the integral store read over coeff, interning into store
+    the reading of each distinct integral profile once."""
+    table = [store.intern(prof.over(coeff)) for prof in integral.objs]
+    ids = integral.ids
+    if ids.itemsize == 1:
+        return array("B", ids.tobytes().translate(bytes(table).ljust(256, b"\0")))
+    return array(ids.typecode, map(table.__getitem__, ids))
 
 
 def distinct_profiles(K, coeff):
@@ -266,18 +301,32 @@ class _Widen(Exception):
 
 
 class _Settled(dict):
-    """link id << bits | rest id -> id of K_J by Mayer-Vietoris, or unset."""
+    """link id << bits | rest id -> id of K_J by Mayer-Vietoris, or unset.
 
-    def __init__(self, sweep):
+    It holds the store and the width, not the sweep, so that a finished
+    sweep is freed by reference counting."""
+
+    def __init__(self, store, width):
         super().__init__()
-        self.sweep = sweep
+        self.store, self.width = store, width
 
     def __missing__(self, key):
-        sweep = self.sweep
-        objs, bits = sweep.store.objs, sweep.width.bits
-        prof = homology.mayer_vietoris(objs[key >> bits], objs[key & sweep.width.unset])
-        i = self[key] = sweep.width.unset if prof is None else sweep.intern(prof)
+        store, width = self.store, self.width
+        prof = homology.mayer_vietoris(store.objs[key >> width.bits],
+                                       store.objs[key & width.unset])
+        i = self[key] = width.unset if prof is None else _intern(store, width, prof)
         return i
+
+
+def _intern(store, width, prof):
+    """The id of prof in store, which must fit width."""
+    i = store.intern(prof)
+    if i < width.limit:
+        return i
+    if width is _WIDTHS[-1]:
+        raise exceeded("hochster.MAX_PROFILES", width.limit,
+                       "distinct profiles met by one sweep")
+    raise _Widen
 
 
 class _Sweep:
@@ -287,7 +336,7 @@ class _Sweep:
         self.m, self.coeff, self.store, self.width = K.m, coeff, store, width
         self.geo = homology.geometry(K)
         self.ids = self.width.ids([self.width.unset]) * (1 << K.m)
-        self.settled = _Settled(self)
+        self.settled = _Settled(store, width)
         self.point = None
 
     def run(self):
@@ -295,15 +344,6 @@ class _Sweep:
         for t in range(self.m):
             self.layer(t)
         return self.ids
-
-    def intern(self, prof):
-        i = self.store.intern(prof)
-        if i < self.width.limit:
-            return i
-        if self.width is _WIDTHS[-1]:
-            raise exceeded("hochster.MAX_PROFILES", self.width.limit,
-                           "distinct profiles met by one sweep")
-        raise _Widen
 
     def layer(self, t):
         """Settle every J whose top vertex is t."""
@@ -367,7 +407,7 @@ class _Sweep:
             return ids[J & geo.vertices]
         if J and not J & (J - 1):
             if self.point is None:
-                self.point = self.intern(homology.HomologyProfile())
+                self.point = _intern(store, self.width, homology.HomologyProfile())
             return self.point
         T, adj, settled = J & geo.full_link_vertices & below, geo.adjacency, self.settled
         bits, unset = self.width.bits, self.width.unset
@@ -383,7 +423,7 @@ class _Sweep:
             prof = homology._profile_restricted(geo, J, self.coeff)
         else:
             prof = homology.direct_sum([store.objs[ids[P]] for P in parts])
-        return self.intern(prof)
+        return _intern(store, self.width, prof)
 
 
 # ---------------------------------------------------------------------------
@@ -487,15 +527,20 @@ def _assemble(store, objs, shift_by_J):
 
 
 def zk_homology(K, coeff):
-    """H_p(Z_K) = sum over J of reduced H_{p-|J|-1}(K_J)."""
-    store = subcomplex_profiles(K, coeff)
-    return _assemble(store, store.objs, shift_by_J=True)
+    """H_p(Z_K) = sum over J of reduced H_{p-|J|-1}(K_J), assembled once
+    per ring and held in K's memo."""
+    return memo(K, ("zk homology", coeff), lambda K: _homology(K, coeff, True))
 
 
 def rk_homology(K, coeff):
-    """H_p(R_K) = sum over J of reduced H_{p-1}(K_J)."""
+    """H_p(R_K) = sum over J of reduced H_{p-1}(K_J), assembled once per
+    ring and held in K's memo."""
+    return memo(K, ("rk homology", coeff), lambda K: _homology(K, coeff, False))
+
+
+def _homology(K, coeff, shift_by_J):
     store = subcomplex_profiles(K, coeff)
-    return _assemble(store, store.objs, shift_by_J=False)
+    return _assemble(store, store.objs, shift_by_J)
 
 
 def _dualize(objs):

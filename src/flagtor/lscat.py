@@ -55,11 +55,16 @@ def _cat_via_links(K):
 
 
 def toomer(K, coeff):
-    """Toomer invariant of Z_K over a field: 1 + max over J of hdim."""
+    """Toomer invariant of Z_K over a field: 1 + max over J of hdim.
+
+    It reads a store swept over the field itself, never one read off the
+    integral sweep, so that the maximum over the fields is a second route
+    to cat(Z_K)."""
     require_flag(K, "lscat.toomer")
     if not coeff.is_field:
         raise ValueError("lscat.toomer needs field coefficients")
-    return 1 + max(prof.hdim() for prof in hochster.distinct_profiles(K, coeff))
+    store = hochster.subcomplex_profiles(K, coeff, derive=False)
+    return 1 + max(prof.hdim() for prof in store.objs)
 
 
 def toomer_report(K):

@@ -484,8 +484,9 @@ def cobar_ext(K, coeff, beta, bound=DEFAULT_DEGREE_BOUND):
 
     Field coefficients only.  For flag K this is nonzero only on the
     diagonal s = |beta| where it equals the normal-word count.  The slice
-    is built once per complex into K's memo, table "cobar slices", and
-    eliminated on every call.
+    is built and eliminated over Z once per complex, and its integral
+    homology held in K's memo, table "cobar slices"; every call reads it
+    over its field by universal coefficients (``HomologyProfile.over``).
     """
     if not coeff.is_field:
         raise ValueError("pontryagin.cobar_ext needs field coefficients")
@@ -495,14 +496,14 @@ def cobar_ext(K, coeff, beta, bound=DEFAULT_DEGREE_BOUND):
     if sum(beta) > cap:
         raise exceeded(name, cap, f"|beta| = {sum(beta)} in cobar Ext")
     slices = tables(K).setdefault("cobar slices", {})
-    held = slices.get(beta)
-    if held is None:
+    prof = slices.get(beta)
+    if prof is None:
         words, matrices = cobar_slice(K, beta)
         # d raises s, so C_s sits in chain degree -s
-        held = slices[beta] = ({-s: len(ws) for s, ws in words.items()},
-                               {-s: cols for s, cols in matrices.items()})
-    prof = homology.chain_homology(*held, coeff)
-    return {-n: d for n, d in prof.ranks.items()}
+        prof = slices[beta] = homology.chain_homology(
+            {-s: len(ws) for s, ws in words.items()},
+            {-s: cols for s, cols in matrices.items()}, homology.INTEGERS)
+    return {-n: d for n, d in prof.over(coeff).ranks.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -390,7 +390,7 @@ def test_cobar_examples():
         assert dims == {2: 1, 3: 1}
 
 
-def test_a_cobar_slice_is_built_once_and_eliminated_on_every_call(monkeypatch):
+def test_a_cobar_slice_is_eliminated_once_over_z_and_read_over_each_field(monkeypatch):
     K = C.cycle_complex(5)
     Ho.clear_cache()
     built, eliminated = [], []
@@ -400,13 +400,15 @@ def test_a_cobar_slice_is_built_once_and_eliminated_on_every_call(monkeypatch):
     monkeypatch.setattr(H, "chain_homology",
                         lambda *args: eliminated.append(args[-1]) or chain_homology(*args))
     beta = (1, 1, 1, 0, 0)
-    for coeff in (H.RATIONALS, H.GF(2), H.RATIONALS):
+    for coeff in (H.RATIONALS, H.GF(2), H.GF(3), H.RATIONALS):
         assert P.cobar_ext(K, coeff, beta) == {3: 2}
     assert built == [beta] and beta in C.tables(K)["cobar slices"]
-    assert eliminated == [H.RATIONALS, H.GF(2), H.RATIONALS]
-    # a wrong elimination on the warm table must still be seen
-    monkeypatch.setattr(H, "chain_homology", lambda *args: H.HomologyProfile({-2: 1}, {}))
+    assert eliminated == [H.INTEGERS]
+    # the warm table is read over the field on every call: a wrong
+    # reading must still be seen
+    monkeypatch.setattr(H.HomologyProfile, "over", lambda self, coeff: H.HomologyProfile({-2: 1}))
     assert P.cobar_ext(K, H.RATIONALS, beta) == {2: 1}
+    assert eliminated == [H.INTEGERS]
 
 
 def test_cobar_differential_squares_to_zero():
