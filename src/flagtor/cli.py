@@ -219,9 +219,9 @@ def _profile_json(prof):
 
 
 def _cmd_homology(K, coeff, args):
-    prof = homology.reduced_homology(K, coeff)
-    integral = (homology.reduced_homology(K, homology.INTEGERS)
-                if coeff.is_field else prof)
+    # one elimination, over Z: the ring's homology by universal coefficients
+    integral = homology.reduced_homology(K, homology.INTEGERS)
+    prof = integral.over(coeff)
     return {"coefficients": str(coeff),
             "homology": _profile_json(prof),
             "cohomology": _profile_json(prof.cohomology()),

@@ -257,18 +257,20 @@ def tables(K):
 
     It holds the flag bit, the chi~ table, the Z-graded denominator, the
     series F and the rank table, the sweep stores (one per ring, and the
-    prime-field stores read off the integral one), the Z_K and R_K
-    homology tables (one per ring), the
+    prime-field stores read off the integral one), the four Hochster
+    tables per ring (Z_K and R_K homology and their cohomology), the
     ``homology.geometry``, the value of ``lscat.cat_via_links``, the
-    "koszul slices" of ``pontryagin`` (the homology over Z of one slice per shape,
-    equal ones interned, as the sweep stores intern profiles) and its
-    "cobar slices" (the homology over Z of each slice), the verdicts
-    of the ring-free checks of ``checks.check_all`` per trunc and the
-    verdict of its Smith-form self-test; it is the
-    package's one per-complex memo.  Only the last complex asked for is
-    kept, and an equal copy of K shares its dict; ``hochster.clear_cache``
-    empties it.  Each call hashes K, so callers fetch the dict once per
-    call, not once per subset.
+    "koszul slices" of ``pontryagin`` (the homology over Z of one slice per
+    shape, a ``homology.Profiles`` like the sweep stores) and its "cobar
+    slices" (the homology over Z of each slice), the verdicts of the
+    ring-free checks of ``checks.check_all`` per trunc and the verdict of
+    its Smith-form self-test; it is the package's one per-complex memo.
+    Every table is filled through ``memo``; outside this module only two
+    lookups of ``hochster`` read the dict itself, since they must not
+    build.  Only the last complex asked for is kept, and an equal copy of
+    K shares its dict; ``hochster.clear_cache`` empties it.  Each call
+    hashes K, so callers fetch the dict once per call, not once per
+    subset.
     """
     return {}
 

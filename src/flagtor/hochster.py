@@ -4,9 +4,12 @@ H_p of the moment-angle complex Z_K is the direct sum over all vertex
 subsets J of the reduced homology of K_J in degree p-|J|-1; the real
 version R_K uses degree p-1.  The expensive part is one pass over all
 2^m full subcomplexes; its results are held in K's memo
-(``complexes.tables``), one store per ring, which every other module
-shares and which lasts until another complex is asked for.
-``clear_cache`` is the one call that empties every per-complex table.
+(``complexes.tables``, filled through ``complexes.memo``), one store per
+ring, which every other module shares and which lasts until another
+complex is asked for.  ``clear_cache`` is the one call that empties every
+per-complex table.  Two lookups read the memo without building:
+``profile_for_subset``, and ``subcomplex_profiles`` asking whether a
+ring has been swept.
 Q and Z are always swept.  A prime field is swept until K's integral
 store is in the memo; from then on its store is read off the integral
 one by universal coefficients (``HomologyProfile.over``): one reading
@@ -14,38 +17,40 @@ per distinct integral profile, and the ids mapped through that table.
 Only ``subcomplex_profiles(K, F_p, derive=False)`` still sweeps the
 field then, for ``lscat.toomer``.
 
-A store holds each distinct profile once, interned by value, and after
-a sweep an id array with one entry per J, the index of its profile in
-that table: one byte per J, or two once a sweep meets more than 255
-distinct profiles (the sweep then runs once more from J = 0 with
-two-byte ids, keeping the profiles it met).  The sweep fills the array
-in ascending J, one vertex layer at a time: the J whose top vertex is t
-are J' + t for J' < 2^t.  When every link of t is a full subcomplex
-(every vertex, when K is flag), the whole layer is one block pass: the
-ids of K_{J'} are the slice
-``ids[:2^t]``, those of lk t = K_{N(t) & J'} one gather, and
-``homology.mayer_vietoris`` runs once per new (link id, rest id) pair
-before one table lookup maps the whole block.  What t leaves unsettled
-goes to the next vertex down: the same pass runs on each sub-block of the
-J' with top bit s, in ascending s, and so on recursively.  A layer of a
-vertex in no face (a ghost) copies the block below it.  Short sub-blocks,
-sub-blocks with few unsettled J, layers of other vertices, and what no
-vertex settles go J by J: vertices in no face are dropped, a single
-vertex is a point, the vertex rule is tried at each qualifying vertex not
-yet tried, from the top down, then the collapse and split rules of
-``homology.reduction``, and only then elimination, which on flag
-complexes is left with the empty J alone.  A single subset
-(``profile_for_subset``) is read off a finished store, or else is plain
-elimination.
+A store holds each distinct profile once, interned by value
+(``homology.Profiles``), and after a sweep an id array with one entry
+per J, the index of its profile in that table: one byte per J, or two
+once a sweep meets more than 255 distinct profiles (the sweep then runs
+once more from J = 0 with two-byte ids, keeping the profiles it met).
+The sweep fills the array in ascending J, one vertex layer at a time:
+the J whose top vertex is t are J' + t for J' < 2^t.  When every link of
+t is a full subcomplex (every vertex, when K is flag), the whole layer
+is one block pass: the ids of K_{J'} are the slice ``ids[:2^t]``, those
+of lk t = K_{N(t) & J'} one gather, and ``homology.mayer_vietoris`` runs
+once per new (link id, rest id) pair before one table lookup maps the
+whole block.  What t leaves unsettled goes to the next vertex down: the
+same pass runs on each sub-block of the J' with top bit s, in ascending
+s, and so on recursively.  A layer of a vertex in no face (a ghost)
+copies the block below it.  Short sub-blocks, sub-blocks with few
+unsettled J, layers of other vertices, and what no vertex settles go J
+by J: vertices in no face are dropped, a single vertex is a point, the
+vertex rule is tried at each qualifying vertex not yet tried, from the
+top down, then the collapse and split rules of ``homology.reduction``,
+and only then elimination, which on flag complexes is left with the
+empty J alone.  A single subset (``profile_for_subset``) is read off a
+finished store, or else is plain elimination.
 
 A table groups the J by (profile id, |J|), read off a histogram of the
 id array: each group's degrees p and summands are built once, the totals
 are folded from them, and ``HochsterTable.entries`` is a read-only
 mapping over the id array and the groups that stores nothing per J; its
 ``in_degree(p)`` reads the items of one degree p in one pass.
-Each ``zk_homology`` and ``rk_homology`` table is assembled once per ring
-and held in K's memo.  For flag K the ``rk_homology`` table, keyed
-(J, n), is also route one of ``pontryagin``'s Tor table.
+The four tables, ``zk_homology``, ``rk_homology`` and their cohomology
+versions ``zk_cohomology`` and ``rk_cohomology``, have one builder: each
+is assembled once per ring and held in K's memo, a cohomology table from
+the cohomology profile of each distinct homology profile.  For flag K the
+``rk_homology`` table, keyed (J, n), is also route one of
+``pontryagin``'s Tor table.
 """
 
 from __future__ import annotations
@@ -189,26 +194,19 @@ def _sizes(m, typecode):
 # the shared subcomplex-homology stores
 # ---------------------------------------------------------------------------
 
-class _Store(_FastMapping):
+class _Store(homology.Profiles, _FastMapping):
     """J -> profile of K_J for one (K, coeff); read-only to callers.
 
-    ``objs`` is the table of distinct profiles.  A store is empty until
-    its sweep has run; then ``ids`` holds the index in ``objs`` of every
-    J, in an array of one width.  Iteration is by ascending J.
+    ``objs`` is the table of distinct profiles (``homology.Profiles``).  A
+    store is empty until its sweep has run; then ``ids`` holds the index
+    in ``objs`` of every J, in an array of one width.  Iteration is by
+    ascending J.
     """
 
     def __init__(self):
-        self.objs = []
-        self._index = {}  # profile.key() -> its index in objs
+        super().__init__()
         self.ids = array("B")
         self.histogram = None  # Counter of id << bits | |J|, in ascending J
-
-    def intern(self, prof):
-        """Index of the one stored profile equal to prof, adding prof if new."""
-        i = self._index.setdefault(prof.key(), len(self.objs))
-        if i == len(self.objs):
-            self.objs.append(prof)
-        return i
 
     def __len__(self):
         return len(self.ids)
@@ -232,7 +230,7 @@ def clear_cache():
 
 def _cache_for(K, coeff):
     """K's swept store over coeff, empty until its sweep has run."""
-    return tables(K).setdefault(("store", coeff), _Store())
+    return memo(K, ("store", coeff), lambda K: _Store())
 
 
 def cache_snapshot(K, coeff):
@@ -268,7 +266,7 @@ def subcomplex_profiles(K, coeff, derive=True):
     if derive and coeff.kind == "fp" and not held.get(("store", coeff)):
         integral = held.get(("store", homology.INTEGERS))
         if integral:
-            store = held.setdefault(("derived store", coeff), _Store())
+            store = memo(K, ("derived store", coeff), lambda K: _Store())
             if not store:
                 store.ids = _over(store, integral, coeff)
             return store
@@ -289,11 +287,6 @@ def _over(store, integral, coeff):
     if ids.itemsize == 1:
         return array("B", ids.tobytes().translate(bytes(table).ljust(256, b"\0")))
     return array(ids.typecode, map(table.__getitem__, ids))
-
-
-def distinct_profiles(K, coeff):
-    """Each distinct profile of the full subcomplexes of K, once."""
-    return list(subcomplex_profiles(K, coeff).objs)
 
 
 class _Widen(Exception):
@@ -527,43 +520,40 @@ def _assemble(store, objs, shift_by_J):
 
 
 def zk_homology(K, coeff):
-    """H_p(Z_K) = sum over J of reduced H_{p-|J|-1}(K_J), assembled once
-    per ring and held in K's memo."""
-    return memo(K, ("zk homology", coeff), lambda K: _homology(K, coeff, True))
+    """H_p(Z_K) = sum over J of reduced H_{p-|J|-1}(K_J)."""
+    return _table(K, coeff, True, False)
 
 
 def rk_homology(K, coeff):
-    """H_p(R_K) = sum over J of reduced H_{p-1}(K_J), assembled once per
-    ring and held in K's memo."""
-    return memo(K, ("rk homology", coeff), lambda K: _homology(K, coeff, False))
-
-
-def _homology(K, coeff, shift_by_J):
-    store = subcomplex_profiles(K, coeff)
-    return _assemble(store, store.objs, shift_by_J)
-
-
-def _dualize(objs):
-    """The cohomology profile of each distinct homology profile, by id."""
-    return [p.cohomology() for p in objs]
+    """H_p(R_K) = sum over J of reduced H_{p-1}(K_J)."""
+    return _table(K, coeff, False, False)
 
 
 def zk_cohomology(K, coeff):
     """H^p(Z_K) = sum over J of reduced H^{p-|J|-1}(K_J)."""
-    store = subcomplex_profiles(K, coeff)
-    return _assemble(store, _dualize(store.objs), shift_by_J=True)
+    return _table(K, coeff, True, True)
 
 
 def rk_cohomology(K, coeff):
     """H^p(R_K) = sum over J of reduced H^{p-1}(K_J)."""
-    store = subcomplex_profiles(K, coeff)
-    return _assemble(store, _dualize(store.objs), shift_by_J=False)
+    return _table(K, coeff, False, True)
+
+
+def _table(K, coeff, shift_by_J, dual):
+    """One of the four Hochster tables over coeff, assembled once and held
+    in K's memo; with ``dual``, from the cohomology profile of each
+    distinct homology profile."""
+    def build(K):
+        store = subcomplex_profiles(K, coeff)
+        objs = [p.cohomology() for p in store.objs] if dual else store.objs
+        return _assemble(store, objs, shift_by_J)
+    return memo(K, ("table", coeff, shift_by_J, dual), build)
 
 
 def torsion_primes(K):
     """Primes dividing any torsion coefficient of any K_J (for field sweeps)."""
     primes = set()
-    for prof in distinct_profiles(K, homology.INTEGERS):
+    for prof in subcomplex_profiles(K, homology.INTEGERS).objs:
         for t in prof.torsion.values():
             for q in t:
                 primes.add(next(factorization(q))[0])

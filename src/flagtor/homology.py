@@ -149,6 +149,22 @@ class HomologyProfile:
         return top
 
 
+class Profiles:
+    """A table of distinct profiles: ``objs`` lists each once, in order of
+    first appearance, and ``intern`` gives a profile's index in it."""
+
+    def __init__(self):
+        self.objs = []
+        self._index = {}  # profile.key() -> its index in objs
+
+    def intern(self, prof):
+        """Index of the one stored profile equal to prof, adding prof if new."""
+        i = self._index.setdefault(prof.key(), len(self.objs))
+        if i == len(self.objs):
+            self.objs.append(prof)
+        return i
+
+
 # ---------------------------------------------------------------------------
 # boundary geometry, built once per complex
 # ---------------------------------------------------------------------------

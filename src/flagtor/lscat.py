@@ -29,7 +29,7 @@ MAX_PARTITIONS = 1_000_000  # set partitions one cup-witness search may try
 
 
 def max_subcomplex_cdim(K):
-    return max(prof.cdim() for prof in hochster.distinct_profiles(K, homology.INTEGERS))
+    return max(prof.cdim() for prof in hochster.subcomplex_profiles(K, homology.INTEGERS).objs)
 
 
 def cat_zk(K):
@@ -102,26 +102,27 @@ def _partitions(vertices, parts):
     """
     if len(vertices) < parts or parts < 1:
         return
+    yield from _extend_partitions(vertices, parts, 0, [])
 
-    def rec(i, blocks):
-        remaining = len(vertices) - i
-        if remaining < parts - len(blocks):
-            return
-        if i == len(vertices):
-            if len(blocks) == parts:
-                yield [list(b) for b in blocks]
-            return
-        v = vertices[i]
-        for b in blocks:
-            b.append(v)
-            yield from rec(i + 1, blocks)
-            b.pop()
-        if len(blocks) < parts:
-            blocks.append([v])
-            yield from rec(i + 1, blocks)
-            blocks.pop()
 
-    yield from rec(0, [])
+def _extend_partitions(vertices, parts, i, blocks):
+    """The partitions of ``_partitions`` with ``blocks`` on vertices[:i]."""
+    remaining = len(vertices) - i
+    if remaining < parts - len(blocks):
+        return
+    if i == len(vertices):
+        if len(blocks) == parts:
+            yield [list(b) for b in blocks]
+        return
+    v = vertices[i]
+    for b in blocks:
+        b.append(v)
+        yield from _extend_partitions(vertices, parts, i + 1, blocks)
+        b.pop()
+    if len(blocks) < parts:
+        blocks.append([v])
+        yield from _extend_partitions(vertices, parts, i + 1, blocks)
+        blocks.pop()
 
 
 def _cochain_values(faces, chosen):

@@ -32,7 +32,7 @@ from collections import Counter
 from itertools import chain
 
 from . import hochster, homology
-from .complexes import adjacency, exceeded, require_flag, tables
+from .complexes import adjacency, exceeded, memo, require_flag
 
 DEFAULT_DEGREE_BOUND = 8
 MAX_DEGREE_BOUND = 31  # as MultiSeries; cobar words recurse once per letter
@@ -161,10 +161,10 @@ def koszul_slice(K, beta):
     return bases, matrices
 
 
-class KoszulSlices:
+class KoszulSlices(homology.Profiles):
     """K's table "koszul slices": the integral homology of each slice read.
 
-    A store like the sweep's: equal profiles are interned, so ``objs``
+    A ``homology.Profiles``: equal profiles are interned, so ``objs``
     lists each distinct profile once, and ``ids`` maps each slice read to
     its index in ``objs``, keyed by the mask J when beta = J is squarefree
     and by (the values of beta on its support S, in vertex order, S)
@@ -182,10 +182,9 @@ class KoszulSlices:
     """
 
     def __init__(self, K):
+        super().__init__()
         self.m = K.m
         self.adj = adjacency(K)
-        self.objs = []
-        self._index = {}  # profile.key() -> its index in objs
         self._shapes = {}  # the shape of a slice -> its index in objs
         self.ids = {}
 
@@ -250,26 +249,14 @@ class KoszulSlices:
         """Build the slice at 2*beta, eliminate it over Z and intern its
         profile; its index in ``objs``."""
         bases, matrices = koszul_slice(K, beta)
-        prof = homology.chain_homology(
-            {t: len(bs) for t, bs in bases.items()}, matrices, homology.INTEGERS)
-        i = self._index.setdefault(prof.key(), len(self.objs))
-        if i == len(self.objs):
-            self.objs.append(prof)
-        return i
+        return self.intern(homology.chain_homology(
+            {t: len(bs) for t, bs in bases.items()}, matrices, homology.INTEGERS))
 
     def tor(self, i, coeff):
         """The homology over coeff of the slice with index i, per
         homological degree t -> (rank, torsion), by universal coefficients
         (``HomologyProfile.over``)."""
         return {t: (r, tors) for t, r, tors in self.objs[i].over(coeff).rows()}
-
-
-def _slices(K):
-    held = tables(K)
-    slices = held.get("koszul slices")
-    if slices is None:
-        slices = held["koszul slices"] = KoszulSlices(K)
-    return slices
 
 
 def tor_via_koszul_complex(K, coeff, beta):
@@ -287,7 +274,7 @@ def tor_via_koszul_complex(K, coeff, beta):
     takes the profile by universal coefficients.
     """
     require_flag(K, "pontryagin.tor_via_koszul_complex")
-    slices = _slices(K)
+    slices = memo(K, "koszul slices", KoszulSlices)
     return slices.tor(slices.index(K, tuple(beta)), coeff)
 
 
@@ -304,7 +291,7 @@ def squarefree_slice_ids(K, masks):
     clique complex K_J is.
     """
     require_flag(K, "pontryagin.squarefree_slice_ids")
-    slices = _slices(K)
+    slices = memo(K, "koszul slices", KoszulSlices)
     ids = slices.ids
     return [ids[J] if J in ids else slices.index(K, J) for J in masks], slices
 
@@ -422,18 +409,7 @@ def cobar_slice(K, beta):
     words = {0: [()]} if not any(beta) else {}
     if any(beta):
         acc = []
-
-        def gen_words(remaining, cur):
-            if not any(remaining):
-                acc.append(tuple(cur))
-                return
-            for l in letters:
-                if all(a <= r for a, r in zip(l, remaining)):
-                    cur.append(l)
-                    gen_words(tuple(r - a for r, a in zip(remaining, l)), cur)
-                    cur.pop()
-
-        gen_words(beta, [])
+        _cobar_words(letters, beta, [], acc)
         for w in acc:
             words.setdefault(len(w), []).append(w)
     index = {s: {w: i for i, w in enumerate(ws)} for s, ws in words.items()}
@@ -454,6 +430,18 @@ def cobar_slice(K, beta):
             cols.append([(r, v) for r, v in col.items() if v])
         matrices[s] = cols
     return words, matrices
+
+
+def _cobar_words(letters, remaining, cur, acc):
+    """Append to acc, in order, cur followed by each word summing to remaining."""
+    if not any(remaining):
+        acc.append(tuple(cur))
+        return
+    for l in letters:
+        if all(a <= r for a, r in zip(l, remaining)):
+            cur.append(l)
+            _cobar_words(letters, tuple(r - a for r, a in zip(remaining, l)), cur, acc)
+            cur.pop()
 
 
 def _subvectors(vec):
@@ -485,8 +473,9 @@ def cobar_ext(K, coeff, beta, bound=DEFAULT_DEGREE_BOUND):
     Field coefficients only.  For flag K this is nonzero only on the
     diagonal s = |beta| where it equals the normal-word count.  The slice
     is built and eliminated over Z once per complex, and its integral
-    homology held in K's memo, table "cobar slices"; every call reads it
-    over its field by universal coefficients (``HomologyProfile.over``).
+    homology held in K's memo, table "cobar slices" (a dict beta ->
+    profile, fetched through ``complexes.memo``); every call reads it over
+    its field by universal coefficients (``HomologyProfile.over``).
     """
     if not coeff.is_field:
         raise ValueError("pontryagin.cobar_ext needs field coefficients")
@@ -495,7 +484,7 @@ def cobar_ext(K, coeff, beta, bound=DEFAULT_DEGREE_BOUND):
                  else ("pontryagin.MAX_DEGREE_BOUND", MAX_DEGREE_BOUND))
     if sum(beta) > cap:
         raise exceeded(name, cap, f"|beta| = {sum(beta)} in cobar Ext")
-    slices = tables(K).setdefault("cobar slices", {})
+    slices = memo(K, "cobar slices", lambda K: {})
     prof = slices.get(beta)
     if prof is None:
         words, matrices = cobar_slice(K, beta)

@@ -77,7 +77,8 @@ class Shape:
         # one call per field
         exec("def text(item):\n    v = raw(item)\n"
              f"    return template % ({', '.join(args)},)", scope)
-        return scope["text"]
+        # popped, so that text does not hold itself through its globals
+        return scope.pop("text")
 
     def row(self, item, n):
         """The row of an item as a dict."""

@@ -296,13 +296,12 @@ def _euler_denominator_t(K):
 def _memoized(K, name, trunc, build, cut):
     """K's table ``name`` at truncation trunc, built at most once per K.
 
-    The table is held in ``complexes.tables(K)`` at the highest truncation
-    asked for so far; a lower one is ``cut(table, trunc)``.
+    The table is held in K's memo as [its truncation, the table], at the
+    highest truncation asked for so far; a lower one is ``cut(table, trunc)``.
     """
-    tables = complexes.tables(K)
-    held = tables.get(name)
-    if held is None or held[0] < trunc:
-        held = tables[name] = (trunc, build(K, trunc))
+    held = complexes.memo(K, name, lambda K: [trunc, build(K, trunc)])
+    if held[0] < trunc:
+        held[:] = trunc, build(K, trunc)
     return held[1] if held[0] == trunc else cut(held[1], trunc)
 
 

@@ -13,7 +13,7 @@ import pytest
 from _cli import flagtor, python, spawn_flagtor
 from _fixtures import FACET21, RP2_FLAG12
 
-from flagtor import cli, complexes, hochster, lscat, pontryagin, rows, series
+from flagtor import cli, complexes, hochster, homology, lscat, pontryagin, rows, series
 
 
 def test_cat_on_named_cycle():
@@ -289,6 +289,18 @@ def test_koszul_dual_over_the_word_budget_exits_two():
     assert r.stderr.splitlines() == [
         f"error: pontryagin.MAX_WORDS = {pontryagin.MAX_WORDS} exceeded: "
         "normal words of length 13"]
+
+
+def test_homology_over_a_field_eliminates_once_over_z(monkeypatch, capsys):
+    # the field's homology and cdim_Z both come from the integral profile
+    rings = []
+    chain_homology = homology.chain_homology
+    monkeypatch.setattr(homology, "chain_homology", lambda *args, **kwargs:
+                        rings.append(args[2]) or chain_homology(*args, **kwargs))
+    assert cli.run(["homology", "--coeff", "fp:2", "--named", "rp2"]) == 0
+    assert rings == [homology.INTEGERS]
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["homology"]["ranks"] == {"1": 1, "2": 1} and result["cdim_Z"] == 2
 
 
 def test_cobar_ext_cli():

@@ -181,7 +181,7 @@ def test_sweep_matches_plain_elimination_on_every_subset(monkeypatch):
             for J, prof in enumerate(expected):
                 assert sweep[J] == prof, (K.m, key, J)
             assert len({id(p) for p in sweep.values()}) == \
-                len({p.key() for p in expected}) == len(Ho.distinct_profiles(K, coeff))
+                len({p.key() for p in expected}) == len(Ho.subcomplex_profiles(K, coeff).objs)
             # a single vertex is a point: never eliminated
             assert all(J.bit_count() != 1 for J in seen["eliminated"]), (K.m, key)
             if key == "z" and K.m == 12:
@@ -408,7 +408,7 @@ def test_torsion_primes_harvest():
 
 def _smallest_prime_factors(K):
     return sorted({min(d for d in range(2, q + 1) if q % d == 0)
-                   for prof in Ho.distinct_profiles(K, H.INTEGERS)
+                   for prof in Ho.subcomplex_profiles(K, H.INTEGERS).objs
                    for t in prof.torsion.values() for q in t})
 
 
@@ -423,6 +423,7 @@ def test_torsion_primes_on_the_torsion_corpus(monkeypatch):
     # odd prime powers, as the Smith form splits them
     fake = [SimpleNamespace(torsion={1: (9, 4), 2: (25, 2)}),
             SimpleNamespace(torsion={0: (7, 3 ** 5, 2 ** 13 - 1)})]
-    monkeypatch.setattr(Ho, "distinct_profiles", lambda K, coeff: fake)
+    monkeypatch.setattr(Ho, "subcomplex_profiles",
+                        lambda K, coeff: SimpleNamespace(objs=fake))
     assert Ho.torsion_primes(None) == [2, 3, 5, 7, 2 ** 13 - 1]
 

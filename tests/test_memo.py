@@ -14,7 +14,7 @@ import gc
 import weakref
 from pathlib import Path
 
-from flagtor import checks
+from flagtor import checks, cli, rows
 from flagtor import complexes as C
 from flagtor import exact_linalg as E
 from flagtor import hochster as Ho
@@ -214,3 +214,80 @@ def test_a_second_check_all_runs_no_smith_form_self_test(monkeypatch):
     # another ring on K reads the held verdict
     assert checks.check_all(K, H.GF(2), 8)[-1] == ("snf-spot-checks", True, "")
     assert drawn == []
+
+
+def _tables_calls(node, where):
+    """The innermost function around each call of ``tables(...)`` in node."""
+    out = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call) and _called_name(child) == "tables":
+            out.append(where)
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+            else where
+        out += _tables_calls(child, inner)
+    return out
+
+
+def test_every_table_is_filled_through_memo():
+    # outside complexes, only the two lookups that must not build read
+    # K's dict itself
+    calls = sorted((path.stem, where) for path in SRC.glob("*.py") if path.stem != "complexes"
+                   for where in _tables_calls(ast.parse(path.read_text()), "<module>"))
+    assert calls == [("hochster", "profile_for_subset"), ("hochster", "subcomplex_profiles")]
+
+
+def test_the_two_lookups_build_no_table():
+    K = C.random_flag(8, 0.5, 2)
+    Ho.clear_cache()
+    Ho.profile_for_subset(K, 0b1011, H.INTEGERS)
+    assert list(C.tables(K)) == ["geometry"]  # the elimination's, and no store
+    Ho.subcomplex_profiles(K, H.GF(2))
+    stores = [key for key in C.tables(K) if key[0] in ("store", "derived store")]
+    assert stores == [("store", H.GF(2))]  # no integral store, no derived one
+
+
+HOCHSTER_TABLES = (Ho.zk_homology, Ho.rk_homology, Ho.zk_cohomology, Ho.rk_cohomology)
+
+
+def test_each_hochster_table_is_assembled_once(monkeypatch):
+    K = cli.corpus("rp2*cycle:5")
+    assembled = []
+    assemble = Ho._assemble
+    monkeypatch.setattr(Ho, "_assemble",
+                        lambda *args, **kwargs: assembled.append(args)
+                        or assemble(*args, **kwargs))
+    first = [table(K, H.INTEGERS) for table in HOCHSTER_TABLES]
+    assert len(assembled) == 4
+    again = [table(K, H.INTEGERS) for table in HOCHSTER_TABLES]
+    assert len(assembled) == 4
+    assert all(a is b for a, b in zip(first, again))
+
+
+def test_sweep_stores_and_koszul_slices_intern_through_one_method(monkeypatch):
+    K = C.random_flag(7, 0.5, 3)
+    interned = []
+    intern = H.Profiles.intern
+    monkeypatch.setattr(H.Profiles, "intern",
+                        lambda table, prof: interned.append(type(table)) or intern(table, prof))
+    Ho.subcomplex_profiles(K, H.INTEGERS)
+    assert set(interned) == {Ho._Store}
+    P.tor_via_koszul_complex(K, H.RATIONALS, (1,) * K.m)
+    assert set(interned) == {Ho._Store, P.KoszulSlices}
+
+
+def _cyclic_garbage(call):
+    """What call leaves for the cyclic collector, counted with it stopped."""
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def test_cobar_words_partitions_and_row_texts_leave_no_cycle():
+    K = C.cycle_complex(4)
+    assert _cyclic_garbage(lambda: P.cobar_slice(K, (2, 1, 1, 0))) == 0
+    assert _cyclic_garbage(lambda: list(L._partitions([1, 2, 3, 4, 5], 2))) == 0
+    assert _cyclic_garbage(lambda: rows.SUMMAND.text(1, 5)) == 0
