@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations, islice
 from math import comb
 
@@ -251,7 +250,9 @@ def original_faces(K):
 # the per-complex memo
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=1)
+_HELD = {}  # each complex held to its tables: the last asked for, and those derived from it
+
+
 def tables(K):
     """K's memo: one dict of every table computed from K's full subcomplexes.
 
@@ -263,16 +264,26 @@ def tables(K):
     "koszul slices" of ``pontryagin`` (the homology over Z of one slice per
     shape, a ``homology.Profiles`` like the sweep stores) and its "cobar
     slices" (the homology over Z of each slice), the verdicts of the
-    ring-free checks of ``checks.check_all`` per trunc and the verdict of
-    its Smith-form self-test; it is the package's one per-complex memo.
+    ring-free checks of ``checks.check_all`` per trunc, the verdict of
+    its Smith-form self-test and the complexes ``derived`` from K.
     Every table is filled through ``memo``; outside this module only two
     lookups of ``hochster`` read the dict itself, since they must not
-    build.  Only the last complex asked for is kept, and an equal copy of
-    K shares its dict; ``hochster.clear_cache`` empties it.  Each call
-    hashes K, so callers fetch the dict once per call, not once per
-    subset.
+    build.  One rule bounds its life: the memo holds the complex asked
+    for last and the complexes derived from it, and asking for any other
+    complex drops them all.  An equal copy of a held complex shares its
+    dict; ``hochster.clear_cache`` drops every dict.  Each call hashes K,
+    so callers fetch the dict once per call, not once per subset.
     """
-    return {}
+    held = _HELD.get(K)
+    if held is None:
+        _HELD.clear()
+        held = _HELD[K] = {}
+    return held
+
+
+def clear_tables():
+    """Drop the tables of every held complex."""
+    _HELD.clear()
 
 
 def memo(K, name, build):
@@ -281,6 +292,15 @@ def memo(K, name, build):
     if name not in held:
         held[name] = build(K)
     return held[name]
+
+
+def derived(K, name, build):
+    """The complex build(K), held as K's table ``name`` like ``memo``, with
+    its own tables held beside K's for as long as K's are.  A complex
+    equal to K is held as K itself."""
+    L = memo(K, name, lambda K: K if (new := build(K)) == K else new)
+    _HELD.setdefault(L, {})
+    return L
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,11 @@ subsets J of the reduced homology of K_J in degree p-|J|-1; the real
 version R_K uses degree p-1.  The expensive part is one pass over all
 2^m full subcomplexes; its results are held in K's memo
 (``complexes.tables``, filled through ``complexes.memo``), one store per
-ring, which every other module shares and which lasts until another
-complex is asked for.  ``clear_cache`` is the one call that empties every
-per-complex table.  Two lookups read the memo without building:
-``profile_for_subset``, and ``subcomplex_profiles`` asking whether a
-ring has been swept.
+ring, which every other module shares and which lasts until a complex
+neither K nor derived from K is asked for.  ``clear_cache`` is the one
+call that empties every per-complex table.  Two lookups read the memo
+without building: ``profile_for_subset``, and ``subcomplex_profiles``
+asking whether a ring has been swept.
 Q and Z are always swept.  A prime field is swept until K's integral
 store is in the memo; from then on its store is read off the integral
 one by universal coefficients (``HomologyProfile.over``): one reading
@@ -63,7 +63,7 @@ from dataclasses import dataclass, field
 from itertools import chain, compress, count, repeat, tee
 
 from . import homology
-from .complexes import check_sweep_cap, exceeded, memo, tables
+from .complexes import check_sweep_cap, clear_tables, exceeded, memo, tables
 from .exact_linalg import factorization
 
 # sub-blocks of fewer J than this are settled J by J
@@ -225,7 +225,7 @@ class _Store(homology.Profiles, _FastMapping):
 
 def clear_cache():
     """Empty K's memo, which holds every per-complex table."""
-    tables.cache_clear()
+    clear_tables()
 
 
 def _cache_for(K, coeff):

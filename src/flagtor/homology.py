@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .complexes import adjacency, is_flag, memo, missing_faces
+from .complexes import adjacency, exceeded, is_flag, memo, missing_faces
 from .exact_linalg import NonPrimeModulusError, is_prime, rank_columns, snf_columns
 
 
@@ -47,6 +47,7 @@ class Coefficients:
 
 RATIONALS = Coefficients("q")
 INTEGERS = Coefficients("z")
+MAX_MODULUS = 2**32 - 1  # of outside input, which is tested for primality by trial division
 
 
 def GF(p):
@@ -54,13 +55,16 @@ def GF(p):
 
 
 def parse_coefficients(text):
-    """Parse 'q' | 'z' | 'fp:<p>' (as used on the command line)."""
+    """Parse 'q' | 'z' | 'fp:<p>' (as used on the command line), p <= MAX_MODULUS."""
     if text == "q":
         return RATIONALS
     if text == "z":
         return INTEGERS
     if text.startswith("fp:"):
-        return GF(int(text[3:]))
+        p = int(text[3:])
+        if p > MAX_MODULUS:
+            raise exceeded("homology.MAX_MODULUS", MAX_MODULUS, f"the modulus of fp:{p}")
+        return GF(p)
     raise ValueError(f"bad coefficient spec {text!r}; want q, z or fp:<prime>")
 
 

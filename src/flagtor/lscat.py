@@ -22,7 +22,8 @@ from __future__ import annotations
 from itertools import product, takewhile
 
 from . import hochster, homology
-from .complexes import exceeded, flagification, is_flag, link, memo, nu_direct, require_flag
+from .complexes import (derived, exceeded, flagification, is_flag, link, memo, nu_direct,
+                        require_flag)
 from .exact_linalg import rank_columns
 
 MAX_PARTITIONS = 1_000_000  # set partitions one cup-witness search may try
@@ -86,7 +87,7 @@ def cat_lower_bound(K):
 
     Equals cat(Z_K) itself when K is flag (nu = 0).
     """
-    bound = 1 - nu_direct(K) + max_subcomplex_cdim(flagification(K))
+    bound = 1 - nu_direct(K) + max_subcomplex_cdim(derived(K, "flagification", flagification))
     return bound if K.full_mask in K.faces else max(1, bound)
 
 

@@ -13,7 +13,7 @@ on output.
 The series functions take K alone and read one table, chi~(K_J) for
 every J, from ``complexes.chi_subcomplexes``.  It, the Z-graded
 denominator, the series F and the rank table are held in K's memo
-(``complexes.tables``), which keeps the last complex asked for.
+(``complexes.tables``), until an unrelated complex is asked for.
 
 Internally an exponent vector is packed into an integer, one byte per
 variable with the first variable in the most significant byte, and terms

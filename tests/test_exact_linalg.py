@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
+from flagtor.complexes import BudgetExceededError
 from flagtor.exact_linalg import (NonPrimeModulusError, factorization, is_prime,
                                   prime_power_factors, rank_columns, rank_gf2_columns,
                                   rank_mod_p_columns, rank_rational_columns,
@@ -68,6 +69,14 @@ def test_rank_requires_prime_modulus():
         Coefficients("fp", 6)
     with pytest.raises(NonPrimeModulusError):
         parse_coefficients("fp:6")
+
+
+def test_a_modulus_past_the_cap_is_refused_before_its_primality_test():
+    assert parse_coefficients("fp:4294967291") == Coefficients("fp", 4294967291)
+    with pytest.raises(BudgetExceededError, match="homology.MAX_MODULUS"):
+        parse_coefficients("fp:4294967311")  # the least prime past 2^32
+    # the cap is on outside input: the library builds the field itself
+    assert Coefficients("fp", 4294967311).p == 4294967311
 
 
 def test_snf_identity():

@@ -1,9 +1,12 @@
 """Every table computed from K's full subcomplexes has one owner.
 
-``complexes.tables(K)`` holds them all, for the last complex asked for,
-and ``hochster.clear_cache`` empties it: the geometry and the category
-by links live there too, and work on another complex (a link, say)
-keeps nothing.  ``cli.build_parser`` holds no complex.
+``complexes.tables(K)`` holds them all, and ``hochster.clear_cache``
+empties it.  One rule bounds their life: the memo holds the complex
+asked for last and the complexes derived from it (``complexes.derived``,
+such as the flagification that ``lscat.cat_lower_bound`` sweeps), and
+asking for any other complex drops them all.  The geometry and the
+category by links live there too; the links themselves are throwaway
+complexes and keep nothing.  ``cli.build_parser`` holds no complex.
 Anywhere else in ``src/flagtor`` an ``lru_cache`` or ``cache`` decorator,
 or an empty dict at module level, would be a second lifetime that the
 one clear does not reach.
@@ -13,6 +16,8 @@ import ast
 import gc
 import weakref
 from pathlib import Path
+
+import pytest
 
 from flagtor import checks, cli, rows
 from flagtor import complexes as C
@@ -24,7 +29,7 @@ from flagtor import pontryagin as P
 from flagtor import series as S
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "flagtor"
-ALLOWED = {("complexes", "tables"), ("cli", "build_parser")}
+ALLOWED = {("complexes", "_HELD"), ("cli", "build_parser")}
 MEMO_DECORATORS = {"lru_cache", "cache"}
 DICT_FACTORIES = {"dict", "defaultdict", "OrderedDict"}
 
@@ -131,16 +136,75 @@ def test_an_equal_copy_shares_the_tables(monkeypatch):
     assert set(builds.values()) == {1}, builds
 
 
-def test_sweeping_another_complex_frees_the_stores():
+@pytest.fixture
+def collector_off():
+    """Tables must be freed by reference counting alone."""
+    gc.collect()
+    gc.disable()
+    yield
+    gc.enable()
+
+
+def test_sweeping_another_complex_frees_the_stores(collector_off):
     K1, K2 = C.random_flag(9, 0.4, 1), C.random_flag(9, 0.4, 2)
     Ho.clear_cache()
     stores = [weakref.ref(Ho.subcomplex_profiles(K1, ring))
               for ring in (H.INTEGERS, H.GF(2))]
     assert all(ref() is not None for ref in stores)
     Ho.subcomplex_profiles(K2, H.INTEGERS)
-    gc.collect()  # a finished sweep and its table of pairs form a cycle
     assert all(ref() is None for ref in stores)
     assert not Ho._cache_for(K1, H.INTEGERS)  # K1 sweeps anew
+
+
+def _count_sweeps(monkeypatch):
+    runs = []
+    run = Ho._Sweep.run
+    monkeypatch.setattr(Ho._Sweep, "run", lambda sweep: runs.append(sweep.geo) or run(sweep))
+    return runs
+
+
+@pytest.mark.parametrize("name", ["boundary:3+cycle:4", "rp2"])
+def test_two_category_reports_on_a_non_flag_complex_sweep_it_and_its_flagification_once(
+        monkeypatch, name):
+    K = cli.corpus(name)
+    Ho.clear_cache()
+    runs = _count_sweeps(monkeypatch)
+    first = L.cat_report(K)
+    assert not first["is_flag"]
+    assert L.cat_report(K) == first
+    Kf = C.tables(K)["flagification"]
+    assert runs == [H.geometry(K), H.geometry(Kf)]
+
+
+def test_the_lower_bound_of_a_flag_complex_holds_no_second_complex(monkeypatch):
+    K = C.random_flag(8, 0.5, 2)
+    Ho.clear_cache()
+    runs = _count_sweeps(monkeypatch)
+    assert L.cat_lower_bound(K) == L.cat_zk(K)
+    assert list(C._HELD) == [K]
+    assert C.tables(K)["flagification"] is K
+    assert runs == [H.geometry(K)]
+
+
+def _weak_stores_of_a_complex_and_its_flagification():
+    """Weak references to Kf and to the integral stores of K and Kf, for
+    a non-flag K whose category report has been computed."""
+    K = cli.corpus("boundary:3+cycle:4")
+    Ho.clear_cache()
+    L.cat_report(K)
+    Kf = C.tables(K)["flagification"]
+    assert list(C._HELD) == [K, Kf]
+    return [weakref.ref(Kf)] + [weakref.ref(C.tables(X)[("store", H.INTEGERS)])
+                                for X in (K, Kf)]
+
+
+@pytest.mark.parametrize("drop", [lambda: C.tables(C.cycle_complex(5)), Ho.clear_cache],
+                         ids=["another complex", "clear_cache"])
+def test_a_derived_complex_and_its_store_go_with_the_tables_of_K(collector_off, drop):
+    refs = _weak_stores_of_a_complex_and_its_flagification()
+    assert all(ref() is not None for ref in refs)
+    drop()
+    assert all(ref() is None for ref in refs)
 
 
 def test_the_category_by_links_keeps_the_tables_of_K():
