@@ -450,6 +450,29 @@ def test_emit_prints_what_json_dumps_prints(monkeypatch, capsys, argv):
                              default=_dict_rows) + "\n"
 
 
+# sha256 of the --out table stdout, which prints the rows of a row source
+# as the reprs of their dicts
+TABLE_STDOUT = {
+    ("ranks", "--named", "cycle:5", "--trunc", "6"):
+        "3dc3e6911c343bc0f2698c929df356142bf8c25cc13dda32c0209caca4b0df68",
+    ("ranks", "--named", "random-flag:7:50:1", "--trunc", "6"):
+        "49dd3be8a828bdec44ccacf58e6a1dfe41d88547efdb92a4171dc05f451e1e3e",
+    ("tor", "--named", "cycle:5"):
+        "c9d1038fbc8e59492931c681aab04a248928c35bc7f3bc102d17ece270e7e468",
+    ("tor", "--input", str(RP2_FLAG12), "--coeff", "z"):
+        "1b650e2bcb493b6f28d6ceabe88eda09f7a7029c1a121229a168b312891957bc",
+    ("tor", "--named", "cycle:6", "--subset", "1,3,5"):
+        "fbbc1dcd4aff1b7eaa2ac1fd5b6b6868aa336b1f72875df60384e4affbfd9d3b",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(TABLE_STDOUT), ids=_argv_id)
+def test_table_stdout_is_pinned(capsys, argv):
+    assert cli.run([*argv, "--out", "table"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLE_STDOUT[argv]
+
+
 class _CountingSink:
     def __init__(self):
         self.written = 0
