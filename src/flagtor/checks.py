@@ -14,9 +14,14 @@ series-coefficients-nonnegative, series-inverse-roundtrip, pbw-roundtrip,
 chi-inequality-matches-ranks and odj-series-vs-normal-words.  Their
 verdicts, with the normal-word counts the cobar check reads, are held in
 K's memo per (K, trunc), so the ``check-all`` runs over several rings on
-one K compute them once; every ring-dependent check runs on each call.
-The Smith-form self-test tests the kernel, not K or a ring, so its
+one K compute them once; every other ring-dependent check runs on each
+call.  The Smith-form self-test tests the kernel, not K or a ring, so its
 verdict is held in K's memo once, drawn from its own stream seeded by K.
+The tor-vanishing-nonsquarefree sample is drawn once per (K, trunc) from
+another stream of its own seeded by K, and held in K's memo as the
+distinct slices of its 50 beta; each ring's verdict on it is held too.
+So ``--coeff z`` reads one sample for both Q and GF(2), and a call over
+another ring on a warm K draws, builds and eliminates nothing for it.
 
 The checks build no slice and no matrix themselves: Koszul slices are
 read through ``pontryagin``'s readers of its interned "koszul slices"
@@ -72,9 +77,13 @@ def check_all(K, coeff, trunc):
     the Euler characteristic over Q, the two nu algorithms, links, the
     Panov-Ray identity, the series, PBW, chi~ and normal-word checks) are
     held in K's memo per (K, trunc), so the next call on K over another
-    ring reads their verdicts; the ring-dependent checks run on every call.
-    The last check, the Smith-form self-test, reads no ring and draws from
-    its own stream seeded by K, so its verdict is held in K's memo once.
+    ring reads their verdicts.  The non-squarefree Tor check reads one
+    sample of 50 beta per (K, trunc), drawn from its own stream seeded by
+    K, so Q and GF(2) under Z check the same beta; the sample and each
+    ring's verdict on it are held in K's memo.  The other ring-dependent
+    checks run on every call.  The last check, the Smith-form self-test,
+    reads no ring and draws from its own stream seeded by K, so its
+    verdict is held in K's memo once.
 
     The chi~ table that the series check reads is built before any sweep,
     so its transient meets no store.  When the call sweeps Z anyway
@@ -119,7 +128,7 @@ def check_all(K, coeff, trunc):
                     oracle.update(_tor_matches_koszul_slices(K, {ring: masks}))
                 record(f"tor-oracle-squarefree-{ring}", oracle[ring][0])
                 record(f"tor-vanishing-nonsquarefree-{ring}",
-                       _tor_vanishes_off_squarefree(K, ring, trunc, rng))
+                       _tor_vanishes_off_squarefree(K, ring, trunc))
 
         table = hochster.zk_homology(K, fields[0])
         euler_zk = sum((-1) ** p * r for p, r in table.totals_rank.items())
@@ -293,14 +302,30 @@ def _tor_matches_koszul_slices(K, masks_by_ring):
     return out
 
 
-def _tor_vanishes_off_squarefree(K, coeff, trunc, rng):
-    """The Koszul slices at 50 sampled non-squarefree beta have no homology."""
-    for _ in range(50):
-        beta = [0] * K.m
-        for _ in range(rng.randint(2, max(2, min(6, trunc)))):
-            beta[rng.randrange(K.m)] += 1
-        if max(beta) < 2:
-            beta[rng.randrange(K.m)] += 2
-        if any(r for r, _ in pontryagin.tor_via_koszul_complex(K, coeff, beta).values()):
-            return False
-    return True
+def _tor_vanishes_off_squarefree(K, coeff, trunc):
+    """The Koszul slices of the non-squarefree sample at ``trunc`` have no
+    homology over coeff.  Each distinct slice of the sample is read over
+    coeff once, and the verdict is held in K's memo per (trunc, coeff)."""
+    def vanishes(K):
+        ids, slices = _nonsquarefree_sample(K, trunc)
+        return not any(r for i in ids for r, _ in slices.tor(i, coeff).values())
+    return complexes.memo(K, ("tor vanishing", trunc, coeff), vanishes)
+
+
+def _nonsquarefree_sample(K, trunc):
+    """The slices of 50 non-squarefree beta, drawn from a stream of their
+    own seeded by K: (the sorted distinct indices of their slices, K's
+    table "koszul slices").  Held in K's memo per trunc, since trunc
+    bounds |beta|."""
+    def draw(K):
+        rng, betas = _rng(K), []
+        for _ in range(50):
+            beta = [0] * K.m
+            for _ in range(rng.randint(2, max(2, min(6, trunc)))):
+                beta[rng.randrange(K.m)] += 1
+            if max(beta) < 2:
+                beta[rng.randrange(K.m)] += 2
+            betas.append(beta)
+        ids, slices = pontryagin.slice_ids(K, betas)
+        return sorted(set(ids)), slices
+    return complexes.memo(K, ("non-squarefree sample", trunc), draw)

@@ -264,8 +264,10 @@ def tables(K):
     "koszul slices" of ``pontryagin`` (the homology over Z of one slice per
     shape, a ``homology.Profiles`` like the sweep stores) and its "cobar
     slices" (the homology over Z of each slice), the verdicts of the
-    ring-free checks of ``checks.check_all`` per trunc, the verdict of
-    its Smith-form self-test and the complexes ``derived`` from K.
+    ring-free checks of ``checks.check_all`` per trunc, its sample of
+    non-squarefree slices per trunc with their verdict per ring, the
+    verdict of its Smith-form self-test and the complexes ``derived`` from
+    K.
     Every table is filled through ``memo``; outside this module only two
     lookups of ``hochster`` read the dict itself, since they must not
     build.  One rule bounds its life: the memo holds the complex asked

@@ -178,7 +178,8 @@ class KoszulSlices(homology.Profiles):
     preserves.  So there is one build and one integral elimination per
     distinct slice shape: a cold beta takes the index of the first beta
     of its shape (``shape``), and only the first of each shape is built.
-    ``tor`` reads a profile over a ring on every call.
+    ``tor`` reads a profile over a ring on every call; the table holds
+    only integral profiles, and ``checks`` holds its verdicts per ring.
     """
 
     def __init__(self, K):
@@ -294,6 +295,19 @@ def squarefree_slice_ids(K, masks):
     slices = memo(K, "koszul slices", KoszulSlices)
     ids = slices.ids
     return [ids[J] if J in ids else slices.index(K, J) for J in masks], slices
+
+
+def slice_ids(K, betas):
+    """The slices at 2*beta, for each beta of betas (vectors of length m).
+
+    Returns (ids, slices) as ``squarefree_slice_ids`` does: ``slices`` is
+    K's table "koszul slices" and ids[k] the index in it of the k-th
+    beta's slice, built and eliminated over Z only if no earlier beta
+    had its shape.
+    """
+    require_flag(K, "pontryagin.slice_ids")
+    slices = memo(K, "koszul slices", KoszulSlices)
+    return [slices.index(K, tuple(beta)) for beta in betas], slices
 
 
 # ---------------------------------------------------------------------------

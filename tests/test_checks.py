@@ -99,26 +99,78 @@ def test_a_slice_is_eliminated_over_z_once_and_read_over_every_field(monkeypatch
     assert calls == []
 
 
+def _log_slice_work(monkeypatch):
+    """Log each slice built, each elimination and each random draw, on an
+    empty memo."""
+    Ho.clear_cache()
+    log = []
+    koszul_slice, chain_homology = P.koszul_slice, H.chain_homology
+    randrange = random.Random.randrange
+    monkeypatch.setattr(P, "koszul_slice", lambda K, beta: log.append(("built", beta))
+                        or koszul_slice(K, beta))
+    monkeypatch.setattr(H, "chain_homology", lambda *args: log.append(("eliminated", args[2]))
+                        or chain_homology(*args))
+    monkeypatch.setattr(random.Random, "randrange", lambda rng, *args: log.append(("drawn", args))
+                        or randrange(rng, *args))
+    return log
+
+
 def test_non_squarefree_slices_are_shared_and_eliminated_once(monkeypatch):
     K = C.random_flag(7, 0.5, 5)
-    built, eliminated = [], []
-    koszul_slice, chain_homology = P.koszul_slice, H.chain_homology
-    monkeypatch.setattr(P, "koszul_slice",
-                        lambda K, beta: built.append(beta) or koszul_slice(K, beta))
-    monkeypatch.setattr(H, "chain_homology",
-                        lambda *args: eliminated.append(args[2]) or chain_homology(*args))
-    assert checks._tor_vanishes_off_squarefree(K, H.RATIONALS, 8, random.Random(1))
+    log = _log_slice_work(monkeypatch)
+    assert checks._tor_vanishes_off_squarefree(K, H.RATIONALS, 8)
+    built = [beta for what, beta in log if what == "built"]
     assert built and len(set(built)) == len(built)
-    assert eliminated == [H.INTEGERS] * len(built)
-    # a second ring draws the same beta, and builds and eliminates nothing
-    n = len(built)
-    assert checks._tor_vanishes_off_squarefree(K, H.GF(3), 8, random.Random(1))
-    assert len(built) == len(eliminated) == n
+    assert [ring for what, ring in log if what == "eliminated"] == [H.INTEGERS] * len(built)
+    assert ("drawn", (K.m,)) in log
+    # the sample is held as the distinct indices of its slices
+    ids, slices = checks._nonsquarefree_sample(K, 8)
+    assert ids == sorted(set(ids)) and slices is C.tables(K)["koszul slices"]
+    # a second ring draws, builds and eliminates nothing, and reads each
+    # distinct slice of the sample over itself once
+    log.clear()
+    read = []
+    over = H.HomologyProfile.over
+    monkeypatch.setattr(H.HomologyProfile, "over",
+                        lambda prof, coeff: read.append(coeff) or over(prof, coeff))
+    assert checks._tor_vanishes_off_squarefree(K, H.GF(3), 8)
+    assert log == [] and read == [H.GF(3)] * len(ids)
     # a wrong universal-coefficient reading of the warm table must be seen
+    # by a ring not yet read; a ring already read keeps its held verdict
     monkeypatch.setattr(H.HomologyProfile, "over",
                         lambda prof, coeff: H.HomologyProfile({0: 1}))
-    assert not checks._tor_vanishes_off_squarefree(K, H.GF(3), 8, random.Random(1))
-    assert len(built) == len(eliminated) == n
+    assert not checks._tor_vanishes_off_squarefree(K, H.GF(5), 8)
+    assert checks._tor_vanishes_off_squarefree(K, H.GF(3), 8)
+    assert log == []
+
+
+def test_the_f2_ring_of_check_all_over_z_reads_the_q_sample(monkeypatch):
+    K = C.random_flag(7, 0.5, 5)
+    log = _log_slice_work(monkeypatch)
+    work = {}  # ring -> the log entries of the non-squarefree check over it
+    vanishes = checks._tor_vanishes_off_squarefree
+
+    def logged(K, coeff, trunc):
+        start = len(log)
+        ok = vanishes(K, coeff, trunc)
+        work[coeff] = log[start:]
+        return ok
+
+    monkeypatch.setattr(checks, "_tor_vanishes_off_squarefree", logged)
+    assert all(ok for _, ok, _ in checks.check_all(K, H.INTEGERS, 8))
+    assert {what for what, _ in work[H.RATIONALS]} == {"built", "eliminated", "drawn"}
+    assert work[H.GF(2)] == []
+
+
+def test_check_all_over_each_ring_in_turn_builds_slices_only_first(monkeypatch):
+    K = C.random_flag(7, 0.5, 5)
+    log = _log_slice_work(monkeypatch)
+    built = []
+    for ring in (H.RATIONALS, H.GF(2), H.GF(3), H.INTEGERS):
+        start = len(log)
+        assert all(ok for _, ok, _ in checks.check_all(K, ring, 8))
+        built.append(sum(what == "built" for what, _ in log[start:]))
+    assert built[0] > 0 and built[1:] == [0, 0, 0]
 
 
 def test_oracle_runs_each_field_on_its_own_subsets():

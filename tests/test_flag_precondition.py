@@ -27,6 +27,7 @@ FLAG_ONLY = [
     (pontryagin.tor_for_subset, (0b111, H.RATIONALS)),
     (pontryagin.tor_via_koszul_complex, (H.RATIONALS, (1, 1, 1))),
     (pontryagin.squarefree_slice_ids, ([0b111],)),
+    (pontryagin.slice_ids, ([(2, 1, 0)],)),
     (pontryagin.milnor_moore_check, (H.RATIONALS,)),
     (series.poincare_ozk, (4,)),
     (series.poincare_ozk_t, (4,)),

@@ -5,7 +5,7 @@
 comparison checks something only while route two is computed without
 the sweep, so the slice functions of ``pontryagin`` (whose readers keep
 each slice's integral homology in K's memo), the non-squarefree check of
-``checks``, the universal-coefficient reading of ``homology`` that the
+``checks`` and the builder of its sample, the universal-coefficient reading of ``homology`` that the
 reader applies over every ring, and the functions and methods of their
 own module that they call, may name neither ``hochster`` nor its
 per-subset profiles.  The squarefree oracle of ``checks`` compares the two
@@ -17,8 +17,9 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "flagtor"
 ROUTE_TWO = {
-    "pontryagin.py": ("koszul_slice", "tor_via_koszul_complex", "squarefree_slice_ids"),
-    "checks.py": ("_tor_vanishes_off_squarefree",),
+    "pontryagin.py": ("koszul_slice", "tor_via_koszul_complex", "squarefree_slice_ids",
+                      "slice_ids"),
+    "checks.py": ("_tor_vanishes_off_squarefree", "_nonsquarefree_sample"),
     "homology.py": ("over",),
 }
 BANNED = {"hochster", "subcomplex_profiles", "profile_for_subset"}
@@ -68,7 +69,8 @@ def test_koszul_route_names_nothing_of_the_sweep():
 
 def test_slice_table_names_nothing_of_the_sweep():
     named, offences = _scan("checks.py", ROUTE_TWO["checks.py"])
-    assert "tor_via_koszul_complex" in named  # the one slice reader
+    assert "slice_ids" in named  # the one slice reader, whose table reads
+    assert "tor" in named  # each distinct slice of the sample over the ring
     assert not {"koszul_slice", "chain_homology", "over", "tables"} & named  # reads only
     assert not offences, offences
 

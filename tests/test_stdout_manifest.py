@@ -8,8 +8,14 @@ bytes.  A change that alters output on purpose re-pins with
 
     PYTHONPATH=src python tests/test_stdout_manifest.py
 
-and says in CHANGES.md which entries changed and why.  An argument that
-starts with ``tests/data/`` names a file of this tree.
+and says in CHANGES.md which entries changed and why.  A new call is
+pinned from this tree with
+
+    PYTHONPATH=src python tests/test_stdout_manifest.py --add <argv...>
+
+which appends its one entry and leaves every other entry as it is; pin it
+on the commit before a change that should not alter its output.  An
+argument that starts with ``tests/data/`` names a file of this tree.
 """
 
 import hashlib
@@ -69,12 +75,20 @@ def test_every_call_prints_the_pinned_bytes_cold_and_warm():
     assert not wrong, wrong
 
 
-if __name__ == "__main__":  # re-pin every entry's digests from this tree
-    entries = []
-    for entry in _manifest():
-        hochster.clear_cache()
-        stdout, stderr, code = _call(entry["argv"])
-        entries.append({"argv": entry["argv"], "stdout": stdout, "stderr": stderr,
-                        "exit": code})
+def _entry(argv):
+    """The manifest entry of argv, pinned from a cold call."""
+    hochster.clear_cache()
+    stdout, stderr, code = _call(argv)
+    return {"argv": argv, "stdout": stdout, "stderr": stderr, "exit": code}
+
+
+if __name__ == "__main__":  # re-pin every entry, or --add one new call
+    if sys.argv[1:2] == ["--add"]:
+        argv = sys.argv[2:]
+        if not argv or argv in (entry["argv"] for entry in _manifest()):
+            sys.exit(f"--add needs a call the manifest does not list: {argv}")
+        entries = _manifest() + [_entry(argv)]
+    else:
+        entries = [_entry(entry["argv"]) for entry in _manifest()]
     MANIFEST.write_text("[\n" + ",\n".join(map(json.dumps, entries)) + "\n]\n")
     print(f"pinned {len(entries)} calls in {MANIFEST}", file=sys.stderr)
